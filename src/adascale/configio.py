@@ -177,8 +177,20 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """One validator per schema; the schema itself is checked once, here."""
+    schema = _schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _validate(doc: dict, schema_name: str) -> None:
-    jsonschema.validate(doc, _schema(schema_name))
+    # what jsonschema.validate raises, without re-checking the schema per call
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def validate_experiment_config(doc: dict) -> None:

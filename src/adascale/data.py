@@ -81,6 +81,18 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "k", int(self.k))
 
+    def _with_k(self, k: int) -> "Dataset":
+        """The same rows under a class count ``k >= self.k``.
+
+        Labels valid for ``self.k`` stay valid, so the (read-only) arrays
+        are shared and nothing is checked again.
+        """
+        out = object.__new__(Dataset)
+        object.__setattr__(out, "features", self.features)
+        object.__setattr__(out, "labels", self.labels)
+        object.__setattr__(out, "k", int(k))
+        return out
+
     @property
     def n(self) -> int:
         return self.features.shape[0]

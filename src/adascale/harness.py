@@ -245,11 +245,13 @@ def load_datasets(source: DatasetSource) -> tuple[Dataset, Dataset, Dataset]:
             Dataset(pool.features[bounds[1] :], pool.labels[bounds[1] :], pool.k),
         )
     if isinstance(source, FileSource):
-        return (
-            load(source.train_path, source.format),
-            load(source.dev_path, source.format),
-            load(source.test_path, source.format),
-        )
+        # a split may lack the top class, so k is the largest over all three
+        splits = [
+            load(path, source.format)
+            for path in (source.train_path, source.dev_path, source.test_path)
+        ]
+        k = max(ds.k for ds in splits)
+        return tuple(ds if ds.k == k else ds._with_k(k) for ds in splits)
     raise TypeError(f"unknown dataset source {source!r}")
 
 

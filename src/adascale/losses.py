@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ForwardResult
+from .model import ForwardResult, _row_index
 from .scaling import BatchPrediction, w_batch
 
 __all__ = [
@@ -113,13 +113,15 @@ def compute_loss(
     batch = probs.shape[0]
     if batch == 0:
         raise ValueError("batch must contain at least one instance")
-    gold_arr = np.asarray(gold)
+    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
     if gold_arr.shape != (batch,):
         raise ValueError("gold labels must have one entry per batch row")
+    if gold_arr.dtype.kind not in "iu":
+        raise ValueError("gold labels must be integers")
     if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
         raise ValueError("gold labels out of range")
 
-    gold_probs = probs[np.arange(batch), gold_arr]
+    gold_probs = probs[_row_index(batch), gold_arr]
     is_negative = gold_arr == negative_label
     w_used: float | None = None
 
@@ -130,10 +132,15 @@ def compute_loss(
     elif isinstance(strategy, Focal):
         weights = (1.0 - gold_probs) ** strategy.gamma
     elif isinstance(strategy, Adaptive):
-        if np.all(is_negative):
+        if np.count_nonzero(is_negative) == batch:
             w_used = 0.0
         else:
-            batch_pred = BatchPrediction(gold_probs=gold_probs, is_positive=~is_negative)
+            # NaN passes this range test on purpose: a diverged model's NaN
+            # probabilities reach the loss, which the trainer flags as
+            # non-finite instead of failing the run here
+            if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
+                raise ValueError("gold_probs must lie in [0, 1]")
+            batch_pred = BatchPrediction._unchecked(gold_probs, ~is_negative)
             w_used = w_batch(batch_pred, strategy.beta)
         weights = np.where(is_negative, w_used, 1.0)
     else:
@@ -142,5 +149,5 @@ def compute_loss(
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks
     with np.errstate(divide="ignore", invalid="ignore"):
-        loss = float(np.mean(weights * -np.log(gold_probs)))
+        loss = float((weights * -np.log(gold_probs)).mean())
     return LossOutput(loss=loss, instance_weights=weights, w_used=w_used)

@@ -21,6 +21,7 @@ treat them as continuous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -74,7 +75,7 @@ class ConfusionStats:
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0.0:
+    if not math.isfinite(beta) or beta <= 0.0:
         raise ValueError(f"beta must be a positive real, got {beta!r}")
     return beta
 

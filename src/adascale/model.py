@@ -8,6 +8,7 @@ can express itself as instance weighting plugs in unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,15 +123,29 @@ def _activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
     return (pre > 0.0).astype(pre.dtype)
 
 
+def _as_float64(values) -> np.ndarray:
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
+    return np.asarray(values, dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_index(n: int) -> np.ndarray:
+    """Read-only ``arange(n)``, shared by every batch of n rows."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
 def _check_features(spec: ModelSpec, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+    x = _as_float64(features)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if x.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature width {x.shape[1]} does not match model input_dim {spec.input_dim}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     return x
 
@@ -160,21 +175,21 @@ def backward(
     """
     probs = fwd.probs
     batch = probs.shape[0]
-    gold_arr = np.asarray(gold)
-    w = np.asarray(instance_weights, dtype=np.float64)
+    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
+    w = _as_float64(instance_weights)
     if gold_arr.shape != (batch,):
         raise ValueError("gold labels must have one entry per batch row")
-    if not np.issubdtype(gold_arr.dtype, np.integer):
+    if gold_arr.dtype.kind not in "iu":
         raise ValueError("gold labels must be integers")
     if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
         raise ValueError("gold labels out of range for model class count")
     if w.shape != (batch,):
         raise ValueError("instance_weights must have one entry per batch row")
-    if not np.all(np.isfinite(w)) or w.min() < 0.0:
+    if not np.isfinite(w).all() or w.min() < 0.0:
         raise ValueError("instance_weights must be finite and non-negative")
 
     dlogits = probs.copy()
-    dlogits[np.arange(batch), gold_arr] -= 1.0
+    dlogits[_row_index(batch), gold_arr] -= 1.0
     dlogits *= (w / batch)[:, None]
 
     if params.spec.hidden_dim is None:

@@ -59,6 +59,21 @@ class BatchPrediction:
         object.__setattr__(self, "gold_probs", probs)
         object.__setattr__(self, "is_positive", flags)
 
+    @classmethod
+    def _unchecked(cls, gold_probs: np.ndarray, is_positive: np.ndarray) -> "BatchPrediction":
+        """Wrap arrays a caller derived itself, skipping the constructor's checks.
+
+        For use inside a training step only: ``gold_probs`` must be a
+        non-empty 1-D float64 array of softmax gold-class probabilities and
+        ``is_positive`` a bool array of the same shape.  Non-finite
+        probabilities are passed through, so a diverged step yields a NaN
+        weight rather than an error.
+        """
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "gold_probs", gold_probs)
+        object.__setattr__(batch, "is_positive", is_positive)
+        return batch
+
 
 def w_exact(stats: ConfusionStats, beta: float = 1.0) -> float:
     """Exact scaling weight: tp / (beta^2 * p + n - tn + pe).
@@ -82,9 +97,9 @@ def batch_expected_counts(batch: BatchPrediction) -> tuple[float, float, int, in
     informative even for small batches where hard counts would be 0 or 1.
     """
     pos = batch.is_positive
-    tp_b = float(np.sum(batch.gold_probs[pos]))
-    tn_b = float(np.sum(batch.gold_probs[~pos]))
-    p_b = int(np.sum(pos))
+    tp_b = float(batch.gold_probs[pos].sum())
+    tn_b = float(batch.gold_probs[~pos].sum())
+    p_b = int(np.count_nonzero(pos))
     n_b = int(batch.gold_probs.size - p_b)
     return tp_b, tn_b, p_b, n_b
 

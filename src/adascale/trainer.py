@@ -9,6 +9,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,34 +66,67 @@ Optimizer = SGD | Adam
 
 
 class _OptimizerState:
-    """Per-parameter buffers; updates params in place."""
+    """Optimizer buffers over one flat parameter vector.
+
+    Construction moves every weight and bias of ``params`` into one
+    contiguous float64 vector and rebinds them as reshaped views of it, so
+    each :meth:`step` updates the whole model in one in-place pass over
+    preallocated buffers.  The element-wise operations and their order are
+    those of the per-array update rule, so every result is bit-identical
+    to it.
+    """
 
     def __init__(self, optimizer: Optimizer, params: ModelParams) -> None:
         self.optimizer = optimizer
         arrays = params.weights + params.biases
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        n_layers = len(params.weights)
+        params.weights[:] = views[:n_layers]
+        params.biases[:] = views[n_layers:]
+        self.grad = np.empty_like(self.flat)
+        self.scratch = np.empty_like(self.flat)
         if isinstance(optimizer, SGD):
-            self.velocity = [np.zeros_like(a) for a in arrays]
+            self.velocity = np.zeros_like(self.flat)
         else:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
+            self.m = np.zeros_like(self.flat)
+            self.v = np.zeros_like(self.flat)
+            self.denom = np.empty_like(self.flat)
             self.t = 0
 
-    def step(self, params: ModelParams, grads: Gradients) -> None:
-        arrays = params.weights + params.biases
-        g_arrays = grads.weights + grads.biases
+    def step(self, grads: Gradients) -> None:
+        g = np.concatenate(grads.weights + grads.biases, axis=None, out=self.grad)
+        tmp = self.scratch
         opt = self.optimizer
         if isinstance(opt, SGD):
-            for i, (a, g) in enumerate(zip(arrays, g_arrays)):
-                self.velocity[i] = opt.momentum * self.velocity[i] + g
-                a -= opt.lr * self.velocity[i]
+            # velocity = momentum * velocity + g; params -= lr * velocity
+            self.velocity *= opt.momentum
+            self.velocity += g
+            np.multiply(self.velocity, opt.lr, out=tmp)
+            self.flat -= tmp
         else:
             self.t += 1
             bc1 = 1.0 - opt.b1**self.t
             bc2 = 1.0 - opt.b2**self.t
-            for i, (a, g) in enumerate(zip(arrays, g_arrays)):
-                self.m[i] = opt.b1 * self.m[i] + (1.0 - opt.b1) * g
-                self.v[i] = opt.b2 * self.v[i] + (1.0 - opt.b2) * (g * g)
-                a -= opt.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + opt.eps)
+            # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * (g * g)
+            self.m *= opt.b1
+            np.multiply(g, 1.0 - opt.b1, out=tmp)
+            self.m += tmp
+            self.v *= opt.b2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - opt.b2
+            self.v += tmp
+            # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(self.v, bc2, out=self.denom)
+            np.sqrt(self.denom, out=self.denom)
+            self.denom += opt.eps
+            np.divide(self.m, bc1, out=tmp)
+            tmp *= opt.lr
+            tmp /= self.denom
+            self.flat -= tmp
 
 
 @dataclass(frozen=True)
@@ -206,7 +240,7 @@ def train(
             y = train_ds.labels[idx]
             fwd = forward(params, x)
             out = compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
-            if not np.isfinite(out.loss):
+            if not math.isfinite(out.loss):
                 report.failure = (
                     f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
                 )
@@ -217,10 +251,10 @@ def train(
             step_losses.append(out.loss)
             if adaptive:
                 report.w_history.append(float(out.w_used))
-                if not np.any(y != NEGATIVE_LABEL):
+                if not (y != NEGATIVE_LABEL).any():
                     report.skipped_steps += 1
             grads = backward(params, fwd, y, out.instance_weights)
-            opt_state.step(params, grads)
+            opt_state.step(grads)
 
         # an undersampled epoch can be empty when the dataset has no positives
         report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)

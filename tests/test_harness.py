@@ -1,5 +1,8 @@
+import copy
 import json
+from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -21,7 +24,9 @@ from adascale.harness import (
     run_experiment,
 )
 from adascale.losses import Adaptive, Static, Vanilla
-from adascale.trainer import SGD, Adam, TrainConfig
+from adascale.model import ModelSpec
+from adascale.trainer import SGD, Adam, TrainConfig, report_to_dict
+from adascale.trainer import train as train_run
 
 
 TINY_SOURCE = SyntheticSource(
@@ -293,6 +298,31 @@ class TestConfigCodec:
             experiment_from_json(doc)
 
 
+class TestRunReportSchema:
+    @pytest.fixture(scope="class")
+    def report_doc(self):
+        train, dev, test = load_datasets(TINY_SOURCE)
+        config = replace(TINY_TRAIN, strategy=Adaptive(1.0), epochs=1)
+        _, report = train_run(train, dev, test, ModelSpec(5, 3), config)
+        return report_to_dict(report)
+
+    def test_accepts_real_report(self, report_doc):
+        assert report_doc["w_history"]
+        configio.validate_run_report(report_doc)
+        configio.validate_run_report(report_doc)  # the cached validator is reusable
+
+    def test_rejects_negative_weight(self, report_doc):
+        doc = copy.deepcopy(report_doc)
+        doc["w_history"][0] = -0.5
+        with pytest.raises(jsonschema.ValidationError):
+            configio.validate_run_report(doc)
+
+    def test_rejects_extra_key(self, report_doc):
+        doc = dict(report_doc, surprise=1)
+        with pytest.raises(jsonschema.ValidationError):
+            configio.validate_run_report(doc)
+
+
 class TestLoadDatasets:
     def test_synthetic_split_sizes_and_shared_layout(self):
         train, dev, test = load_datasets(TINY_SOURCE)
@@ -314,3 +344,22 @@ class TestLoadDatasets:
         )
         train, dev, test = load_datasets(source)
         assert train.n == dev.n == test.n == 3
+
+    @pytest.mark.parametrize("short_split", ["train", "dev"])
+    def test_file_source_class_count_spans_all_splits(self, tmp_path, short_split):
+        # one split never shows the top class: k must still come from all three
+        full, _, _ = load_datasets(TINY_SOURCE)
+        paths = {}
+        for split in ("train", "dev", "test"):
+            keep = full.labels < 2 if split == short_split else np.ones(full.n, dtype=bool)
+            paths[split] = str(tmp_path / f"{split}.csv")
+            save(Dataset(full.features[keep], full.labels[keep], k=3), paths[split])
+        source = FileSource(paths["train"], paths["dev"], paths["test"])
+        splits = load_datasets(source)
+        assert [ds.k for ds in splits] == [3, 3, 3]
+        config = _tiny_config(
+            tmp_path / "out", source=source, n_seeds=1, best_k=1,
+            arms=(Arm("vanilla", Vanilla(), TINY_TRAIN),),
+        )
+        report = run_experiment(config)
+        assert report.arms[0].n_valid == 1

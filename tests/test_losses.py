@@ -156,6 +156,14 @@ class TestStrategySemantics:
         with pytest.raises(ValueError, match="range"):
             compute_loss(Vanilla(), fwd, np.array([2]))
 
+    def test_gold_must_be_integers(self):
+        # a bool array would otherwise index as a column mask and score the
+        # wrong probabilities without any error
+        fwd = _fwd([[0.9, 0.1], [0.2, 0.8]])
+        for gold in (np.array([True, False]), np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="integers"):
+                compute_loss(Vanilla(), fwd, gold)
+
 
 class TestGradientScalingIdentity:
     def test_negative_contributions_scaled_by_w(self):

@@ -4,10 +4,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adascale.data import Dataset, StratifiedSampler, UniformSampler
-from adascale.losses import Adaptive, Focal, Static, Vanilla
+from adascale.data import (
+    NEGATIVE_LABEL,
+    Dataset,
+    GeneratorConfig,
+    StratifiedSampler,
+    UnderSampler,
+    UniformSampler,
+    batches,
+    generate,
+)
+from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss, strategy_label
 from adascale.metrics import confusion_from_predictions, f_beta, precision, recall
-from adascale.model import ModelParams, ModelSpec
+from adascale.model import ModelParams, ModelSpec, backward, forward, init_params
 from adascale.trainer import (
     SGD,
     Adam,
@@ -99,16 +108,27 @@ class TestTraining:
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
     def test_divergence_flags_invalid(self):
-        # identical features with contradictory labels: a huge learning rate
-        # saturates the softmax and some gold probability underflows to 0
-        feats = np.ones((20, 3))
+        # identical features with contradictory labels; every strategy must
+        # flag the run instead of raising
+        cases = [
+            # a huge learning rate saturates the softmax and some gold
+            # probability underflows to 0
+            (1.0, 1e12),
+            # the parameters overflow to inf and softmax returns NaN
+            (2.0, 1e308),
+        ]
         labels = np.array([0, 1] * 10)
-        ds = Dataset(feats, labels, k=2)
-        cfg = TrainConfig(optimizer=SGD(lr=1e12), epochs=3, batch_size=4, strategy=Vanilla(), seed=0)
-        _, report = train(ds, ds, ds, ModelSpec(3, 2), cfg)
-        assert not report.valid
-        assert "non-finite" in report.failure
-        assert report.test_f == 0.0
+        for feature_value, lr in cases:
+            ds = Dataset(feature_value * np.ones((20, 3)), labels, k=2)
+            for strategy in (Vanilla(), Static(0.5), Focal(2.0), Adaptive(1.0)):
+                cfg = TrainConfig(
+                    optimizer=SGD(lr=lr), epochs=3, batch_size=4, strategy=strategy, seed=0
+                )
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _, report = train(ds, ds, ds, ModelSpec(3, 2), cfg)
+                assert not report.valid, (feature_value, strategy)
+                assert "non-finite" in report.failure
+                assert report.test_f == 0.0
 
     def test_early_stopping(self, toy):
         cfg = _toy_config(strategy=Vanilla(), epochs=50, early_stop_patience=3)
@@ -199,3 +219,125 @@ class TestReportSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(p1.read_text())
         assert doc["seed"] == report.seed
+
+
+def _reference_train(train_ds, dev_ds, test_ds, spec, config):
+    """Reference step loop: the public layer calls plus per-array Adam and
+    SGD with momentum, written out without the trainer's flat optimizer
+    state.  ``train`` must reproduce it bit for bit."""
+    init_seed = int(np.random.SeedSequence((config.seed, 1)).generate_state(1)[0])
+    params = init_params(spec, init_seed)
+    arrays = params.weights + params.biases
+    opt = config.optimizer
+    velocity = [np.zeros_like(a) for a in arrays]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    t = 0
+    adaptive = isinstance(config.strategy, Adaptive)
+    report = RunReport(
+        seed=config.seed, strategy=strategy_label(config.strategy), eval_beta=config.eval_beta
+    )
+    best_params = params.copy()
+    for epoch in range(config.epochs):
+        step_losses = []
+        epoch_seed = int(np.random.SeedSequence((config.seed, 2, epoch)).generate_state(1)[0])
+        for idx in batches(train_ds, config.sampler, config.batch_size, epoch_seed):
+            x = train_ds.features[idx]
+            y = train_ds.labels[idx]
+            fwd = forward(params, x)
+            out = compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
+            if not np.isfinite(out.loss):
+                report.failure = f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
+                report.valid = False
+                report.epochs_run = epoch
+                return best_params, report
+            step_losses.append(out.loss)
+            if adaptive:
+                report.w_history.append(float(out.w_used))
+                if not np.any(y != NEGATIVE_LABEL):
+                    report.skipped_steps += 1
+            grads = backward(params, fwd, y, out.instance_weights)
+            g_arrays = grads.weights + grads.biases
+            if isinstance(opt, SGD):
+                for i, (a, g) in enumerate(zip(arrays, g_arrays)):
+                    velocity[i] = opt.momentum * velocity[i] + g
+                    a -= opt.lr * velocity[i]
+            else:
+                t += 1
+                bc1 = 1.0 - opt.b1**t
+                bc2 = 1.0 - opt.b2**t
+                for i, (a, g) in enumerate(zip(arrays, g_arrays)):
+                    m[i] = opt.b1 * m[i] + (1.0 - opt.b1) * g
+                    v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
+                    a -= opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
+        report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
+        dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+        report.dev_precision.append(dev_p)
+        report.dev_recall.append(dev_r)
+        report.dev_f.append(dev_f)
+        report.epochs_run = epoch + 1
+        if dev_f > report.best_dev_f or report.best_epoch < 0:
+            report.best_dev_f = dev_f
+            report.best_epoch = epoch
+            best_params = params.copy()
+        elif (
+            config.early_stop_patience is not None
+            and epoch - report.best_epoch >= config.early_stop_patience
+        ):
+            break
+    report.test_precision, report.test_recall, report.test_f = evaluate(
+        best_params, test_ds, config.eval_beta
+    )
+    return best_params, report
+
+
+class TestReferenceLoop:
+    @pytest.fixture(scope="class")
+    def splits(self):
+        pool = generate(GeneratorConfig(n=120, d=4, k=3, positive_rate=0.2, seed=4))
+        return tuple(
+            Dataset(pool.features[rows], pool.labels[rows], pool.k)
+            for rows in (slice(0, 64), slice(64, 92), slice(92, 120))
+        )
+
+    def _assert_same_run(self, splits, spec, config, tmp_path):
+        params, report = train(*splits, spec, config)
+        ref_params, ref_report = _reference_train(*splits, spec, config)
+        write_run_report(report, tmp_path / "train.json")
+        write_run_report(ref_report, tmp_path / "reference.json")
+        assert (tmp_path / "train.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+        for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+            assert a.flags.owndata
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        return report
+
+    def test_matrix_matches_reference(self, splits, tmp_path):
+        specs = [ModelSpec(4, 3), ModelSpec(4, 3, 6, "tanh"), ModelSpec(4, 3, 6, "relu")]
+        strategies = [Vanilla(), Static(0.4), Focal(2.0), Adaptive(1.0)]
+        samplers = [UniformSampler(), StratifiedSampler(1), UnderSampler(2.0)]
+        optimizers = [Adam(lr=0.05), SGD(lr=0.3, momentum=0.9)]
+        seed = 0
+        for spec in specs:
+            for strategy in strategies:
+                for sampler in samplers:
+                    for optimizer in optimizers:
+                        config = TrainConfig(
+                            optimizer=optimizer, epochs=3, batch_size=8, sampler=sampler,
+                            strategy=strategy, seed=seed,
+                        )
+                        self._assert_same_run(splits, spec, config, tmp_path)
+                        seed += 1
+
+    def test_early_stopped_run_matches_reference(self, toy, tmp_path):
+        config = _toy_config(strategy=Adaptive(1.0), epochs=50, early_stop_patience=2)
+        report = self._assert_same_run(toy, TOY_SPEC, config, tmp_path)
+        assert report.epochs_run < 50
+
+    def test_invalid_run_matches_reference(self, tmp_path):
+        ds = Dataset(2.0 * np.ones((20, 3)), np.array([0, 1] * 10), k=2)
+        config = TrainConfig(
+            optimizer=SGD(lr=1e308), epochs=3, batch_size=4, strategy=Adaptive(1.0), seed=0
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = self._assert_same_run((ds, ds, ds), ModelSpec(3, 2), config, tmp_path)
+        assert not report.valid
