@@ -45,7 +45,6 @@ from .metrics import (
     f_beta,
     marginal_utility_accuracy,
     marginal_utility_fbeta,
-    micro_f_invariance_check,
     precision,
     recall,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "load_params",
     "marginal_utility_accuracy",
     "marginal_utility_fbeta",
-    "micro_f_invariance_check",
     "precision",
     "predict",
     "reaggregate",

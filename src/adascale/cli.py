@@ -55,7 +55,7 @@ def _cmd_generate(args) -> int:
             doc[flag] = value
     if args.seed is not None:
         doc["seed"] = args.seed
-    config = configio.generator_from_json(doc)
+    config = configio.from_json(data.GeneratorConfig, doc)
     dataset = data.generate(config)
     data.save(dataset, args.out, args.format)
     print(f"wrote {dataset.n} instances ({dataset.d} features, k={dataset.k}) to {args.out}")

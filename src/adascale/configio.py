@@ -1,5 +1,5 @@
-"""JSON codecs for strategies, samplers, optimizers and generator configs,
-plus schema validation for every document the toolkit reads or writes.
+"""One JSON codec for every config dataclass, plus schema validation for
+every document the toolkit reads or writes.
 
 All on-disk documents use tagged objects ({"kind": ...}) for the union
 types.  Schemas ship inside the package under ``adascale/schemas`` and are
@@ -10,25 +10,20 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import fields, is_dataclass
 from importlib import resources
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import jsonschema
 
-from .data import GeneratorConfig, SamplerKind, StratifiedSampler, UnderSampler, UniformSampler
-from .losses import Adaptive, Focal, LossStrategy, Static, Vanilla
-from .trainer import SGD, Adam, Optimizer, TrainConfig
+from .data import StratifiedSampler, UnderSampler, UniformSampler
+from .losses import Adaptive, Focal, Static, Vanilla
+from .trainer import SGD, Adam, TrainConfig
 
 __all__ = [
-    "strategy_to_json",
-    "strategy_from_json",
-    "sampler_to_json",
-    "sampler_from_json",
-    "optimizer_to_json",
-    "optimizer_from_json",
-    "generator_to_json",
-    "generator_from_json",
-    "train_config_to_json",
-    "train_config_from_json",
+    "to_json",
+    "from_json",
     "validate_experiment_config",
     "validate_run_report",
     "validate_comparison_report",
@@ -45,130 +40,69 @@ def write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def strategy_to_json(strategy: LossStrategy) -> dict:
-    if isinstance(strategy, Vanilla):
-        return {"kind": "vanilla"}
-    if isinstance(strategy, Adaptive):
-        return {"kind": "adaptive", "beta": strategy.beta}
-    if isinstance(strategy, Static):
-        return {"kind": "static", "negative_cost": strategy.negative_cost}
-    if isinstance(strategy, Focal):
-        return {"kind": "focal", "gamma": strategy.gamma}
-    raise TypeError(f"unknown strategy {strategy!r}")
+# the tag each member of a config union carries in JSON as "kind"
+_KINDS = {
+    Vanilla: "vanilla",
+    Adaptive: "adaptive",
+    Static: "static",
+    Focal: "focal",
+    UniformSampler: "uniform",
+    StratifiedSampler: "stratified",
+    UnderSampler: "undersample",
+    SGD: "sgd",
+    Adam: "adam",
+}
+
+# set for each run by the protocol, never read from or written to JSON
+_PER_RUN = {TrainConfig: ("strategy", "seed")}
 
 
-def strategy_from_json(doc: dict) -> LossStrategy:
-    kind = doc.get("kind")
-    if kind == "vanilla":
-        return Vanilla()
-    if kind == "adaptive":
-        return Adaptive(beta=float(doc.get("beta", 1.0)))
-    if kind == "static":
-        return Static(negative_cost=float(doc["negative_cost"]))
-    if kind == "focal":
-        return Focal(gamma=float(doc["gamma"]))
-    raise ValueError(f"unknown strategy kind {kind!r}")
+def _fields(cls) -> list:
+    return [f for f in fields(cls) if f.name not in _PER_RUN.get(cls, ())]
 
 
-def sampler_to_json(sampler: SamplerKind) -> dict:
-    if isinstance(sampler, UniformSampler):
-        return {"kind": "uniform"}
-    if isinstance(sampler, StratifiedSampler):
-        return {"kind": "stratified", "min_positives_per_batch": sampler.min_positives_per_batch}
-    if isinstance(sampler, UnderSampler):
-        return {"kind": "undersample", "neg_to_pos_ratio": sampler.neg_to_pos_ratio}
-    raise TypeError(f"unknown sampler {sampler!r}")
+def _encode(obj) -> dict:
+    doc = {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
+    kind = _KINDS.get(type(obj))
+    return doc if kind is None else {"kind": kind, **doc}
 
 
-def sampler_from_json(doc: dict) -> SamplerKind:
-    kind = doc.get("kind")
-    if kind == "uniform":
-        return UniformSampler()
-    if kind == "stratified":
-        return StratifiedSampler(min_positives_per_batch=int(doc.get("min_positives_per_batch", 1)))
-    if kind == "undersample":
-        return UnderSampler(neg_to_pos_ratio=float(doc["neg_to_pos_ratio"]))
-    raise ValueError(f"unknown sampler kind {kind!r}")
+def to_json(obj):
+    """JSON form of a config dataclass, tagged with its "kind" if it has one."""
+    # json walks the containers (tuples become lists) and hands each dataclass to _encode
+    return json.loads(json.dumps(obj, default=_encode))
 
 
-def optimizer_to_json(optimizer: Optimizer) -> dict:
-    if isinstance(optimizer, SGD):
-        return {"kind": "sgd", "lr": optimizer.lr, "momentum": optimizer.momentum}
-    if isinstance(optimizer, Adam):
-        return {
-            "kind": "adam",
-            "lr": optimizer.lr,
-            "b1": optimizer.b1,
-            "b2": optimizer.b2,
-            "eps": optimizer.eps,
-        }
-    raise TypeError(f"unknown optimizer {optimizer!r}")
+def from_json(tp, doc, **given):
+    """Build a value of type ``tp`` from its JSON form.
 
-
-def optimizer_from_json(doc: dict) -> Optimizer:
-    kind = doc.get("kind")
-    if kind == "sgd":
-        return SGD(lr=float(doc.get("lr", 0.1)), momentum=float(doc.get("momentum", 0.0)))
-    if kind == "adam":
-        return Adam(
-            lr=float(doc.get("lr", 1e-3)),
-            b1=float(doc.get("b1", 0.9)),
-            b2=float(doc.get("b2", 0.999)),
-            eps=float(doc.get("eps", 1e-8)),
-        )
-    raise ValueError(f"unknown optimizer kind {kind!r}")
-
-
-def generator_to_json(config: GeneratorConfig) -> dict:
-    return {
-        "n": config.n,
-        "d": config.d,
-        "k": config.k,
-        "positive_rate": config.positive_rate,
-        "negative_modes": config.negative_modes,
-        "class_separation": config.class_separation,
-        "noise_scale": config.noise_scale,
-        "seed": config.seed,
-    }
-
-
-def generator_from_json(doc: dict) -> GeneratorConfig:
-    defaults = GeneratorConfig()
-    return GeneratorConfig(
-        n=int(doc.get("n", defaults.n)),
-        d=int(doc.get("d", defaults.d)),
-        k=int(doc.get("k", defaults.k)),
-        positive_rate=float(doc.get("positive_rate", defaults.positive_rate)),
-        negative_modes=int(doc.get("negative_modes", defaults.negative_modes)),
-        class_separation=float(doc.get("class_separation", defaults.class_separation)),
-        noise_scale=float(doc.get("noise_scale", defaults.noise_scale)),
-        seed=int(doc.get("seed", defaults.seed)),
-    )
-
-
-def train_config_to_json(config: TrainConfig) -> dict:
-    """Serialize the shared training knobs (strategy and seed are per-run)."""
-    return {
-        "optimizer": optimizer_to_json(config.optimizer),
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "sampler": sampler_to_json(config.sampler),
-        "eval_beta": config.eval_beta,
-        "early_stop_patience": config.early_stop_patience,
-    }
-
-
-def train_config_from_json(doc: dict) -> TrainConfig:
-    defaults = TrainConfig()
-    patience = doc.get("early_stop_patience")
-    return TrainConfig(
-        optimizer=optimizer_from_json(doc["optimizer"]) if "optimizer" in doc else defaults.optimizer,
-        epochs=int(doc.get("epochs", defaults.epochs)),
-        batch_size=int(doc.get("batch_size", defaults.batch_size)),
-        sampler=sampler_from_json(doc["sampler"]) if "sampler" in doc else defaults.sampler,
-        eval_beta=float(doc.get("eval_beta", defaults.eval_beta)),
-        early_stop_patience=None if patience is None else int(patience),
-    )
+    ``tp`` is a config dataclass, a union of tagged ones (chosen by the
+    document's "kind"), or a field annotation: numbers are cast to the
+    annotated type, absent dataclass keys take their defaults.  ``given``
+    fields are passed to the dataclass as they are.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if doc is None:
+            return None
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:
+            return from_json(members[0], doc)
+        kind = doc.get("kind")
+        tp = next((m for m in members if _KINDS.get(m) == kind), None)
+        if tp is None:
+            raise ValueError(f"unknown kind {kind!r}")
+    elif origin is tuple or tp is tuple:
+        return tuple(from_json(args[0], v) if args else v for v in doc)
+    elif origin is dict:
+        return {k: from_json(args[1], v) for k, v in doc.items()}
+    if not is_dataclass(tp):
+        return tp(doc) if tp in (int, float) else doc
+    hints = get_type_hints(tp)
+    for f in _fields(tp):
+        if f.name in doc and f.name not in given:
+            given[f.name] = from_json(hints[f.name], doc[f.name])
+    return tp(**given)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 Protocol: every arm trains once per seed (all arms share the same seed
 list, so comparisons are paired), every run is persisted as JSON before
 any aggregate is computed, and aggregates are recomputable from the
-persisted files alone (:func:`reaggregate`).
+persisted files alone (:func:`reaggregate`).  Each protocol only plans its
+``(arm name, TrainConfig)`` runs; one pipeline (:func:`_execute`) trains
+and persists them all.
 
 Reported variance follows the percentage-point convention: test F is
 expressed on a 0..100 scale, so the reported Var is 1e4 times the raw
@@ -283,10 +285,48 @@ def _run_all(tasks, workers: int):
         return list(pool.map(_execute_run, tasks))
 
 
+def _run_file(arm_name: str, seed: int) -> str:
+    return f"run_{_safe_name(arm_name)}_{seed}.json"
+
+
 def _persist(report: RunReport, out_dir: Path) -> None:
-    path = out_dir / f"run_{_safe_name(report.arm)}_{report.seed}.json"
-    write_run_report(report, path)
+    write_run_report(report, out_dir / _run_file(report.arm, report.seed))
     configio.validate_run_report(report_to_dict(report))
+
+
+def _seed_runs(
+    config: ExperimentConfig, arm_name: str, train_config: TrainConfig
+) -> list[tuple[str, TrainConfig]]:
+    """One ``(arm name, TrainConfig)`` run per seed of the shared seed list."""
+    return [(arm_name, replace(train_config, seed=config.base_seed + s)) for s in range(config.n_seeds)]
+
+
+def _execute(config: ExperimentConfig, runs: list[tuple[str, TrainConfig]]) -> tuple[list, Path]:
+    """Train the planned ``(arm name, TrainConfig)`` runs and persist every report.
+
+    Runs whose reports would share a file are rejected before any training.
+    Results come back in plan order, so each protocol reads its arms, betas
+    or cells as consecutive blocks of ``n_seeds``.
+    """
+    files: dict[str, str] = {}
+    for arm_name, train_config in runs:
+        file = _run_file(arm_name, train_config.seed)
+        if file in files:
+            raise ValueError(f"arms {files[file]!r} and {arm_name!r} both write {file}")
+        files[file] = arm_name
+    train_ds, dev_ds, test_ds = load_datasets(config.source)
+    spec = _build_spec(config.model, train_ds)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks = [(train_ds, dev_ds, test_ds, spec, train_config, arm_name) for arm_name, train_config in runs]
+    results = _run_all(tasks, config.workers)
+    for report, _ in results:
+        _persist(report, out_dir)
+    return results, out_dir
+
+
+def _blocks(results: list, size: int) -> list[list]:
+    return [results[i : i + size] for i in range(0, len(results), size)]
 
 
 def _summarize_arm(name: str, reports: list[RunReport], best_k: int) -> ArmSummary:
@@ -350,35 +390,18 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     invalid (aborted) runs are excluded from aggregates and listed in the
     arm summary.  Writes ``comparison.csv`` and ``comparison.json``.
     """
-    train_ds, dev_ds, test_ds = load_datasets(config.source)
-    spec = _build_spec(config.model, train_ds)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    tasks = [
-        (
-            train_ds,
-            dev_ds,
-            test_ds,
-            spec,
-            replace(arm.train, strategy=arm.strategy, seed=config.base_seed + s),
-            arm.name,
-        )
-        for arm in config.arms
-        for s in range(config.n_seeds)
-    ]
-    results = _run_all(tasks, config.workers)
-
-    by_arm: dict[str, list[RunReport]] = {arm.name: [] for arm in config.arms}
-    for report, _ in results:
-        _persist(report, out_dir)
-        by_arm[report.arm].append(report)
-
+    runs = []
+    for arm in config.arms:
+        runs += _seed_runs(config, arm.name, replace(arm.train, strategy=arm.strategy))
+    results, out_dir = _execute(config, runs)
     report = ComparisonReport(
         n_seeds=config.n_seeds,
         best_k=config.best_k,
         base_seed=config.base_seed,
-        arms=[_summarize_arm(arm.name, by_arm[arm.name], config.best_k) for arm in config.arms],
+        arms=[
+            _summarize_arm(arm.name, [r for r, _ in block], config.best_k)
+            for arm, block in zip(config.arms, _blocks(results, config.n_seeds))
+        ],
     )
     doc = report.to_dict()
     configio.validate_comparison_report(doc)
@@ -408,36 +431,14 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     if template is None:
         raise ValueError("beta sweep requires an adaptive arm in the experiment config")
 
-    train_ds, dev_ds, test_ds = load_datasets(config.source)
-    spec = _build_spec(config.model, train_ds)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows: list[SweepRow] = []
+    runs = []
     for beta in config.beta_sweep:
-        arm_name = f"adaptive_beta{beta:g}"
-        tasks = [
-            (
-                train_ds,
-                dev_ds,
-                test_ds,
-                spec,
-                replace(
-                    template.train,
-                    strategy=Adaptive(beta=beta),
-                    eval_beta=beta,
-                    seed=config.base_seed + s,
-                ),
-                arm_name,
-            )
-            for s in range(config.n_seeds)
-        ]
-        results = _run_all(tasks, config.workers)
-        per_seed = []
-        for report, extras in results:
-            _persist(report, out_dir)
-            if report.valid:
-                per_seed.append(extras)
+        train_config = replace(template.train, strategy=Adaptive(beta=beta), eval_beta=beta)
+        runs += _seed_runs(config, f"adaptive_beta{beta:g}", train_config)
+    results, out_dir = _execute(config, runs)
+    rows: list[SweepRow] = []
+    for beta, block in zip(config.beta_sweep, _blocks(results, config.n_seeds)):
+        per_seed = [extras for report, extras in block if report.valid]
         mean_p, std_p = _mean_std([p for p, _, _ in per_seed])
         mean_r, std_r = _mean_std([r for _, r, _ in per_seed])
         mean_f, std_f = _mean_std([f for _, _, f in per_seed])
@@ -512,33 +513,19 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     if not cells:
         raise ValueError("grid value lists must be non-empty")
 
-    train_ds, dev_ds, test_ds = load_datasets(config.source)
-    spec = _build_spec(config.model, train_ds)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    results: list[GridCell] = []
+    runs = []
     for cell in cells:
         cell_arm = _apply_cell(arm, cell)
         label = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items())
         arm_name = f"{arm.name}#{label}" if label else arm.name
-        tasks = [
-            (
-                train_ds,
-                dev_ds,
-                test_ds,
-                spec,
-                replace(cell_arm.train, strategy=cell_arm.strategy, seed=config.base_seed + s),
-                arm_name,
-            )
-            for s in range(config.n_seeds)
-        ]
-        reports = []
-        for report, _ in _run_all(tasks, config.workers):
-            _persist(report, out_dir)
-            reports.append(report)
+        runs += _seed_runs(config, arm_name, replace(cell_arm.train, strategy=cell_arm.strategy))
+    results, out_dir = _execute(config, runs)
+
+    grid_cells: list[GridCell] = []
+    for cell, block in zip(cells, _blocks(results, config.n_seeds)):
+        reports = [r for r, _ in block]
         valid = [r for r in reports if r.valid]
-        results.append(
+        grid_cells.append(
             GridCell(
                 params=cell,
                 mean_dev_f=float(np.mean([r.best_dev_f for r in valid])) if valid else None,
@@ -550,7 +537,7 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
 
     best_index = 0
     best_score = -1.0
-    for i, cell in enumerate(results):
+    for i, cell in enumerate(grid_cells):
         score = -1.0 if cell.mean_dev_f is None else cell.mean_dev_f
         if score > best_score:
             best_score = score
@@ -559,8 +546,8 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     grid_result = GridResult(
         arm=arm.name,
         best_index=best_index,
-        best_params=results[best_index].params,
-        cells=results,
+        best_params=grid_cells[best_index].params,
+        cells=grid_cells,
     )
     doc = grid_result.to_dict()
     configio.validate_grid_report(doc)
@@ -578,50 +565,15 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     run_dir = Path(run_dir)
     by_arm: dict[str, list[RunReport]] = {}
     for path in sorted(run_dir.glob("run_*.json")):
-        doc = json.loads(path.read_text())
-        report = RunReport(
-            seed=doc["seed"],
-            arm=doc["arm"],
-            strategy=doc["strategy"],
-            eval_beta=doc["eval_beta"],
-            epochs_run=doc["epochs_run"],
-            best_epoch=doc["best_epoch"],
-            best_dev_f=doc["best_dev_f"],
-            dev_precision=doc["dev_precision"],
-            dev_recall=doc["dev_recall"],
-            dev_f=doc["dev_f"],
-            loss_curve=doc["loss_curve"],
-            w_history=doc["w_history"],
-            skipped_steps=doc["skipped_steps"],
-            test_precision=doc["test_precision"],
-            test_recall=doc["test_recall"],
-            test_f=doc["test_f"],
-            valid=doc["valid"],
-            failure=doc["failure"],
-        )
+        report = RunReport(**json.loads(path.read_text()))
         by_arm.setdefault(report.arm, []).append(report)
     return {name: _summarize_arm(name, reports, best_k) for name, reports in by_arm.items()}
-
-
-def _model_from_json(doc: dict) -> ModelConfig:
-    return ModelConfig(
-        hidden_dim=doc.get("hidden_dim"),
-        activation=doc.get("activation", "tanh"),
-    )
-
-
-def _model_to_json(model: ModelConfig) -> dict:
-    return {"hidden_dim": model.hidden_dim, "activation": model.activation}
 
 
 def _source_from_json(doc: dict) -> DatasetSource:
     kind = doc.get("kind")
     if kind == "synthetic":
-        return SyntheticSource(
-            generator=configio.generator_from_json(doc.get("generator", {})),
-            n_dev=int(doc.get("n_dev", 2000)),
-            n_test=int(doc.get("n_test", 2000)),
-        )
+        return configio.from_json(SyntheticSource, doc)
     if kind == "files":
         return FileSource(
             train_path=doc["train"],
@@ -634,12 +586,7 @@ def _source_from_json(doc: dict) -> DatasetSource:
 
 def _source_to_json(source: DatasetSource) -> dict:
     if isinstance(source, SyntheticSource):
-        return {
-            "kind": "synthetic",
-            "generator": configio.generator_to_json(source.generator),
-            "n_dev": source.n_dev,
-            "n_test": source.n_test,
-        }
+        return {"kind": "synthetic", **configio.to_json(source)}
     return {
         "kind": "files",
         "train": source.train_path,
@@ -657,60 +604,14 @@ def experiment_from_json(doc: dict) -> ExperimentConfig:
     """
     configio.validate_experiment_config(doc)
     base_train = doc.get("train", {})
-    arms = []
-    for arm_doc in doc["arms"]:
-        merged = {**base_train, **arm_doc.get("train", {})}
-        arms.append(
-            Arm(
-                name=arm_doc["name"],
-                strategy=configio.strategy_from_json(arm_doc["strategy"]),
-                train=configio.train_config_from_json(merged),
-            )
-        )
-    grid = doc.get("grid")
-    if grid is not None:
-        grid = {
-            arm_name: {param: tuple(values) for param, values in params.items()}
-            for arm_name, params in grid.items()
-        }
-    sweep = doc.get("beta_sweep")
-    return ExperimentConfig(
-        source=_source_from_json(doc["dataset"]),
-        arms=tuple(arms),
-        model=_model_from_json(doc.get("model", {})),
-        n_seeds=int(doc.get("n_seeds", 10)),
-        best_k=int(doc.get("best_k", 3)),
-        base_seed=int(doc.get("base_seed", 0)),
-        beta_sweep=None if sweep is None else tuple(float(b) for b in sweep),
-        grid=grid,
-        output_dir=doc.get("output_dir", "out"),
-        workers=int(doc.get("workers", 1)),
-    )
+    body = {key: value for key, value in doc.items() if key not in ("dataset", "train")}
+    body["arms"] = [{**arm, "train": {**base_train, **arm.get("train", {})}} for arm in doc["arms"]]
+    return configio.from_json(ExperimentConfig, body, source=_source_from_json(doc["dataset"]))
 
 
 def experiment_to_json(config: ExperimentConfig) -> dict:
-    doc = {
-        "dataset": _source_to_json(config.source),
-        "model": _model_to_json(config.model),
-        "arms": [
-            {
-                "name": arm.name,
-                "strategy": configio.strategy_to_json(arm.strategy),
-                "train": configio.train_config_to_json(arm.train),
-            }
-            for arm in config.arms
-        ],
-        "n_seeds": config.n_seeds,
-        "best_k": config.best_k,
-        "base_seed": config.base_seed,
-        "output_dir": config.output_dir,
-        "workers": config.workers,
-    }
-    if config.beta_sweep is not None:
-        doc["beta_sweep"] = list(config.beta_sweep)
-    if config.grid is not None:
-        doc["grid"] = {
-            arm: {param: list(values) for param, values in params.items()}
-            for arm, params in config.grid.items()
-        }
-    return doc
+    doc = configio.to_json(config)
+    del doc["source"]
+    doc["dataset"] = _source_to_json(config.source)
+    # an experiment without a sweep or a grid leaves the key out
+    return {key: value for key, value in doc.items() if value is not None}

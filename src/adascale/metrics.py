@@ -22,8 +22,7 @@ treat them as continuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "f_beta",
     "marginal_utility_accuracy",
     "marginal_utility_fbeta",
-    "micro_f_invariance_check",
 ]
 
 
@@ -201,20 +199,3 @@ def marginal_utility_fbeta(stats: ConfusionStats, beta: float = 1.0) -> tuple[fl
     mu_tp = (1.0 + b2) * rest / (den * den)
     mu_tn = (1.0 + b2) * stats.tp / (den * den)
     return mu_tp, mu_tn
-
-
-def micro_f_invariance_check(
-    per_class: Mapping[int, float], stats: ConfusionStats, beta: float = 1.0
-) -> bool:
-    """Confirm F-beta depends on per-class true positives only through their sum.
-
-    ``per_class`` must sum to ``stats.tp`` (else ValueError).  The check
-    recomputes F-beta from the aggregate alone: any redistribution of the
-    per-class counts with the same total therefore scores identically.
-    """
-    total = float(sum(per_class.values()))
-    if total != float(stats.tp):
-        raise ValueError(
-            f"per-class counts sum to {total}, expected tp={stats.tp}"
-        )
-    return f_beta(replace(stats, tp=total), beta) == f_beta(stats, beta)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -283,26 +283,7 @@ def train(
 
 def report_to_dict(report: RunReport) -> dict:
     """Canonical JSON payload for a run (timing excluded, see RunReport)."""
-    return {
-        "seed": report.seed,
-        "arm": report.arm,
-        "strategy": report.strategy,
-        "eval_beta": report.eval_beta,
-        "epochs_run": report.epochs_run,
-        "best_epoch": report.best_epoch,
-        "best_dev_f": report.best_dev_f,
-        "dev_precision": report.dev_precision,
-        "dev_recall": report.dev_recall,
-        "dev_f": report.dev_f,
-        "loss_curve": report.loss_curve,
-        "w_history": report.w_history,
-        "skipped_steps": report.skipped_steps,
-        "test_precision": report.test_precision,
-        "test_recall": report.test_recall,
-        "test_f": report.test_f,
-        "valid": report.valid,
-        "failure": report.failure,
-    }
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "wall_clock_s"}
 
 
 def write_run_report(report: RunReport, path) -> None:

@@ -34,7 +34,6 @@ from adascale.metrics import (
     confusion_from_predictions,
     f_beta,
     marginal_utility_fbeta,
-    micro_f_invariance_check,
     precision,
     recall,
 )
@@ -175,8 +174,8 @@ def test_weight_property_suite():
             *_redistribution_labels((b, TP - b), P, TP, PE, N, TN), 0
         )
         assert stats_a == stats_b
+        assert sum(per_a.values()) == sum(per_b.values()) == stats_a.tp
         assert f_beta(stats_a, beta) == f_beta(stats_b, beta)
-        assert micro_f_invariance_check(per_a, stats_a, beta)
 
     elapsed = time.perf_counter() - start
     ok = elapsed < 5.0

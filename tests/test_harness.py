@@ -1,5 +1,7 @@
 import copy
+import functools
 import json
+import re
 from dataclasses import replace
 
 import jsonschema
@@ -47,6 +49,20 @@ def _tiny_config(out_dir, arms=None, **kw):
     base = dict(source=TINY_SOURCE, arms=arms, n_seeds=2, best_k=2, output_dir=str(out_dir))
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _compare(out, **kw):
+    return run_experiment(_tiny_config(out, **kw))
+
+
+def _sweep(out, betas=(0.5, 1.0), **kw):
+    arms = (Arm("adaptive", Adaptive(1.0), TINY_TRAIN),)
+    return beta_sweep(_tiny_config(out, arms=arms, beta_sweep=betas, **kw))
+
+
+def _grid(out, costs=(0.2, 1.0), **kw):
+    arm = Arm("static", Static(0.5), TINY_TRAIN)
+    return grid_search(arm, {"negative_cost": costs}, _tiny_config(out, **kw))
 
 
 class TestBestK:
@@ -129,11 +145,42 @@ class TestRunExperiment:
         for arm in report.arms:
             assert vars(rebuilt[arm.name]) == vars(arm)
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        run_experiment(_tiny_config(tmp_path / "seq", workers=1))
-        run_experiment(_tiny_config(tmp_path / "par", workers=2))
-        for p in sorted((tmp_path / "seq").iterdir()):
-            assert p.read_bytes() == (tmp_path / "par" / p.name).read_bytes()
+    @pytest.mark.parametrize(
+        "protocol",
+        # one seed per beta: the sweep's runs still go through the pool
+        [_compare, functools.partial(_sweep, n_seeds=1, best_k=1), _grid],
+        ids=["run_experiment", "beta_sweep", "grid_search"],
+    )
+    def test_worker_pool_matches_sequential(self, tmp_path, protocol):
+        protocol(tmp_path / "seq", workers=1)
+        protocol(tmp_path / "par", workers=2)
+        seq = sorted(p.name for p in (tmp_path / "seq").iterdir())
+        assert seq == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in seq:
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "protocol, names",
+        [
+            (
+                functools.partial(
+                    _compare, arms=(Arm("a b", Vanilla(), TINY_TRAIN), Arm("a-b", Vanilla(), TINY_TRAIN))
+                ),
+                ("a b", "a-b"),
+            ),
+            (functools.partial(_sweep, betas=(1.0, 1.0000001)), ("adaptive_beta1", "adaptive_beta1")),
+            (
+                functools.partial(_grid, costs=(0.2, 0.2000001)),
+                ("static#negative_cost=0.2", "static#negative_cost=0.2"),
+            ),
+        ],
+        ids=["run_experiment", "beta_sweep", "grid_search"],
+    )
+    def test_colliding_run_files_rejected_before_training(self, tmp_path, protocol, names):
+        # distinct runs whose reports would land in one run file
+        with pytest.raises(ValueError, match=" and ".join(re.escape(repr(n)) for n in names)):
+            protocol(tmp_path / "out")
+        assert not list(tmp_path.glob("out/run_*.json"))
 
     def test_invalid_runs_excluded_and_flagged(self, tmp_path):
         # contradictory labels + huge learning rate force divergence
@@ -275,15 +322,110 @@ class TestConfigCodec:
             "output_dir": out_dir,
         }
 
+    def _files_doc(self, fmt=None):
+        # the other strategy, sampler and optimizer kinds; JSON integers for float fields
+        dataset = {"kind": "files", "train": "tr.csv", "dev": "dev.csv", "test": "te.csv"}
+        if fmt is not None:
+            dataset["format"] = fmt
+        return {
+            "dataset": dataset,
+            "model": {"hidden_dim": 16, "activation": "relu"},
+            "arms": [
+                {
+                    "name": "adaptive",
+                    "strategy": {"kind": "adaptive", "beta": 2},
+                    "train": {"sampler": {"kind": "uniform"}},
+                },
+                {
+                    "name": "focal",
+                    "strategy": {"kind": "focal", "gamma": 2},
+                    "train": {
+                        "optimizer": {"kind": "sgd", "lr": 1, "momentum": 0.5},
+                        "sampler": {"kind": "undersample", "neg_to_pos_ratio": 3},
+                    },
+                },
+            ],
+            "train": {
+                "optimizer": {"kind": "adam", "lr": 1},
+                "epochs": 4,
+                "eval_beta": 2,
+                "early_stop_patience": 2,
+            },
+            "beta_sweep": [0.5, 1, 2],
+            "grid": {"focal": {"gamma": [0, 1.5]}},
+            "n_seeds": 3,
+            "best_k": 2,
+            "workers": 2,
+        }
+
+    GOLDEN = {
+        "dataset": {
+            "kind": "files", "train": "tr.csv", "dev": "dev.csv", "test": "te.csv", "format": "jsonl"
+        },
+        "model": {"hidden_dim": 16, "activation": "relu"},
+        "arms": [
+            {
+                "name": "adaptive",
+                "strategy": {"kind": "adaptive", "beta": 2.0},
+                "train": {
+                    "optimizer": {"kind": "adam", "lr": 1.0, "b1": 0.9, "b2": 0.999, "eps": 1e-8},
+                    "epochs": 4,
+                    "batch_size": 64,
+                    "sampler": {"kind": "uniform"},
+                    "eval_beta": 2.0,
+                    "early_stop_patience": 2,
+                },
+            },
+            {
+                "name": "focal",
+                "strategy": {"kind": "focal", "gamma": 2.0},
+                "train": {
+                    "optimizer": {"kind": "sgd", "lr": 1.0, "momentum": 0.5},
+                    "epochs": 4,
+                    "batch_size": 64,
+                    "sampler": {"kind": "undersample", "neg_to_pos_ratio": 3.0},
+                    "eval_beta": 2.0,
+                    "early_stop_patience": 2,
+                },
+            },
+        ],
+        "n_seeds": 3,
+        "best_k": 2,
+        "base_seed": 0,
+        "output_dir": "out",
+        "workers": 2,
+        "beta_sweep": [0.5, 1.0, 2.0],
+        "grid": {"focal": {"gamma": [0, 1.5]}},
+    }
+
     def test_round_trip(self):
         config = experiment_from_json(self._doc())
         assert config.base_seed == 7
         assert config.arms[0].train.epochs == 3
         assert config.arms[1].train.epochs == 5  # arm-level override
         assert config.arms[1].train.batch_size == 32  # inherited
-        doc2 = experiment_to_json(config)
-        config2 = experiment_from_json(doc2)
-        assert config2 == config
+        for doc in (self._doc(), self._files_doc(), self._files_doc("jsonl"), self._files_doc("csv")):
+            config = experiment_from_json(doc)
+            assert experiment_from_json(experiment_to_json(config)) == config
+        config = experiment_from_json(self._files_doc("jsonl"))
+        # the text compares too, so 1 and 1.0 differ
+        doc = experiment_to_json(config)
+        assert doc == self.GOLDEN
+        assert json.dumps(doc, sort_keys=True) == json.dumps(self.GOLDEN, sort_keys=True)
+        assert experiment_to_json(experiment_from_json(self._files_doc()))["dataset"]["format"] is None
+        adaptive, focal = config.arms
+        for value in (
+            adaptive.strategy.beta,
+            adaptive.train.optimizer.lr,
+            adaptive.train.eval_beta,
+            focal.strategy.gamma,
+            focal.train.optimizer.lr,
+            focal.train.sampler.neg_to_pos_ratio,
+            *config.beta_sweep,
+        ):
+            assert type(value) is float
+        assert type(config.model.hidden_dim) is int
+        assert config.grid == {"focal": {"gamma": (0, 1.5)}}
 
     def test_schema_rejects_bad_strategy(self):
         doc = self._doc()
