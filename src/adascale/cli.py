@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import configio, data, harness
 from .model import load_params, save_params
@@ -49,12 +50,10 @@ def _strict_exit(summaries, strict: bool) -> int:
 
 def _cmd_generate(args) -> int:
     doc = _load_json(args.config) if args.config else {}
-    for flag in ("n", "d", "k", "positive_rate", "negative_modes", "class_separation", "noise_scale"):
-        value = getattr(args, flag)
+    for f in fields(data.GeneratorConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            doc[flag] = value
-    if args.seed is not None:
-        doc["seed"] = args.seed
+            doc[f.name] = value
     config = configio.from_json(data.GeneratorConfig, doc)
     dataset = data.generate(config)
     data.save(dataset, args.out, args.format)
@@ -74,7 +73,7 @@ def _cmd_train(args) -> int:
     train_config = replace(arm.train, strategy=arm.strategy, seed=seed)
     params, report = train(train_ds, dev_ds, test_ds, spec, train_config)
     report.arm = arm.name
-    out = Path(args.out or f"run_{arm.name}_{seed}.json")
+    out = Path(args.out or harness._run_file(arm.name, seed))
     write_run_report(report, out)
     if args.save_model:
         save_params(params, args.save_model)
@@ -162,14 +161,8 @@ def main(argv=None) -> int:
     gen.add_argument("--config", help="generator config JSON")
     gen.add_argument("--out", required=True, help="output file (.csv or .jsonl)")
     gen.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--d", type=int, default=None)
-    gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--positive-rate", dest="positive_rate", type=float, default=None)
-    gen.add_argument("--negative-modes", dest="negative_modes", type=int, default=None)
-    gen.add_argument("--class-separation", dest="class_separation", type=float, default=None)
-    gen.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
+    for name, tp in get_type_hints(data.GeneratorConfig).items():
+        gen.add_argument("--" + name.replace("_", "-"), dest=name, type=tp, default=None)
     gen.set_defaults(func=_cmd_generate)
 
     tr = sub.add_parser("train", help="train one arm for one seed")
@@ -192,25 +185,18 @@ def main(argv=None) -> int:
     for name, func, extra in (
         ("compare", _cmd_compare, "multi-seed comparison of all arms"),
         ("sweep", _cmd_sweep, "adaptive beta sweep"),
+        ("grid", _cmd_grid, "grid search one arm's hyper-parameters"),
     ):
         cp = sub.add_parser(name, help=extra)
         cp.add_argument("--config", required=True, help="experiment config JSON")
+        if name == "grid":
+            cp.add_argument("--arm", required=True)
         cp.add_argument("--seed", type=int, default=None, help="override base seed")
         cp.add_argument("--out", default=None, help="override output directory")
         cp.add_argument("--n-seeds", dest="n_seeds", type=int, default=None)
         cp.add_argument("--workers", type=int, default=None)
         cp.add_argument("--strict", action="store_true")
         cp.set_defaults(func=func)
-
-    gr = sub.add_parser("grid", help="grid search one arm's hyper-parameters")
-    gr.add_argument("--config", required=True, help="experiment config JSON")
-    gr.add_argument("--arm", required=True)
-    gr.add_argument("--seed", type=int, default=None, help="override base seed")
-    gr.add_argument("--out", default=None, help="override output directory")
-    gr.add_argument("--n-seeds", dest="n_seeds", type=int, default=None)
-    gr.add_argument("--workers", type=int, default=None)
-    gr.add_argument("--strict", action="store_true")
-    gr.set_defaults(func=_cmd_grid)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -68,7 +68,7 @@ def _encode(obj) -> dict:
 
 
 def to_json(obj):
-    """JSON form of a config dataclass, tagged with its "kind" if it has one."""
+    """JSON form of a config or report dataclass, tagged with its "kind" if it has one."""
     # json walks the containers (tuples become lists) and hands each dataclass to _encode
     return json.loads(json.dumps(obj, default=_encode))
 
@@ -78,7 +78,8 @@ def from_json(tp, doc, **given):
 
     ``tp`` is a config dataclass, a union of tagged ones (chosen by the
     document's "kind"), or a field annotation: numbers are cast to the
-    annotated type, absent dataclass keys take their defaults.  ``given``
+    annotated type, absent dataclass keys take their defaults, and a key
+    that is neither a field nor "kind" raises ``ValueError``.  ``given``
     fields are passed to the dataclass as they are.
     """
     origin, args = get_origin(tp), get_args(tp)
@@ -98,6 +99,9 @@ def from_json(tp, doc, **given):
         return {k: from_json(args[1], v) for k, v in doc.items()}
     if not is_dataclass(tp):
         return tp(doc) if tp in (int, float) else doc
+    unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown {tp.__name__} keys {unknown}")
     hints = get_type_hints(tp)
     for f in _fields(tp):
         if f.name in doc and f.name not in given:

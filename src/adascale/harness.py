@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 
 from . import configio
@@ -149,14 +150,7 @@ class ComparisonReport:
     arms: list[ArmSummary]
 
     def to_dict(self) -> dict:
-        return {
-            "format": "comparison-report",
-            "version": 1,
-            "n_seeds": self.n_seeds,
-            "best_k": self.best_k,
-            "base_seed": self.base_seed,
-            "arms": [vars(a).copy() for a in self.arms],
-        }
+        return {"format": "comparison-report", "version": 1, **configio.to_json(self)}
 
 
 @dataclass
@@ -178,13 +172,7 @@ class SweepReport:
     rows: list[SweepRow]
 
     def to_dict(self) -> dict:
-        return {
-            "format": "sweep-report",
-            "version": 1,
-            "n_seeds": self.n_seeds,
-            "base_seed": self.base_seed,
-            "rows": [vars(r).copy() for r in self.rows],
-        }
+        return {"format": "sweep-report", "version": 1, **configio.to_json(self)}
 
 
 @dataclass
@@ -193,7 +181,6 @@ class GridCell:
     mean_dev_f: float | None
     n_valid: int
     test_f: list[float]
-    reports: list[RunReport]
 
 
 @dataclass
@@ -204,22 +191,7 @@ class GridResult:
     cells: list[GridCell]
 
     def to_dict(self) -> dict:
-        return {
-            "format": "grid-report",
-            "version": 1,
-            "arm": self.arm,
-            "best_index": self.best_index,
-            "best_params": self.best_params,
-            "cells": [
-                {
-                    "params": c.params,
-                    "mean_dev_f": c.mean_dev_f,
-                    "n_valid": c.n_valid,
-                    "test_f": c.test_f,
-                }
-                for c in self.cells
-            ],
-        }
+        return {"format": "grid-report", "version": 1, **configio.to_json(self)}
 
 
 def best_k_test_score(dev_scores, test_scores, k: int) -> float:
@@ -364,23 +336,15 @@ def _summarize_arm(name: str, reports: list[RunReport], best_k: int) -> ArmSumma
     )
 
 
-def _write_comparison_csv(report: ComparisonReport, path: Path) -> None:
-    # Table-style scale: mean/best3 as percentage points, var on the same scale
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Numbers as ``:.6f``, ``None`` as an empty cell, text as it is."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["arm", "mean", "var", "best3"])
-        for arm in report.arms:
-            if arm.mean_test_f is None:
-                writer.writerow([arm.name, "", "", ""])
-            else:
-                writer.writerow(
-                    [
-                        arm.name,
-                        f"{100.0 * arm.mean_test_f:.6f}",
-                        f"{arm.var_test_f_pct:.6f}",
-                        f"{100.0 * arm.best3_test_f:.6f}",
-                    ]
-                )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                ["" if v is None else v if isinstance(v, str) else f"{v:.6f}" for v in row]
+            )
 
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
@@ -406,15 +370,15 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     doc = report.to_dict()
     configio.validate_comparison_report(doc)
     configio.write_json(doc, out_dir / "comparison.json")
-    _write_comparison_csv(report, out_dir / "comparison.csv")
+    # table-style scale: mean/best3 as percentage points, var on the same scale
+    rows = [
+        [arm.name, None, None, None]
+        if arm.mean_test_f is None
+        else [arm.name, 100.0 * arm.mean_test_f, arm.var_test_f_pct, 100.0 * arm.best3_test_f]
+        for arm in report.arms
+    ]
+    _write_csv(out_dir / "comparison.csv", ["arm", "mean", "var", "best3"], rows)
     return report
-
-
-def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
-    if not values:
-        return None, None
-    arr = np.array(values)
-    return float(np.mean(arr)), float(np.std(arr))
 
 
 def beta_sweep(config: ExperimentConfig) -> SweepReport:
@@ -436,49 +400,24 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
         train_config = replace(template.train, strategy=Adaptive(beta=beta), eval_beta=beta)
         runs += _seed_runs(config, f"adaptive_beta{beta:g}", train_config)
     results, out_dir = _execute(config, runs)
+    stat_names = [f.name for f in fields(SweepRow)][2:]
     rows: list[SweepRow] = []
     for beta, block in zip(config.beta_sweep, _blocks(results, config.n_seeds)):
         per_seed = [extras for report, extras in block if report.valid]
-        mean_p, std_p = _mean_std([p for p, _, _ in per_seed])
-        mean_r, std_r = _mean_std([r for _, r, _ in per_seed])
-        mean_f, std_f = _mean_std([f for _, _, f in per_seed])
-        rows.append(
-            SweepRow(
-                beta=float(beta),
-                n_valid=len(per_seed),
-                mean_precision=mean_p,
-                mean_recall=mean_r,
-                mean_f1=mean_f,
-                std_precision=std_p,
-                std_recall=std_r,
-                std_f1=std_f,
-            )
-        )
+        # SweepRow's field order: three means, then three stddevs, each over one 1-D column
+        columns = [np.array(column) for column in zip(*per_seed)]
+        stats = [float(np.mean(c)) for c in columns] + [float(np.std(c)) for c in columns]
+        rows.append(SweepRow(float(beta), len(per_seed), *(stats or [None] * len(stat_names))))
 
     report = SweepReport(n_seeds=config.n_seeds, base_seed=config.base_seed, rows=rows)
     doc = report.to_dict()
     configio.validate_sweep_report(doc)
     configio.write_json(doc, out_dir / "sweep.json")
-    with (out_dir / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["beta", "mean_precision", "mean_recall", "mean_f1", "std_precision", "std_recall", "std_f1"]
-        )
-        for row in rows:
-            writer.writerow(
-                [f"{row.beta:g}"]
-                + [
-                    "" if v is None else f"{v:.6f}"
-                    for v in (
-                        row.mean_precision,
-                        row.mean_recall,
-                        row.mean_f1,
-                        row.std_precision,
-                        row.std_recall,
-                        row.std_f1,
-                    )
-                ]
-            )
+    _write_csv(
+        out_dir / "sweep.csv",
+        ["beta", *stat_names],
+        [[f"{row.beta:g}", *(getattr(row, name) for name in stat_names)] for row in rows],
+    )
     return report
 
 
@@ -523,25 +462,19 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
 
     grid_cells: list[GridCell] = []
     for cell, block in zip(cells, _blocks(results, config.n_seeds)):
-        reports = [r for r, _ in block]
-        valid = [r for r in reports if r.valid]
+        valid = [r for r, _ in block if r.valid]
         grid_cells.append(
             GridCell(
                 params=cell,
                 mean_dev_f=float(np.mean([r.best_dev_f for r in valid])) if valid else None,
                 n_valid=len(valid),
                 test_f=[r.test_f for r in valid],
-                reports=reports,
             )
         )
 
-    best_index = 0
-    best_score = -1.0
-    for i, cell in enumerate(grid_cells):
-        score = -1.0 if cell.mean_dev_f is None else cell.mean_dev_f
-        if score > best_score:
-            best_score = score
-            best_index = i
+    # a cell without valid runs scores below any dev F; ties keep the first-declared cell
+    scores = [-1.0 if c.mean_dev_f is None else c.mean_dev_f for c in grid_cells]
+    best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
 
     grid_result = GridResult(
         arm=arm.name,
@@ -560,12 +493,19 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
 
     Independent of in-memory state: reads every ``run_*.json`` under
     ``run_dir``, groups by the embedded arm name and recomputes
-    mean/var/best-k exactly as :func:`run_experiment` does.
+    mean/var/best-k exactly as :func:`run_experiment` does.  Every file is
+    checked against the run-report schema first; a file that fails raises
+    a ``ValueError`` naming it.
     """
     run_dir = Path(run_dir)
     by_arm: dict[str, list[RunReport]] = {}
     for path in sorted(run_dir.glob("run_*.json")):
-        report = RunReport(**json.loads(path.read_text()))
+        doc = json.loads(path.read_text())
+        try:
+            configio.validate_run_report(doc)
+        except jsonschema.ValidationError as error:
+            raise ValueError(f"{path}: not a valid run report: {error.message}") from error
+        report = RunReport(**doc)
         by_arm.setdefault(report.arm, []).append(report)
     return {name: _summarize_arm(name, reports, best_k) for name, reports in by_arm.items()}
 

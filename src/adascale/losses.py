@@ -17,7 +17,7 @@ Strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,16 +72,11 @@ LossStrategy = Vanilla | Adaptive | Static | Focal
 
 
 def strategy_label(strategy: LossStrategy) -> str:
-    """Short deterministic text tag used in reports and filenames."""
-    if isinstance(strategy, Vanilla):
-        return "vanilla"
-    if isinstance(strategy, Adaptive):
-        return f"adaptive(beta={strategy.beta:g})"
-    if isinstance(strategy, Static):
-        return f"static(negative_cost={strategy.negative_cost:g})"
-    if isinstance(strategy, Focal):
-        return f"focal(gamma={strategy.gamma:g})"
-    raise TypeError(f"unknown strategy {strategy!r}")
+    """Short deterministic text tag used in reports and filenames:
+    the lower-cased class name and its fields, e.g. ``adaptive(beta=1)``."""
+    name = type(strategy).__name__.lower()
+    params = ",".join(f"{f.name}={getattr(strategy, f.name):g}" for f in fields(strategy))
+    return f"{name}({params})" if params else name
 
 
 @dataclass

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import adascale
 from adascale.cli import main
-from adascale.data import load
+from adascale.data import GeneratorConfig, load
 
 
 @pytest.fixture
@@ -61,6 +65,21 @@ class TestGenerate:
                      "--positive-rate", "0.2"]) == 0
         assert load(out).n == 50
 
+    def test_help_lists_every_generator_field(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        out = capsys.readouterr().out
+        for f in fields(GeneratorConfig):
+            assert f"--{f.name.replace('_', '-')} " in out
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"n": 500, "positve_rate": 0.5}))
+        out = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="positve_rate"):
+            main(["generate", "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_report_and_checkpoint(self, tmp_path, config_path):
@@ -90,6 +109,15 @@ class TestTrainEval:
         assert "precision=" in captured and "f_beta=" in captured
         doc = json.loads(metrics_path.read_text())
         assert set(doc) == {"precision", "recall", "f_beta", "beta"}
+
+    def test_default_report_name_is_file_safe(self, tmp_path, experiment_doc, monkeypatch):
+        # the default report path is the run file name the protocols write
+        experiment_doc["arms"].append({"name": "adam/lr", "strategy": {"kind": "vanilla"}})
+        path = tmp_path / "slash.json"
+        path.write_text(json.dumps(experiment_doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(path), "--arm", "adam/lr", "--seed", "3"]) == 0
+        assert json.loads((tmp_path / "run_adam-lr_3.json").read_text())["arm"] == "adam/lr"
 
     def test_unknown_arm(self, config_path):
         assert main(["train", "--config", config_path, "--arm", "nope"]) == 2
@@ -146,21 +174,28 @@ class TestCompareSweepGrid:
         assert main(["compare", "--config", str(path), "--strict"]) == 1
 
 
+def _run_module(*args):
+    # the child process imports the same adascale package as this one, installed or not
+    src = str(Path(adascale.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "adascale", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "d.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "adascale", "generate", "--out", str(out),
-             "--n", "30", "--d", "2", "--k", "2", "--positive-rate", "0.2"],
-            capture_output=True,
-            text=True,
+        proc = _run_module(
+            "generate", "--out", str(out), "--n", "30", "--d", "2", "--k", "2", "--positive-rate", "0.2"
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     def test_help_lists_subcommands(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "adascale", "--help"], capture_output=True, text=True
-        )
+        proc = _run_module("--help")
         for sub in ("generate", "train", "eval", "compare", "sweep", "grid"):
             assert sub in proc.stdout

@@ -146,6 +146,21 @@ class TestRunExperiment:
             assert vars(rebuilt[arm.name]) == vars(arm)
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {k: v for k, v in doc.items() if k not in ("test_f", "valid")},
+            lambda doc: {**doc, "surprise": 1},
+        ],
+        ids=["missing_keys", "extra_key"],
+    )
+    def test_reaggregate_rejects_invalid_run_files(self, tmp_path, edit):
+        run_experiment(_tiny_config(tmp_path / "out"))
+        path = tmp_path / "out" / "run_adaptive_1.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            reaggregate(tmp_path / "out")
+
+    @pytest.mark.parametrize(
         "protocol",
         # one seed per beta: the sweep's runs still go through the pool
         [_compare, functools.partial(_sweep, n_seeds=1, best_k=1), _grid],
@@ -195,18 +210,32 @@ class TestRunExperiment:
         bad_train = TrainConfig(optimizer=SGD(lr=1e12), epochs=2, batch_size=8)
         config = ExperimentConfig(
             source=source,
-            arms=(Arm("diverges", Vanilla(), bad_train),),
+            arms=(Arm("diverges", Vanilla(), bad_train), Arm("adaptive", Adaptive(1.0), bad_train)),
             n_seeds=2,
             best_k=1,
             output_dir=str(tmp_path / "out"),
         )
+        out = tmp_path / "out"
         report = run_experiment(config)
-        arm = report.arms[0]
-        assert arm.n_valid == 0
-        assert arm.invalid_seeds == [0, 1]
-        assert arm.mean_test_f is None
-        doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        for arm in report.arms:
+            assert arm.n_valid == 0
+            assert arm.invalid_seeds == [0, 1]
+            assert arm.mean_test_f is None
+        doc = json.loads((out / "comparison.json").read_text())
         configio.validate_comparison_report(doc)
+        assert (out / "comparison.csv").read_bytes() == b"arm,mean,var,best3\r\ndiverges,,,\r\nadaptive,,,\r\n"
+
+        sweep = beta_sweep(replace(config, beta_sweep=(0.5,)))
+        assert sweep.rows[0].n_valid == 0 and sweep.rows[0].mean_f1 is None
+        configio.validate_sweep_report(json.loads((out / "sweep.json").read_text()))
+        assert (out / "sweep.csv").read_bytes() == (
+            b"beta,mean_precision,mean_recall,mean_f1,std_precision,std_recall,std_f1\r\n0.5,,,,,,\r\n"
+        )
+
+        grid = grid_search(Arm("static", Static(0.5), bad_train), {"negative_cost": (0.2, 1.0)}, config)
+        assert [c.mean_dev_f for c in grid.cells] == [None, None]
+        assert grid.best_index == 0 and grid.best_params == {"negative_cost": 0.2}
+        configio.validate_grid_report(json.loads((out / "grid_static.json").read_text()))
 
 
 class TestBetaSweep:
