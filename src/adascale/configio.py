@@ -17,7 +17,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import jsonschema
 
-from .data import StratifiedSampler, UnderSampler, UniformSampler
+from .data import FileSource, StratifiedSampler, SyntheticSource, UnderSampler, UniformSampler
 from .losses import Adaptive, Focal, Static, Vanilla
 from .trainer import SGD, Adam, TrainConfig
 
@@ -51,6 +51,8 @@ _KINDS = {
     UnderSampler: "undersample",
     SGD: "sgd",
     Adam: "adam",
+    SyntheticSource: "synthetic",
+    FileSource: "files",
 }
 
 # set for each run by the protocol, never read from or written to JSON
@@ -73,14 +75,14 @@ def to_json(obj):
     return json.loads(json.dumps(obj, default=_encode))
 
 
-def from_json(tp, doc, **given):
+def from_json(tp, doc):
     """Build a value of type ``tp`` from its JSON form.
 
     ``tp`` is a config dataclass, a union of tagged ones (chosen by the
-    document's "kind"), or a field annotation: numbers are cast to the
-    annotated type, absent dataclass keys take their defaults, and a key
-    that is neither a field nor "kind" raises ``ValueError``.  ``given``
-    fields are passed to the dataclass as they are.
+    document's "kind"), or a field annotation.  An ``int`` takes an integral
+    number, a ``float`` any number, a bool neither; absent dataclass keys
+    take their defaults.  Any other value, or a key that is neither a field
+    nor "kind", raises ``ValueError`` naming the class and the field.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -97,16 +99,23 @@ def from_json(tp, doc, **given):
         return tuple(from_json(args[0], v) if args else v for v in doc)
     elif origin is dict:
         return {k: from_json(args[1], v) for k, v in doc.items()}
+    if tp in (int, float):
+        if isinstance(doc, bool) or not isinstance(doc, (int, float)) or (tp is int and doc % 1):
+            raise ValueError(f"expected {tp.__name__}, got {doc!r}")
+        return tp(doc)
     if not is_dataclass(tp):
-        return tp(doc) if tp in (int, float) else doc
+        return doc
     unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - {"kind"})
     if unknown:
         raise ValueError(f"unknown {tp.__name__} keys {unknown}")
     hints = get_type_hints(tp)
-    for f in _fields(tp):
-        if f.name in doc and f.name not in given:
-            given[f.name] = from_json(hints[f.name], doc[f.name])
-    return tp(**given)
+    values = {}
+    for f in (f for f in _fields(tp) if f.name in doc):
+        try:
+            values[f.name] = from_json(hints[f.name], doc[f.name])
+        except ValueError as error:
+            raise ValueError(f"{tp.__name__}.{f.name}: {error}") from None
+    return tp(**values)
 
 
 @functools.lru_cache(maxsize=None)

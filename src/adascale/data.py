@@ -25,6 +25,9 @@ __all__ = [
     "Dataset",
     "GeneratorConfig",
     "GenerationDetails",
+    "SyntheticSource",
+    "FileSource",
+    "DatasetSource",
     "UniformSampler",
     "StratifiedSampler",
     "UnderSampler",
@@ -80,18 +83,6 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "k", int(self.k))
-
-    def _with_k(self, k: int) -> "Dataset":
-        """The same rows under a class count ``k >= self.k``.
-
-        Labels valid for ``self.k`` stay valid, so the (read-only) arrays
-        are shared and nothing is checked again.
-        """
-        out = object.__new__(Dataset)
-        object.__setattr__(out, "features", self.features)
-        object.__setattr__(out, "labels", self.labels)
-        object.__setattr__(out, "k", int(k))
-        return out
 
     @property
     def n(self) -> int:
@@ -333,6 +324,32 @@ def load(path, format: str | None = None) -> Dataset:
         raise ValueError(f"{path}: inconsistent feature widths {sorted(widths)}")
     k = max(labels) + 1
     return Dataset(features=np.asarray(feats), labels=np.asarray(labels), k=max(k, 2))
+
+
+@dataclass(frozen=True)
+class SyntheticSource:
+    """Generate train/dev/test splits from one generator config.
+
+    One pooled dataset of ``n + n_dev + n_test`` instances is generated
+    with the configured seed and sliced consecutively, so all three splits
+    share the same cluster layout and are disjoint.  ``generator.n`` is the
+    training split size.
+    """
+
+    generator: GeneratorConfig = GeneratorConfig()
+    n_dev: int = 2000
+    n_test: int = 2000
+
+
+@dataclass(frozen=True)
+class FileSource:
+    train: str
+    dev: str
+    test: str
+    format: str | None = None
+
+
+DatasetSource = SyntheticSource | FileSource
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,13 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import jsonschema
 import numpy as np
 
 from . import configio
-from .data import Dataset, GeneratorConfig, generate, load
+from .data import Dataset, DatasetSource, FileSource, SyntheticSource, generate, load
 from .losses import Adaptive, LossStrategy
 from .model import ModelSpec
 from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
@@ -64,32 +65,6 @@ class ModelConfig:
 
     hidden_dim: int | None = None
     activation: str = "tanh"
-
-
-@dataclass(frozen=True)
-class SyntheticSource:
-    """Generate train/dev/test splits from one generator config.
-
-    One pooled dataset of ``n + n_dev + n_test`` instances is generated
-    with the configured seed and sliced consecutively, so all three splits
-    share the same cluster layout and are disjoint.  ``generator.n`` is the
-    training split size.
-    """
-
-    generator: GeneratorConfig = GeneratorConfig()
-    n_dev: int = 2000
-    n_test: int = 2000
-
-
-@dataclass(frozen=True)
-class FileSource:
-    train_path: str
-    dev_path: str
-    test_path: str
-    format: str | None = None
-
-
-DatasetSource = SyntheticSource | FileSource
 
 
 @dataclass(frozen=True)
@@ -218,15 +193,10 @@ def load_datasets(source: DatasetSource) -> tuple[Dataset, Dataset, Dataset]:
             Dataset(pool.features[bounds[0] : bounds[1]], pool.labels[bounds[0] : bounds[1]], pool.k),
             Dataset(pool.features[bounds[1] :], pool.labels[bounds[1] :], pool.k),
         )
-    if isinstance(source, FileSource):
-        # a split may lack the top class, so k is the largest over all three
-        splits = [
-            load(path, source.format)
-            for path in (source.train_path, source.dev_path, source.test_path)
-        ]
-        k = max(ds.k for ds in splits)
-        return tuple(ds if ds.k == k else ds._with_k(k) for ds in splits)
-    raise TypeError(f"unknown dataset source {source!r}")
+    # a split may lack the top class, so k is the largest over all three
+    splits = [load(path, source.format) for path in (source.train, source.dev, source.test)]
+    k = max(ds.k for ds in splits)
+    return tuple(ds if ds.k == k else Dataset(ds.features, ds.labels, k) for ds in splits)
 
 
 def _build_spec(model: ModelConfig, dataset: Dataset) -> ModelSpec:
@@ -422,20 +392,19 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
 
 
 def _apply_cell(arm: Arm, cell: dict) -> Arm:
-    strategy = arm.strategy
-    train_cfg = arm.train
-    strategy_fields = {f.name for f in fields(strategy)}
-    sampler_fields = {f.name for f in fields(train_cfg.sampler)}
+    """The arm with each grid value, read as its field's type, set on its strategy or sampler."""
+    strategy, sampler = arm.strategy, arm.train.sampler
+    strategy_hints, sampler_hints = get_type_hints(type(strategy)), get_type_hints(type(sampler))
     for key, value in cell.items():
-        if key in strategy_fields:
-            strategy = replace(strategy, **{key: value})
-        elif key in sampler_fields:
-            train_cfg = replace(train_cfg, sampler=replace(train_cfg.sampler, **{key: value}))
+        if key in strategy_hints:
+            strategy = replace(strategy, **{key: configio.from_json(strategy_hints[key], value)})
+        elif key in sampler_hints:
+            sampler = replace(sampler, **{key: configio.from_json(sampler_hints[key], value)})
         else:
             raise ValueError(
                 f"grid parameter {key!r} matches neither the strategy nor the sampler of arm {arm.name!r}"
             )
-    return Arm(name=arm.name, strategy=strategy, train=train_cfg)
+    return Arm(name=arm.name, strategy=strategy, train=replace(arm.train, sampler=sampler))
 
 
 def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
@@ -510,32 +479,6 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     return {name: _summarize_arm(name, reports, best_k) for name, reports in by_arm.items()}
 
 
-def _source_from_json(doc: dict) -> DatasetSource:
-    kind = doc.get("kind")
-    if kind == "synthetic":
-        return configio.from_json(SyntheticSource, doc)
-    if kind == "files":
-        return FileSource(
-            train_path=doc["train"],
-            dev_path=doc["dev"],
-            test_path=doc["test"],
-            format=doc.get("format"),
-        )
-    raise ValueError(f"unknown dataset source kind {kind!r}")
-
-
-def _source_to_json(source: DatasetSource) -> dict:
-    if isinstance(source, SyntheticSource):
-        return {"kind": "synthetic", **configio.to_json(source)}
-    return {
-        "kind": "files",
-        "train": source.train_path,
-        "dev": source.dev_path,
-        "test": source.test_path,
-        "format": source.format,
-    }
-
-
 def experiment_from_json(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON document.
 
@@ -545,13 +488,13 @@ def experiment_from_json(doc: dict) -> ExperimentConfig:
     configio.validate_experiment_config(doc)
     base_train = doc.get("train", {})
     body = {key: value for key, value in doc.items() if key not in ("dataset", "train")}
+    body["source"] = doc["dataset"]
     body["arms"] = [{**arm, "train": {**base_train, **arm.get("train", {})}} for arm in doc["arms"]]
-    return configio.from_json(ExperimentConfig, body, source=_source_from_json(doc["dataset"]))
+    return configio.from_json(ExperimentConfig, body)
 
 
 def experiment_to_json(config: ExperimentConfig) -> dict:
     doc = configio.to_json(config)
-    del doc["source"]
-    doc["dataset"] = _source_to_json(config.source)
+    doc["dataset"] = doc.pop("source")
     # an experiment without a sweep or a grid leaves the key out
     return {key: value for key, value in doc.items() if value is not None}

@@ -207,8 +207,12 @@ def backward(
 
 
 def predict(params: ModelParams, features) -> np.ndarray:
-    """Per-row argmax labels; ties resolve to the lowest class index."""
-    return np.argmax(forward(params, features).probs, axis=1)
+    """Per-row argmax labels; ties resolve to the lowest class index.  A
+    diverged model's non-finite probabilities raise ``FloatingPointError``."""
+    probs = forward(params, features).probs
+    if not np.isfinite(probs).all():
+        raise FloatingPointError("non-finite class probabilities")
+    return np.argmax(probs, axis=1)
 
 
 def save_params(params: ModelParams, path) -> None:

@@ -215,8 +215,8 @@ def train(
     After every epoch the dev set is scored with micro F at
     ``config.eval_beta`` on hard predictions; the parameters with the best
     dev F are retained (ties keep the earlier epoch) and final test metrics
-    come from those retained parameters.  A non-finite loss aborts the run
-    and flags the report invalid instead of raising.
+    come from those retained parameters.  A non-finite loss or dev
+    probability aborts the run and flags the report invalid instead of raising.
     """
     _check_dims(train_ds, dev_ds, test_ds, model_spec)
     start = time.perf_counter()
@@ -256,9 +256,15 @@ def train(
             grads = backward(params, fwd, y, out.instance_weights)
             opt_state.step(grads)
 
+        try:
+            dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+        except FloatingPointError:
+            report.failure = f"non-finite dev probabilities at epoch {epoch}"
+            report.valid = False
+            report.wall_clock_s = time.perf_counter() - start
+            return best_params, report
         # an undersampled epoch can be empty when the dataset has no positives
         report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
-        dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
         report.dev_precision.append(dev_p)
         report.dev_recall.append(dev_r)
         report.dev_f.append(dev_f)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -77,6 +78,20 @@ class TestGenerate:
         config.write_text(json.dumps({"n": 500, "positve_rate": 0.5}))
         out = tmp_path / "data.csv"
         with pytest.raises(ValueError, match="positve_rate"):
+            main(["generate", "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 500.7), ("positive_rate", "0.5"), ("d", True), ("k", "4"), ("noise_scale", False)],
+    )
+    def test_wrong_config_types_rejected(self, tmp_path, key, value):
+        # an int field takes no fraction, no field takes a string, a bool is no number
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"n": 500, "positive_rate": 0.5, key: value}))
+        out = tmp_path / "data.csv"
+        message = re.escape(f"GeneratorConfig.{key}: ") + ".*" + re.escape(repr(value))
+        with pytest.raises(ValueError, match=message):
             main(["generate", "--config", str(config), "--out", str(out)])
         assert not out.exists()
 

@@ -309,6 +309,25 @@ class TestGridSearch:
         assert len(result.cells) == 2
         assert all(c.n_valid == 1 for c in result.cells)
 
+    def test_values_read_as_field_type(self, tmp_path):
+        # grid values are JSON numbers: 2.0 sets an int field to 2, 1.5 is refused
+        arm = Arm("stratified", Vanilla(), TINY_TRAIN)
+        runs = {}
+        for values in ((1, 2), (1, 2.0)):
+            out = tmp_path / str(values[1])
+            config = _tiny_config(out, n_seeds=1, best_k=1)
+            result = grid_search(arm, {"min_positives_per_batch": values}, config)
+            assert [c.n_valid for c in result.cells] == [1, 1]
+            runs[values[1]] = {p.name: p.read_bytes() for p in out.glob("run_*.json")}
+        assert runs[2] == runs[2.0] and len(runs[2]) == 2
+        # the report keeps the values as given
+        doc = json.loads((tmp_path / "2.0" / "grid_stratified.json").read_text())
+        assert type(doc["cells"][1]["params"]["min_positives_per_batch"]) is float
+        bad = _tiny_config(tmp_path / "bad", n_seeds=1, best_k=1)
+        with pytest.raises(ValueError, match="expected int, got 1.5"):
+            grid_search(arm, {"min_positives_per_batch": (1, 1.5)}, bad)
+        assert not (tmp_path / "bad").exists()
+
     def test_empty_grid_single_cell(self, tmp_path):
         config = _tiny_config(tmp_path / "out", n_seeds=1, best_k=1)
         result = grid_search(Arm("adaptive", Adaptive(1.0), TINY_TRAIN), {}, config)
@@ -352,13 +371,14 @@ class TestConfigCodec:
         }
 
     def _files_doc(self, fmt=None):
-        # the other strategy, sampler and optimizer kinds; JSON integers for float fields
+        # the other strategy, sampler and optimizer kinds; JSON integers for
+        # float fields and integral floats for int fields
         dataset = {"kind": "files", "train": "tr.csv", "dev": "dev.csv", "test": "te.csv"}
         if fmt is not None:
             dataset["format"] = fmt
         return {
             "dataset": dataset,
-            "model": {"hidden_dim": 16, "activation": "relu"},
+            "model": {"hidden_dim": 16.0, "activation": "relu"},
             "arms": [
                 {
                     "name": "adaptive",
@@ -376,7 +396,7 @@ class TestConfigCodec:
             ],
             "train": {
                 "optimizer": {"kind": "adam", "lr": 1},
-                "epochs": 4,
+                "epochs": 4.0,
                 "eval_beta": 2,
                 "early_stop_patience": 2,
             },

@@ -113,22 +113,29 @@ class TestTraining:
         cases = [
             # a huge learning rate saturates the softmax and some gold
             # probability underflows to 0
-            (1.0, 1e12),
+            (1.0, 1e12, 3, 4),
             # the parameters overflow to inf and softmax returns NaN
-            (2.0, 1e308),
+            (2.0, 1e308, 3, 4),
+            # one step per epoch: the loss stays finite, the weights end near
+            # 1e308 and every dev probability is NaN
+            (2.0, 1e308, 1, 64),
         ]
         labels = np.array([0, 1] * 10)
-        for feature_value, lr in cases:
+        for feature_value, lr, epochs, batch_size in cases:
             ds = Dataset(feature_value * np.ones((20, 3)), labels, k=2)
             for strategy in (Vanilla(), Static(0.5), Focal(2.0), Adaptive(1.0)):
                 cfg = TrainConfig(
-                    optimizer=SGD(lr=lr), epochs=3, batch_size=4, strategy=strategy, seed=0
+                    optimizer=SGD(lr=lr), epochs=epochs, batch_size=batch_size,
+                    strategy=strategy, seed=0,
                 )
                 with np.errstate(over="ignore", invalid="ignore"):
                     _, report = train(ds, ds, ds, ModelSpec(3, 2), cfg)
-                assert not report.valid, (feature_value, strategy)
+                assert not report.valid, (feature_value, lr, epochs, strategy)
                 assert "non-finite" in report.failure
                 assert report.test_f == 0.0
+        # the last run (adaptive, one step per epoch) stopped at its first dev evaluation
+        assert report.failure == "non-finite dev probabilities at epoch 0"
+        assert report.epochs_run == 0 and report.loss_curve == report.dev_f == []
 
     def test_early_stopping(self, toy):
         cfg = _toy_config(strategy=Vanilla(), epochs=50, early_stop_patience=3)
