@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import fields, is_dataclass
 from importlib import resources
 from types import UnionType
@@ -124,13 +125,42 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+_NUMBER_ITEM_KEYS = {"type", "minimum", "maximum", "exclusiveMinimum"}
+_generic_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    """``items`` that passes a list of plain in-range numbers in one Python pass.
+
+    A run report holds one number per training step; the generic rule walks
+    the item schema once per entry.  Only lists that rule would accept with
+    no error take the short cut; every other list, a failing one included,
+    goes to the generic rule, so errors and ``best_match`` are unchanged.
+    """
+    if (
+        isinstance(items, dict)
+        and items.get("type") == "number"
+        and items.keys() <= _NUMBER_ITEM_KEYS
+        and "prefixItems" not in schema
+        and isinstance(instance, list)
+    ):
+        low = items.get("minimum", -math.inf)
+        high = items.get("maximum", math.inf)
+        above = items.get("exclusiveMinimum", -math.inf)
+        if all(type(x) in (int, float) and low <= x <= high and x > above for x in instance):
+            return
+    yield from _generic_items(validator, items, instance, schema)
+
+
+_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
+
+
 @functools.lru_cache(maxsize=None)
 def _validator(name: str):
     """One validator per schema; the schema itself is checked once, here."""
     schema = _schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    _Validator.check_schema(schema)
+    return _Validator(schema)
 
 
 def _validate(doc: dict, schema_name: str) -> None:

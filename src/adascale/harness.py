@@ -212,19 +212,38 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.+=-]", "-", name)
 
 
-def _execute_run(task) -> tuple[RunReport, tuple[float, float, float]]:
-    train_ds, dev_ds, test_ds, spec, config, arm_name = task
+def _execute_run(task, datasets) -> tuple[RunReport, tuple[float, float, float]]:
+    spec, config, arm_name = task
+    train_ds, dev_ds, test_ds = datasets
     params, report = train(train_ds, dev_ds, test_ds, spec, config)
     report.arm = arm_name
     extras = evaluate(params, test_ds, 1.0) if report.valid else (0.0, 0.0, 0.0)
     return report, extras
 
 
-def _run_all(tasks, workers: int):
+# set only inside a pool worker, by _init_worker
+_worker_datasets: tuple[Dataset, Dataset, Dataset] | None = None
+
+
+def _init_worker(datasets) -> None:
+    global _worker_datasets
+    _worker_datasets = datasets
+
+
+def _execute_in_worker(task):
+    return _execute_run(task, _worker_datasets)
+
+
+def _run_all(tasks, workers: int, datasets):
+    """Results of ``(spec, config, arm name)`` tasks on the shared datasets, in task order.
+
+    A pool hands the datasets to each worker once, through its initializer,
+    so a task carries only its own config.
+    """
     if workers <= 1 or len(tasks) <= 1:
-        return [_execute_run(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_run, tasks))
+        return [_execute_run(t, datasets) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(datasets,)) as pool:
+        return list(pool.map(_execute_in_worker, tasks))
 
 
 def _run_file(arm_name: str, seed: int) -> str:
@@ -256,12 +275,12 @@ def _execute(config: ExperimentConfig, runs: list[tuple[str, TrainConfig]]) -> t
         if file in files:
             raise ValueError(f"arms {files[file]!r} and {arm_name!r} both write {file}")
         files[file] = arm_name
-    train_ds, dev_ds, test_ds = load_datasets(config.source)
-    spec = _build_spec(config.model, train_ds)
+    datasets = load_datasets(config.source)
+    spec = _build_spec(config.model, datasets[0])
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(train_ds, dev_ds, test_ds, spec, train_config, arm_name) for arm_name, train_config in runs]
-    results = _run_all(tasks, config.workers)
+    tasks = [(spec, train_config, arm_name) for arm_name, train_config in runs]
+    results = _run_all(tasks, config.workers, datasets)
     for report, _ in results:
         _persist(report, out_dir)
     return results, out_dir
@@ -396,14 +415,17 @@ def _apply_cell(arm: Arm, cell: dict) -> Arm:
     strategy, sampler = arm.strategy, arm.train.sampler
     strategy_hints, sampler_hints = get_type_hints(type(strategy)), get_type_hints(type(sampler))
     for key, value in cell.items():
-        if key in strategy_hints:
-            strategy = replace(strategy, **{key: configio.from_json(strategy_hints[key], value)})
-        elif key in sampler_hints:
-            sampler = replace(sampler, **{key: configio.from_json(sampler_hints[key], value)})
-        else:
+        if key not in strategy_hints and key not in sampler_hints:
             raise ValueError(
                 f"grid parameter {key!r} matches neither the strategy nor the sampler of arm {arm.name!r}"
             )
+        try:
+            if key in strategy_hints:
+                strategy = replace(strategy, **{key: configio.from_json(strategy_hints[key], value)})
+            else:
+                sampler = replace(sampler, **{key: configio.from_json(sampler_hints[key], value)})
+        except ValueError as error:
+            raise ValueError(f"grid parameter {key!r} of arm {arm.name!r}: {error}") from None
     return Arm(name=arm.name, strategy=strategy, train=replace(arm.train, sampler=sampler))
 
 

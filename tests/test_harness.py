@@ -1,6 +1,9 @@
 import copy
 import functools
+import io
 import json
+import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -8,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from adascale import configio
+from adascale import configio, harness
 from adascale.data import Dataset, GeneratorConfig, StratifiedSampler, UnderSampler, save
 from adascale.harness import (
     Arm,
@@ -174,6 +177,38 @@ class TestRunExperiment:
         for name in seq:
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
+    def test_pool_tasks_carry_no_arrays(self, tmp_path, monkeypatch):
+        tasks = []
+        run_all = harness._run_all
+
+        def spy(*args):
+            tasks.extend(args[0])
+            return run_all(*args)
+
+        monkeypatch.setattr(harness, "_run_all", spy)
+        _compare(tmp_path / "out", workers=2)
+        assert len(tasks) == 4
+        for task in tasks:
+            arrays = []
+
+            class ArrayFinder(pickle.Pickler):
+                def persistent_id(self, obj):
+                    if isinstance(obj, np.ndarray):
+                        arrays.append(obj.shape)
+
+            buffer = io.BytesIO()
+            ArrayFinder(buffer).dump(task)
+            assert arrays == []
+            assert len(pickle.dumps(task)) < 4096
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_module_state_holds_datasets(self, tmp_path, workers):
+        # the datasets reach workers through the pool, never through a harness global
+        _compare(tmp_path / "out", workers=workers)
+        for name, value in vars(harness).items():
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            assert not any(isinstance(v, Dataset) for v in values), name
+
     @pytest.mark.parametrize(
         "protocol, names",
         [
@@ -324,7 +359,10 @@ class TestGridSearch:
         doc = json.loads((tmp_path / "2.0" / "grid_stratified.json").read_text())
         assert type(doc["cells"][1]["params"]["min_positives_per_batch"]) is float
         bad = _tiny_config(tmp_path / "bad", n_seeds=1, best_k=1)
-        with pytest.raises(ValueError, match="expected int, got 1.5"):
+        with pytest.raises(
+            ValueError,
+            match="grid parameter 'min_positives_per_batch' of arm 'stratified': expected int, got 1.5",
+        ):
             grid_search(arm, {"min_positives_per_batch": (1, 1.5)}, bad)
         assert not (tmp_path / "bad").exists()
 
@@ -554,3 +592,94 @@ class TestLoadDatasets:
         )
         report = run_experiment(config)
         assert report.arms[0].n_valid == 1
+
+
+def _walk(node):
+    yield node
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        yield from _walk(child)
+
+
+class TestValidatorOracle:
+    """The package's validator reports exactly what a plain jsonschema validator does."""
+
+    SCHEMAS = [
+        "experiment_config.schema.json",
+        "run_report.schema.json",
+        "comparison_report.schema.json",
+        "sweep_report.schema.json",
+        "grid_report.schema.json",
+    ]
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("oracle")
+        _compare(out / "compare")
+        _sweep(out / "sweep")
+        _grid(out / "grid")
+        docs = {str(p.relative_to(out)): json.loads(p.read_text()) for p in sorted(out.glob("*/*.json"))}
+        docs["experiment_config"] = TestConfigCodec()._files_doc()
+        return docs
+
+    @staticmethod
+    def _mutants(docs):
+        run = docs["compare/run_adaptive_0.json"]
+        edits = [
+            ("w_history", 0, -0.5),
+            ("w_history", -1, True),
+            ("loss_curve", 1, "0.3"),
+            ("w_history", 2, math.nan),
+            ("dev_f", 0, np.float64(0.5)),
+            ("w_history", 3, None),
+            ("loss_curve", 0, [0.1]),
+            ("dev_f", -1, 1.5),
+            ("w_history", -1, 10**400),
+            ("loss_curve", 0, math.inf),
+            ("dev_precision", 0, -math.inf),
+            ("dev_recall", 0, 0),
+        ]
+        for key, index, value in edits:
+            doc = copy.deepcopy(run)
+            doc[key][index] = value
+            yield f"run {key}[{index}] = {value!r}", doc
+        for key, value in (("w_history", 0.5), ("w_history", tuple(run["w_history"])), ("dev_f", [])):
+            yield f"run {key} = {value!r}", dict(run, **{key: value})
+        both = copy.deepcopy(run)
+        both["w_history"][0], both["dev_f"][0] = -1.0, 2.0
+        yield "run w_history and dev_f", both
+        config = docs["experiment_config"]
+        yield "config beta_sweep 0", dict(config, beta_sweep=[0, 1.0])
+        yield "config grid string", dict(config, grid={"focal": {"gamma": ["x", 1]}})
+        grid = copy.deepcopy(docs["grid/grid_static.json"])
+        grid["cells"][0]["test_f"] = [0.5, 1.2]
+        yield "grid test_f above 1", grid
+
+    def test_same_errors_as_plain_validator(self, documents):
+        inputs = list(documents.items()) + list(self._mutants(documents))
+        assert len(inputs) > 25
+        for schema_name in self.SCHEMAS:
+            schema = configio._schema(schema_name)
+            plain = jsonschema.validators.validator_for(schema)(schema)
+            ours = configio._validator(schema_name)
+            for label, doc in inputs:
+                errors = [(e.message, tuple(e.absolute_path)) for e in ours.iter_errors(doc)]
+                assert errors == [(e.message, tuple(e.absolute_path)) for e in plain.iter_errors(doc)], (
+                    schema_name,
+                    label,
+                )
+                best, expected = (jsonschema.exceptions.best_match(v.iter_errors(doc)) for v in (ours, plain))
+                assert (best is None) == (expected is None), (schema_name, label)
+                if best is not None:
+                    assert (best.message, best.absolute_path, best.validator) == (
+                        expected.message,
+                        expected.absolute_path,
+                        expected.validator,
+                    ), (schema_name, label)
+
+    def test_schemas_leave_items_alone(self):
+        # the short cut reads "items" alone; these keywords would also read the item indexes
+        for schema_name in self.SCHEMAS:
+            for node in _walk(configio._schema(schema_name)):
+                if isinstance(node, dict):
+                    assert not {"prefixItems", "unevaluatedItems"} & node.keys(), schema_name
