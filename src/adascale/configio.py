@@ -141,7 +141,6 @@ def _items(validator, items, instance, schema):
         isinstance(items, dict)
         and items.get("type") == "number"
         and items.keys() <= _NUMBER_ITEM_KEYS
-        and "prefixItems" not in schema
         and isinstance(instance, list)
     ):
         low = items.get("minimum", -math.inf)

@@ -678,7 +678,8 @@ class TestValidatorOracle:
                     ), (schema_name, label)
 
     def test_schemas_leave_items_alone(self):
-        # the short cut reads "items" alone; these keywords would also read the item indexes
+        # the oracle's inputs exercise "items" on its own; these keywords would
+        # make it share the item indexes, a case no input here covers
         for schema_name in self.SCHEMAS:
             for node in _walk(configio._schema(schema_name)):
                 if isinstance(node, dict):
