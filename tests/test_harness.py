@@ -187,19 +187,18 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_run_all", spy)
         _compare(tmp_path / "out", workers=2)
+        arrays = []
+
+        class ArrayFinder(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, np.ndarray):
+                    arrays.append(obj.shape)
+
         assert len(tasks) == 4
         for task in tasks:
-            arrays = []
-
-            class ArrayFinder(pickle.Pickler):
-                def persistent_id(self, obj):
-                    if isinstance(obj, np.ndarray):
-                        arrays.append(obj.shape)
-
-            buffer = io.BytesIO()
-            ArrayFinder(buffer).dump(task)
-            assert arrays == []
+            ArrayFinder(io.BytesIO()).dump(task)
             assert len(pickle.dumps(task)) < 4096
+        assert arrays == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_module_state_holds_datasets(self, tmp_path, workers):
