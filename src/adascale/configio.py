@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from importlib import resources
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -25,6 +25,7 @@ from .trainer import SGD, Adam, TrainConfig
 __all__ = [
     "to_json",
     "from_json",
+    "schema",
     "validate_experiment_config",
     "validate_run_report",
     "validate_comparison_report",
@@ -117,6 +118,40 @@ def from_json(tp, doc):
         except ValueError as error:
             raise ValueError(f"{tp.__name__}.{f.name}: {error}") from None
     return tp(**values)
+
+
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+
+
+def schema(tp, keywords=None) -> dict:
+    """JSON Schema of what ``from_json(tp, doc)`` reads, walking types as it does;
+    a field adds the keywords of its ``bound()`` and a tagged dataclass its "kind"."""
+    keywords = dict(keywords or {})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        members = [a for a in args if a is not type(None)]
+        if len(members) > 1:
+            return {"oneOf": [schema(m) for m in members]}
+        doc = schema(members[0], keywords)
+        if "type" in doc:
+            doc["type"] = [doc["type"], "null"]
+        return doc
+    if "enum" in keywords:
+        # the listed values say the type too
+        return {"enum": list(keywords["enum"])}
+    if origin is tuple or tp is tuple:
+        items = keywords.pop("items", None)
+        return {"type": "array", **keywords, **({"items": schema(args[0], items)} if args else {})}
+    if origin is dict:
+        return {"type": "object", "additionalProperties": schema(args[1])}
+    if not is_dataclass(tp):
+        return {"type": _JSON_TYPES[tp], **keywords}
+    hints = get_type_hints(tp)
+    kind = {"kind": {"const": _KINDS[tp]}} if tp in _KINDS else {}
+    properties = {**kind, **{f.name: schema(hints[f.name], f.metadata) for f in _fields(tp)}}
+    required = [*kind, *(f.name for f in _fields(tp) if f.default is MISSING)]
+    doc = {"type": "object", "properties": properties, "additionalProperties": False}
+    return {**doc, "required": required} if required else doc
 
 
 @functools.lru_cache(maxsize=None)

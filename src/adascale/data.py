@@ -1,4 +1,5 @@
-"""Synthetic sparse-detection datasets, file ingestion and batch sampling.
+"""Synthetic sparse-detection datasets, file ingestion and batch sampling,
+plus ``Config``, the base that checks every config dataclass's bounds.
 
 Label convention throughout the package: 0 is the background (negative)
 class, labels 1..k-1 are the positive classes.
@@ -15,13 +16,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "Config",
+    "bound",
     "Dataset",
     "GeneratorConfig",
     "GenerationDetails",
@@ -45,6 +49,48 @@ NEGATIVE_LABEL = 0
 
 class StratificationWarning(UserWarning):
     """Raised-as-warning when a stratified epoch cannot honor its quota."""
+
+
+def bound(default=MISSING, **keywords):
+    """A config field whose value must meet JSON Schema ``keywords``: ``Config``
+    checks them and ``configio.schema`` writes them into the schema."""
+    return field(default=default, metadata=keywords)
+
+
+# keyword -> (test the value passes, the bound as text); NaN fails every comparison
+_BOUNDS = {
+    "minimum": (operator.ge, ">="),
+    "exclusiveMinimum": (operator.gt, ">"),
+    "maximum": (operator.le, "<="),
+    "exclusiveMaximum": (operator.lt, "<"),
+    "minLength": (lambda v, n: len(v) >= n, "of length >="),
+    "minItems": (lambda v, n: len(v) >= n, "of length >="),
+    "enum": (lambda v, options: v in options, "one of"),
+    "items": (lambda v, keywords: not any(_broken(x, keywords) for x in v), "a sequence of items meeting"),
+}
+
+
+def _broken(value, keywords) -> str | None:
+    """The bound ``value`` breaks, as text, or None; None meets every keyword but ``enum``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "finite"
+    for key, limit in keywords.items():
+        test, text = _BOUNDS[key]
+        if (value is not None or key == "enum") and not test(value, limit):
+            return f"{text} {limit!r}"
+    return None
+
+
+class Config:
+    """Base of the config dataclasses: a float field must be finite and every
+    field must meet the keywords of its ``bound()``."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            broken = _broken(value, f.metadata)
+            if broken:
+                raise ValueError(f"{type(self).__name__}.{f.name} must be {broken}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +140,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Config):
     """Synthetic benchmark knobs.
 
     Defaults describe the standard sparse benchmark: 10k instances in 20
@@ -105,28 +151,17 @@ class GeneratorConfig:
     standard deviation.
     """
 
-    n: int = 10_000
-    d: int = 20
-    k: int = 4
-    positive_rate: float = 0.02
-    negative_modes: int = 3
-    class_separation: float = 3.6
-    noise_scale: float = 1.0
-    seed: int = 0
+    n: int = bound(10_000, minimum=1)
+    d: int = bound(20, minimum=1)
+    k: int = bound(4, minimum=2)
+    positive_rate: float = bound(0.02, exclusiveMinimum=0, exclusiveMaximum=1)
+    negative_modes: int = bound(3, minimum=1)
+    class_separation: float = bound(3.6, exclusiveMinimum=0)
+    noise_scale: float = bound(1.0, exclusiveMinimum=0)
+    seed: int = bound(0, minimum=0)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if not 0.0 < self.positive_rate < 1.0:
-            raise ValueError("positive_rate must lie in (0, 1)")
-        if self.negative_modes < 1:
-            raise ValueError("negative_modes must be >= 1")
-        if self.class_separation <= 0.0 or self.noise_scale <= 0.0:
-            raise ValueError("class_separation and noise_scale must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        super().__post_init__()
         if int(round(self.positive_rate * self.n)) < self.k - 1:
             raise ValueError("positive_rate * n must round to at least k - 1 positives")
 
@@ -295,7 +330,7 @@ def _load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
                 raise _load_error(path, lineno, "object must have 'features' and 'label'")
             raw = obj["features"]
             if not isinstance(raw, list) or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in raw
+                type(v) in (int, float) and math.isfinite(v) for v in raw
             ):
                 raise _load_error(path, lineno, "'features' must be a list of finite reals")
             label = obj["label"]
@@ -327,7 +362,7 @@ def load(path, format: str | None = None) -> Dataset:
 
 
 @dataclass(frozen=True)
-class SyntheticSource:
+class SyntheticSource(Config):
     """Generate train/dev/test splits from one generator config.
 
     One pooled dataset of ``n + n_dev + n_test`` instances is generated
@@ -337,51 +372,43 @@ class SyntheticSource:
     """
 
     generator: GeneratorConfig = GeneratorConfig()
-    n_dev: int = 2000
-    n_test: int = 2000
+    n_dev: int = bound(2000, minimum=1)
+    n_test: int = bound(2000, minimum=1)
 
 
 @dataclass(frozen=True)
-class FileSource:
+class FileSource(Config):
     train: str
     dev: str
     test: str
-    format: str | None = None
+    format: str | None = bound(None, enum=("csv", "jsonl", None))
 
 
 DatasetSource = SyntheticSource | FileSource
 
 
 @dataclass(frozen=True)
-class UniformSampler:
+class UniformSampler(Config):
     """Seeded permutation of the full index set, chunked into batches."""
 
 
 @dataclass(frozen=True)
-class StratifiedSampler:
+class StratifiedSampler(Config):
     """Uniform batching that guarantees a minimum positive count per batch
     where the supply of positives allows it."""
 
-    min_positives_per_batch: int = 1
-
-    def __post_init__(self) -> None:
-        if self.min_positives_per_batch < 1:
-            raise ValueError("min_positives_per_batch must be >= 1")
+    min_positives_per_batch: int = bound(1, minimum=1)
 
 
 @dataclass(frozen=True)
-class UnderSampler:
+class UnderSampler(Config):
     """Keep all positives, subsample negatives to ratio * P per epoch.
 
     The negative subset is redrawn from the sampler seed each epoch, so
     successive epochs see different negatives.
     """
 
-    neg_to_pos_ratio: float
-
-    def __post_init__(self) -> None:
-        if not self.neg_to_pos_ratio > 0.0:
-            raise ValueError("neg_to_pos_ratio must be positive")
+    neg_to_pos_ratio: float = bound(exclusiveMinimum=0)
 
 
 SamplerKind = UniformSampler | StratifiedSampler | UnderSampler

@@ -28,9 +28,9 @@ import jsonschema
 import numpy as np
 
 from . import configio
-from .data import Dataset, DatasetSource, FileSource, SyntheticSource, generate, load
+from .data import Config, Dataset, DatasetSource, FileSource, SyntheticSource, bound, generate, load
 from .losses import Adaptive, LossStrategy
-from .model import ModelSpec
+from .model import ACTIVATIONS, ModelSpec
 from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
 
 __all__ = [
@@ -54,54 +54,48 @@ __all__ = [
     "reaggregate",
     "experiment_from_json",
     "experiment_to_json",
+    "experiment_schema",
 ]
 
 VAR_PCT_SCALE = 1e4  # variance of 100*F equals 1e4 * variance of F
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Config):
     """Architecture knobs; input width and class count come from the data."""
 
-    hidden_dim: int | None = None
-    activation: str = "tanh"
+    hidden_dim: int | None = bound(None, minimum=1)
+    activation: str = bound("tanh", enum=ACTIVATIONS)
 
 
 @dataclass(frozen=True)
-class Arm:
+class Arm(Config):
     """One system under comparison: a loss strategy plus its training config."""
 
-    name: str
+    name: str = bound(minLength=1)
     strategy: LossStrategy
     train: TrainConfig = TrainConfig()
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     source: DatasetSource
-    arms: tuple[Arm, ...]
+    arms: tuple[Arm, ...] = bound(minItems=1)
     model: ModelConfig = ModelConfig()
-    n_seeds: int = 10
-    best_k: int = 3
-    base_seed: int = 0
-    beta_sweep: tuple[float, ...] | None = None
+    n_seeds: int = bound(10, minimum=1)
+    best_k: int = bound(3, minimum=1)
+    base_seed: int = bound(0, minimum=0)
+    beta_sweep: tuple[float, ...] | None = bound(None, items={"exclusiveMinimum": 0})
     grid: dict[str, dict[str, tuple]] | None = None
     output_dir: str = "out"
-    workers: int = 1
+    workers: int = bound(1, minimum=1)
 
     def __post_init__(self) -> None:
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
-        if not 1 <= self.best_k <= self.n_seeds:
-            raise ValueError("best_k must lie in [1, n_seeds]")
-        if not self.arms:
-            raise ValueError("at least one arm is required")
+        super().__post_init__()
+        if self.best_k > self.n_seeds:
+            raise ValueError(f"best_k must be <= n_seeds, got {self.best_k} > {self.n_seeds}")
         if len({arm.name for arm in self.arms}) != len(self.arms):
             raise ValueError("arm names must be unique")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -520,3 +514,21 @@ def experiment_to_json(config: ExperimentConfig) -> dict:
     doc["dataset"] = doc.pop("source")
     # an experiment without a sweep or a grid leaves the key out
     return {key: value for key, value in doc.items() if value is not None}
+
+
+def experiment_schema() -> dict:
+    """``configio.schema(ExperimentConfig)`` in the layout ``experiment_from_json``
+    reads; ``schemas/experiment_config.schema.json`` is its output."""
+    doc = configio.schema(ExperimentConfig)
+    properties = doc["properties"]
+    properties["dataset"] = properties.pop("source")
+    # the defaults that each arm's "train" block overrides key by key
+    properties["train"] = configio.schema(TrainConfig)
+    doc["required"] = ["dataset" if name == "source" else name for name in doc["required"]]
+    # a sweep or a grid is left out, never null; a grid's values are numbers,
+    # each read as its strategy or sampler field's type when the grid runs
+    properties["beta_sweep"]["type"] = "array"
+    properties["grid"]["type"] = "object"
+    properties["grid"]["additionalProperties"]["additionalProperties"]["items"] = {"type": "number"}
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", "$id": "adascale/experiment_config",
+            "title": "Experiment configuration", **doc}

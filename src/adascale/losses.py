@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import Config, bound
 from .model import ForwardResult, _row_index
 from .scaling import BatchPrediction, w_batch
 
@@ -37,35 +38,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Vanilla:
+class Vanilla(Config):
     pass
 
 
 @dataclass(frozen=True)
-class Adaptive:
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.beta) or self.beta <= 0.0:
-            raise ValueError("beta must be a positive real")
+class Adaptive(Config):
+    beta: float = bound(1.0, exclusiveMinimum=0)
 
 
 @dataclass(frozen=True)
-class Static:
-    negative_cost: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.negative_cost) or self.negative_cost <= 0.0:
-            raise ValueError("negative_cost must be a positive real")
+class Static(Config):
+    negative_cost: float = bound(exclusiveMinimum=0)
 
 
 @dataclass(frozen=True)
-class Focal:
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.gamma) or self.gamma < 0.0:
-            raise ValueError("gamma must be a non-negative real")
+class Focal(Config):
+    gamma: float = bound(minimum=0)
 
 
 LossStrategy = Vanilla | Adaptive | Static | Focal

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import Config, bound
+
 __all__ = [
     "ModelSpec",
     "ModelParams",
@@ -28,29 +30,19 @@ __all__ = [
     "load_params",
 ]
 
-_ACTIVATIONS = ("tanh", "relu")
+ACTIVATIONS = ("tanh", "relu")
 _CHECKPOINT_FORMAT = "softmax-classifier"
 _CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Config):
     """Architecture description: input width, class count, optional hidden layer."""
 
-    input_dim: int
-    n_classes: int
-    hidden_dim: int | None = None
-    activation: str = "tanh"
-
-    def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1 when set")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+    input_dim: int = bound(minimum=1)
+    n_classes: int = bound(minimum=2)
+    hidden_dim: int | None = bound(None, minimum=1)
+    activation: str = bound("tanh", enum=ACTIVATIONS)
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

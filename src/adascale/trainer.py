@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NEGATIVE_LABEL, Dataset, SamplerKind, UniformSampler, batches
+from .data import NEGATIVE_LABEL, Config, Dataset, SamplerKind, UniformSampler, batches, bound
 from .losses import Adaptive, LossStrategy, Vanilla, compute_loss, strategy_label
 from .metrics import confusion_from_predictions, f_beta, precision, recall
 from .model import Gradients, ModelParams, ModelSpec, backward, forward, init_params, predict
@@ -35,31 +35,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SGD:
-    lr: float = 0.1
-    momentum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+class SGD(Config):
+    lr: float = bound(0.1, exclusiveMinimum=0)
+    momentum: float = bound(0.0, minimum=0, exclusiveMaximum=1)
 
 
 @dataclass(frozen=True)
-class Adam:
-    lr: float = 1e-3
-    b1: float = 0.9
-    b2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if not (0.0 <= self.b1 < 1.0 and 0.0 <= self.b2 < 1.0):
-            raise ValueError("b1 and b2 must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+class Adam(Config):
+    lr: float = bound(1e-3, exclusiveMinimum=0)
+    b1: float = bound(0.9, minimum=0, exclusiveMaximum=1)
+    b2: float = bound(0.999, minimum=0, exclusiveMaximum=1)
+    eps: float = bound(1e-8, exclusiveMinimum=0)
 
 
 Optimizer = SGD | Adam
@@ -130,27 +116,15 @@ class _OptimizerState:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     optimizer: Optimizer = Adam()
-    epochs: int = 30
-    batch_size: int = 64
+    epochs: int = bound(30, minimum=1)
+    batch_size: int = bound(64, minimum=1)
     sampler: SamplerKind = UniformSampler()
     strategy: LossStrategy = Vanilla()
-    seed: int = 0
-    eval_beta: float = 1.0
-    early_stop_patience: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.eval_beta <= 0.0:
-            raise ValueError("eval_beta must be positive")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1 when set")
+    seed: int = bound(0, minimum=0)
+    eval_beta: float = bound(1.0, exclusiveMinimum=0)
+    early_stop_patience: int | None = bound(None, minimum=1)
 
 
 @dataclass

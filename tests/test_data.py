@@ -167,6 +167,13 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=r"bad\.jsonl:1"):
             load(path)
 
+    def test_jsonl_rejects_boolean_features(self, tmp_path):
+        # as CSV rejects the value True as a malformed feature
+        path = tmp_path / "bool.jsonl"
+        path.write_text('{"features": [true, 0.5], "label": 0}\n')
+        with pytest.raises(ValueError, match=r"bool\.jsonl:1: 'features' must be a list of finite reals"):
+            load(path)
+
     def test_unknown_extension_needs_format(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("f0,label\n1.0,0\n")

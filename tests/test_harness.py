@@ -1,5 +1,6 @@
 import copy
 import functools
+import importlib.resources
 import io
 import json
 import math
@@ -513,6 +514,43 @@ class TestConfigCodec:
         assert type(config.model.hidden_dim) is int
         assert config.grid == {"focal": {"gamma": (0, 1.5)}}
 
+    def test_round_trip_documents_pass_schema(self):
+        for doc in (self._doc(), self._files_doc(), self._files_doc("jsonl"), self._files_doc("csv")):
+            configio.validate_experiment_config(experiment_to_json(experiment_from_json(doc)))
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("train", "eval_beta"), math.nan, "TrainConfig.eval_beta"),
+            (("train", "optimizer", "lr"), math.nan, "Adam.lr"),
+            (("arms", 1, "train", "sampler", "neg_to_pos_ratio"), math.inf, "UnderSampler.neg_to_pos_ratio"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, path, value, field):
+        # each passes the schema, so only the dataclass check stops it before a run trains
+        doc = _mutant("files", path, value)
+        configio.validate_experiment_config(doc)
+        with pytest.raises(ValueError, match=rf"{re.escape(field)} must be finite, got {value}"):
+            experiment_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Arm("", Vanilla()), "Arm.name must be of length >= 1, got ''"),
+            (lambda: ModelConfig(hidden_dim=0), "ModelConfig.hidden_dim must be >= 1, got 0"),
+            (lambda: SyntheticSource(n_dev=0), "SyntheticSource.n_dev must be >= 1, got 0"),
+            (lambda: Adam(eps=math.inf), "Adam.eps must be finite, got inf"),
+            (
+                lambda: ExperimentConfig(TINY_SOURCE, (Arm("a", Vanilla()),), beta_sweep=(1.0, 0.0)),
+                "ExperimentConfig.beta_sweep must be a sequence of items meeting {'exclusiveMinimum': 0}, got (1.0, 0.0)",
+            ),
+        ],
+        ids=["empty arm name", "hidden_dim 0", "n_dev 0", "infinite eps", "zero in sweep"],
+    )
+    def test_out_of_range_rejected_on_construction(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
     def test_schema_rejects_bad_strategy(self):
         doc = self._doc()
         doc["arms"][0]["strategy"] = {"kind": "mystery"}
@@ -524,6 +562,114 @@ class TestConfigCodec:
         doc["surprise"] = 1
         with pytest.raises(Exception):
             experiment_from_json(doc)
+
+
+_DROP = object()
+
+# (label, base document, edited path, new value or _DROP, best_match (message, path) or None to accept)
+SCHEMA_MUTANTS = [
+    ("bad strategy kind", "synthetic", ("arms", 0, "strategy"), {"kind": "mystery"},
+     ("{'kind': 'mystery'} is not valid under any of the given schemas", ("arms", 0, "strategy"))),
+    ("unknown top-level key", "synthetic", ("surprise",), 1,
+     ("Additional properties are not allowed ('surprise' was unexpected)", ())),
+    ("unknown generator key", "synthetic", ("dataset", "generator", "positve_rate"), 0.5,
+     ("Additional properties are not allowed ('positve_rate' was unexpected)", ("dataset", "generator"))),
+    ("unknown arm key", "synthetic", ("arms", 0, "beta"), 1.0,
+     ("Additional properties are not allowed ('beta' was unexpected)", ("arms", 0))),
+    ("strategy inside train", "synthetic", ("train", "strategy"), {"kind": "vanilla"},
+     ("Additional properties are not allowed ('strategy' was unexpected)", ("train",))),
+    ("empty arm name", "synthetic", ("arms", 0, "name"), "", ("'' should be non-empty", ("arms", 0, "name"))),
+    ("no arms", "synthetic", ("arms",), [], ("[] should be non-empty", ("arms",))),
+    ("no dataset", "synthetic", ("dataset",), _DROP, ("'dataset' is a required property", ())),
+    ("hidden_dim 0", "synthetic", ("model", "hidden_dim"), 0,
+     ("0 is less than the minimum of 1", ("model", "hidden_dim"))),
+    ("hidden_dim null", "files", ("model", "hidden_dim"), None, None),
+    ("bad activation", "synthetic", ("model", "activation"), "sigmoid",
+     ("'sigmoid' is not one of ['tanh', 'relu']", ("model", "activation"))),
+    ("lr 0", "synthetic", ("train", "optimizer", "lr"), 0, ("'sgd' was expected", ("train", "optimizer", "kind"))),
+    ("momentum 1", "files", ("arms", 1, "train", "optimizer", "momentum"), 1,
+     ("'adam' was expected", ("arms", 1, "train", "optimizer", "kind"))),
+    ("b1 -1", "synthetic", ("train", "optimizer", "b1"), -1,
+     ("-1 is less than the minimum of 0", ("train", "optimizer", "b1"))),
+    ("beta 0", "files", ("arms", 0, "strategy", "beta"), 0,
+     ("0 is less than or equal to the minimum of 0", ("arms", 0, "strategy", "beta"))),
+    ("gamma -1", "files", ("arms", 1, "strategy", "gamma"), -1,
+     ("-1 is less than the minimum of 0", ("arms", 1, "strategy", "gamma"))),
+    ("static without cost", "synthetic", ("arms", 1, "strategy", "negative_cost"), _DROP,
+     ("{'kind': 'static'} is not valid under any of the given schemas", ("arms", 1, "strategy"))),
+    ("sweep value 0", "files", ("beta_sweep", 1), 0,
+     ("0 is less than or equal to the minimum of 0", ("beta_sweep", 1))),
+    ("null sweep", "files", ("beta_sweep",), None, ("None is not of type 'array'", ("beta_sweep",))),
+    ("null grid", "files", ("grid",), None, ("None is not of type 'object'", ("grid",))),
+    ("string grid value", "files", ("grid", "focal", "gamma", 0), "x",
+     ("'x' is not of type 'number'", ("grid", "focal", "gamma", 0))),
+    ("n_seeds 0", "synthetic", ("n_seeds",), 0, ("0 is less than the minimum of 1", ("n_seeds",))),
+    ("workers 1.5", "synthetic", ("workers",), 1.5, ("1.5 is not of type 'integer'", ("workers",))),
+    ("epochs string", "synthetic", ("train", "epochs"), "3", ("'3' is not of type 'integer'", ("train", "epochs"))),
+    ("k 1", "synthetic", ("dataset", "generator", "k"), 1,
+     ("1 is less than the minimum of 2", ("dataset", "generator", "k"))),
+    ("positive_rate 1", "synthetic", ("dataset", "generator", "positive_rate"), 1,
+     ("1 is greater than or equal to the maximum of 1", ("dataset", "generator", "positive_rate"))),
+    ("n_dev 0", "synthetic", ("dataset", "n_dev"), 0, ("'files' was expected", ("dataset", "kind"))),
+    ("patience null", "files", ("train", "early_stop_patience"), None, None),
+    ("patience 0", "files", ("train", "early_stop_patience"), 0,
+     ("0 is less than the minimum of 1", ("train", "early_stop_patience"))),
+    ("ratio 0", "files", ("arms", 1, "train", "sampler", "neg_to_pos_ratio"), 0,
+     ("{'kind': 'undersample', 'neg_to_pos_ratio': 0} is not valid under any of the given schemas",
+      ("arms", 1, "train", "sampler"))),
+    ("min positives 0", "synthetic", ("train", "sampler", "min_positives_per_batch"), 0,
+     ("{'kind': 'stratified', 'min_positives_per_batch': 0} is not valid under any of the given schemas",
+      ("train", "sampler"))),
+    ("format tsv", "files", ("dataset", "format"), "tsv",
+     ("'tsv' is not one of ['csv', 'jsonl', None]", ("dataset", "format"))),
+    ("format null", "files", ("dataset", "format"), None, None),
+    ("files without test", "files", ("dataset", "test"), _DROP, ("'synthetic' was expected", ("dataset", "kind"))),
+    ("eval_beta 0", "files", ("train", "eval_beta"), 0,
+     ("0 is less than or equal to the minimum of 0", ("train", "eval_beta"))),
+]
+
+
+def _mutant(base: str, path: tuple, value) -> dict:
+    doc = TestConfigCodec()._doc() if base == "synthetic" else TestConfigCodec()._files_doc()
+    *parents, last = path
+    node = functools.reduce(lambda n, key: n[key], parents, doc)
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+class TestExperimentSchema:
+    """What the experiment-config schema accepts, and the first error it reports."""
+
+    @pytest.mark.parametrize(
+        "base, path, value, expected", [row[1:] for row in SCHEMA_MUTANTS], ids=[row[0] for row in SCHEMA_MUTANTS]
+    )
+    def test_best_match(self, base, path, value, expected):
+        doc = _mutant(base, path, value)
+        if expected is None:
+            configio.validate_experiment_config(doc)
+            return
+        with pytest.raises(jsonschema.ValidationError) as caught:
+            configio.validate_experiment_config(doc)
+        assert (caught.value.message, tuple(caught.value.absolute_path)) == expected
+
+    def test_shipped_schema_is_generated(self, tmp_path):
+        configio.write_json(harness.experiment_schema(), tmp_path / "schema.json")
+        shipped = importlib.resources.files("adascale").joinpath("schemas", "experiment_config.schema.json")
+        assert shipped.read_text() == (tmp_path / "schema.json").read_text(), (
+            "regenerate with: PYTHONPATH=src python -c \"from adascale import configio, harness; "
+            "configio.write_json(harness.experiment_schema(), 'src/adascale/schemas/experiment_config.schema.json')\""
+        )
+
+    def test_two_errors_at_once(self):
+        doc = _mutant("synthetic", ("n_seeds",), 0)
+        doc["model"]["activation"] = "sigmoid"
+        validator = configio._validator("experiment_config.schema.json")
+        assert len(list(validator.iter_errors(doc))) == 2
+        with pytest.raises(jsonschema.ValidationError, match="0 is less than the minimum of 1"):
+            configio.validate_experiment_config(doc)
 
 
 class TestRunReportSchema:
