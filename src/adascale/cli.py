@@ -3,7 +3,9 @@
 Subcommands: generate, train, eval, compare, sweep, grid.  All take
 ``--config <json>`` plus a small set of flag overrides; ``--seed`` and
 ``--out`` are accepted everywhere.  With ``--strict``, any invalid
-(aborted) run makes the process exit nonzero.
+(aborted) run makes the process exit nonzero.  The ``adascale`` command
+(:func:`run`) reports an unusable config, dataset, checkpoint or override as
+one ``adascale: error:`` line with exit status 2.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ def _load_json(path: str) -> dict:
 
 
 def _experiment(args) -> harness.ExperimentConfig:
-    doc = _load_json(args.config)
-    config = harness.experiment_from_json(doc)
     overrides = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed
@@ -35,7 +35,9 @@ def _experiment(args) -> harness.ExperimentConfig:
         overrides["n_seeds"] = args.n_seeds
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
-    return replace(config, **overrides) if overrides else config
+    with harness._reading():
+        config = harness.experiment_from_json(_load_json(args.config))
+        return replace(config, **overrides) if overrides else config
 
 
 def _strict_exit(summaries, strict: bool) -> int:
@@ -49,12 +51,13 @@ def _strict_exit(summaries, strict: bool) -> int:
 
 
 def _cmd_generate(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
-    for f in fields(data.GeneratorConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            doc[f.name] = value
-    config = configio.from_json(data.GeneratorConfig, doc)
+    with harness._reading():
+        doc = _load_json(args.config) if args.config else {}
+        for f in fields(data.GeneratorConfig):
+            value = getattr(args, f.name)
+            if value is not None:
+                doc[f.name] = value
+        config = configio.from_json(data.GeneratorConfig, doc)
     dataset = data.generate(config)
     data.save(dataset, args.out, args.format)
     print(f"wrote {dataset.n} instances ({dataset.d} features, k={dataset.k}) to {args.out}")
@@ -70,7 +73,8 @@ def _cmd_train(args) -> int:
     train_ds, dev_ds, test_ds = harness.load_datasets(config.source)
     spec = harness._build_spec(config.model, train_ds)
     seed = args.seed if args.seed is not None else config.base_seed
-    train_config = replace(arm.train, strategy=arm.strategy, seed=seed)
+    with harness._reading():
+        train_config = replace(arm.train, strategy=arm.strategy, seed=seed)
     params, report = train(train_ds, dev_ds, test_ds, spec, train_config)
     report.arm = arm.name
     out = Path(args.out or harness._run_file(arm.name, seed))
@@ -86,9 +90,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params = load_params(args.model)
-    dataset = data.load(args.data, args.format)
-    p, r, f = evaluate(params, dataset, args.beta)
+    # every input of an evaluation is the user's: a checkpoint, a dataset that
+    # must fit it and a beta
+    with harness._reading():
+        params = load_params(args.model)
+        dataset = data.load(args.data, args.format)
+        p, r, f = evaluate(params, dataset, args.beta)
     print(f"precision={p:.6f} recall={r:.6f} f_beta={f:.6f} (beta={args.beta:g})")
     if args.out:
         configio.write_json(
@@ -160,7 +167,7 @@ def main(argv=None) -> int:
     gen = sub.add_parser("generate", help="write a synthetic dataset to CSV or JSONL")
     gen.add_argument("--config", help="generator config JSON")
     gen.add_argument("--out", required=True, help="output file (.csv or .jsonl)")
-    gen.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    gen.add_argument("--format", choices=data.FORMATS, default=None)
     for name, tp in get_type_hints(data.GeneratorConfig).items():
         gen.add_argument("--" + name.replace("_", "-"), dest=name, type=tp, default=None)
     gen.set_defaults(func=_cmd_generate)
@@ -177,7 +184,7 @@ def main(argv=None) -> int:
     ev = sub.add_parser("eval", help="score a saved model on a dataset file")
     ev.add_argument("--model", required=True, help="checkpoint path")
     ev.add_argument("--data", required=True, help="dataset file")
-    ev.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    ev.add_argument("--format", choices=data.FORMATS, default=None)
     ev.add_argument("--beta", type=float, default=1.0)
     ev.add_argument("--out", default=None, help="metrics JSON path")
     ev.set_defaults(func=_cmd_eval)
@@ -202,5 +209,16 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run() -> int:
+    """The ``adascale`` command: :func:`main` on the process arguments, with an
+    unusable config, dataset, checkpoint or override reported as one line
+    and exit status 2 instead of a traceback."""
+    try:
+        return main()
+    except harness.InputError as error:
+        print(f"adascale: error: {error}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

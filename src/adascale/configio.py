@@ -98,7 +98,15 @@ def from_json(tp, doc):
         if tp is None:
             raise ValueError(f"unknown kind {kind!r}")
     elif origin is tuple or tp is tuple:
-        return tuple(from_json(args[0], v) if args else v for v in doc)
+        if not args:
+            return tuple(doc)
+        items = []
+        for i, v in enumerate(doc):
+            try:
+                items.append(from_json(args[0], v))
+            except ValueError as error:
+                raise ValueError(f"[{i}]: {error}") from None
+        return tuple(items)
     elif origin is dict:
         return {k: from_json(args[1], v) for k, v in doc.items()}
     if tp in (int, float):
@@ -116,7 +124,10 @@ def from_json(tp, doc):
         try:
             values[f.name] = from_json(hints[f.name], doc[f.name])
         except ValueError as error:
-            raise ValueError(f"{tp.__name__}.{f.name}: {error}") from None
+            # an item's error starts with its index: "arms[1]: ..."
+            text = str(error)
+            sep = "" if text.startswith("[") else ": "
+            raise ValueError(f"{tp.__name__}.{f.name}{sep}{text}") from None
     return tp(**values)
 
 

@@ -42,9 +42,12 @@ __all__ = [
     "save",
     "load",
     "batches",
+    "FORMATS",
 ]
 
 NEGATIVE_LABEL = 0
+# dataset file formats, each named as its file suffix
+FORMATS = ("csv", "jsonl")
 
 
 class StratificationWarning(UserWarning):
@@ -246,14 +249,12 @@ def generate(config: GeneratorConfig) -> Dataset:
 
 def _infer_format(path: Path, format: str | None) -> str:
     if format is not None:
-        if format not in ("csv", "jsonl"):
-            raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
+        if format not in FORMATS:
+            raise ValueError(f"format must be {' or '.join(map(repr, FORMATS))}, got {format!r}")
         return format
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".jsonl":
-        return "jsonl"
+    suffix = path.suffix.lower().lstrip(".")
+    if suffix in FORMATS:
+        return suffix
     raise ValueError(f"cannot infer format from {path.name!r}; pass format=")
 
 
@@ -381,7 +382,7 @@ class FileSource(Config):
     train: str
     dev: str
     test: str
-    format: str | None = bound(None, enum=("csv", "jsonl", None))
+    format: str | None = bound(None, enum=(*FORMATS, None))
 
 
 DatasetSource = SyntheticSource | FileSource
@@ -446,12 +447,20 @@ def _stratified_batches(
         ptr += take
 
     pool = rng.permutation(np.concatenate([pos[ptr:], neg]))
+    # each batch is a view of one epoch buffer, shuffled in place: the same
+    # draws as rng.permutation of the concatenated reserve and fill
+    epoch = np.empty(n, dtype=pool.dtype)
     out: list[np.ndarray] = []
-    start = 0
+    start = taken = 0
     for size, res in zip(sizes, reserved):
-        fill = pool[start : start + size - res.size]
-        start += fill.size
-        out.append(rng.permutation(np.concatenate([res, fill])))
+        fill = size - res.size
+        batch = epoch[start : start + size]
+        batch[: res.size] = res
+        batch[res.size :] = pool[taken : taken + fill]
+        rng.shuffle(batch)
+        out.append(batch)
+        start += size
+        taken += fill
     return out
 
 

@@ -20,6 +20,7 @@ import itertools
 import json
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -46,6 +47,7 @@ __all__ = [
     "SweepReport",
     "GridCell",
     "GridResult",
+    "InputError",
     "best_k_test_score",
     "load_datasets",
     "run_experiment",
@@ -58,6 +60,27 @@ __all__ = [
 ]
 
 VAR_PCT_SCALE = 1e4  # variance of 100*F equals 1e4 * variance of F
+
+
+class InputError(ValueError):
+    """A config, dataset or checkpoint that cannot be used as given.
+
+    The ``adascale`` command prints one as a single line and exits 2; to any
+    other caller it is an ordinary ``ValueError``.
+    """
+
+
+@contextmanager
+def _reading():
+    """Re-raise a ``ValueError`` or schema error of the block as an :class:`InputError`."""
+    try:
+        yield
+    except InputError:
+        raise
+    except jsonschema.ValidationError as error:
+        raise InputError(f"{error.json_path}: {error.message}") from error
+    except ValueError as error:
+        raise InputError(str(error)) from error
 
 
 @dataclass(frozen=True)
@@ -187,8 +210,9 @@ def load_datasets(source: DatasetSource) -> tuple[Dataset, Dataset, Dataset]:
             Dataset(pool.features[bounds[0] : bounds[1]], pool.labels[bounds[0] : bounds[1]], pool.k),
             Dataset(pool.features[bounds[1] :], pool.labels[bounds[1] :], pool.k),
         )
+    with _reading():
+        splits = [load(path, source.format) for path in (source.train, source.dev, source.test)]
     # a split may lack the top class, so k is the largest over all three
-    splits = [load(path, source.format) for path in (source.train, source.dev, source.test)]
     k = max(ds.k for ds in splits)
     return tuple(ds if ds.k == k else Dataset(ds.features, ds.labels, k) for ds in splits)
 
@@ -267,7 +291,7 @@ def _execute(config: ExperimentConfig, runs: list[tuple[str, TrainConfig]]) -> t
     for arm_name, train_config in runs:
         file = _run_file(arm_name, train_config.seed)
         if file in files:
-            raise ValueError(f"arms {files[file]!r} and {arm_name!r} both write {file}")
+            raise InputError(f"arms {files[file]!r} and {arm_name!r} both write {file}")
         files[file] = arm_name
     datasets = load_datasets(config.source)
     spec = _build_spec(config.model, datasets[0])
@@ -373,10 +397,10 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     stddevs) and ``sweep.json``.
     """
     if not config.beta_sweep:
-        raise ValueError("config.beta_sweep must be a non-empty list")
+        raise InputError("config.beta_sweep must be a non-empty list")
     template = next((arm for arm in config.arms if isinstance(arm.strategy, Adaptive)), None)
     if template is None:
-        raise ValueError("beta sweep requires an adaptive arm in the experiment config")
+        raise InputError("beta sweep requires an adaptive arm in the experiment config")
 
     runs = []
     for beta in config.beta_sweep:
@@ -410,7 +434,7 @@ def _apply_cell(arm: Arm, cell: dict) -> Arm:
     strategy_hints, sampler_hints = get_type_hints(type(strategy)), get_type_hints(type(sampler))
     for key, value in cell.items():
         if key not in strategy_hints and key not in sampler_hints:
-            raise ValueError(
+            raise InputError(
                 f"grid parameter {key!r} matches neither the strategy nor the sampler of arm {arm.name!r}"
             )
         try:
@@ -419,7 +443,7 @@ def _apply_cell(arm: Arm, cell: dict) -> Arm:
             else:
                 sampler = replace(sampler, **{key: configio.from_json(sampler_hints[key], value)})
         except ValueError as error:
-            raise ValueError(f"grid parameter {key!r} of arm {arm.name!r}: {error}") from None
+            raise InputError(f"grid parameter {key!r} of arm {arm.name!r}: {error}") from None
     return Arm(name=arm.name, strategy=strategy, train=replace(arm.train, sampler=sampler))
 
 
@@ -435,7 +459,7 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     names = list(grid.keys())
     cells = [dict(zip(names, combo)) for combo in itertools.product(*(grid[n] for n in names))]
     if not cells:
-        raise ValueError("grid value lists must be non-empty")
+        raise InputError("grid value lists must be non-empty")
 
     runs = []
     for cell in cells:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Config, bound
-from .model import ForwardResult, _row_index
+from .model import ForwardResult, _labels_out_of_range, _row_index
 from .scaling import BatchPrediction, w_batch
 
 __all__ = [
@@ -102,7 +102,7 @@ def compute_loss(
         raise ValueError("gold labels must have one entry per batch row")
     if gold_arr.dtype.kind not in "iu":
         raise ValueError("gold labels must be integers")
-    if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
+    if _labels_out_of_range(gold_arr, probs.shape[1]):
         raise ValueError("gold labels out of range")
 
     gold_probs = probs[_row_index(batch), gold_arr]
@@ -133,5 +133,10 @@ def compute_loss(
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks
     with np.errstate(divide="ignore", invalid="ignore"):
-        loss = float((weights * -np.log(gold_probs)).mean())
+        nll = np.log(gold_probs)
+        np.negative(nll, out=nll)
+        # weights first: of two NaN operands the product keeps the first
+        np.multiply(weights, nll, out=nll)
+        # what ndarray.mean computes: numpy's pairwise sum, then one division
+        loss = float(np.add.reduce(nll)) / batch
     return LossOutput(loss=loss, instance_weights=weights, w_used=w_used)

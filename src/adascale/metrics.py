@@ -55,7 +55,7 @@ class ConfusionStats:
     def __post_init__(self) -> None:
         for name in ("p", "n", "tp", "tn", "pe"):
             value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
+            if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be a finite non-negative real, got {value!r}")
             object.__setattr__(self, name, value)
         if self.tp > self.p:
@@ -84,14 +84,14 @@ def _as_label_array(x, *, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size == 0:
         return arr.astype(np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         as_int = arr.astype(np.int64)
         if not np.array_equal(as_int, arr):
             raise ValueError(f"{name} must contain integer labels")
         arr = as_int
     if arr.min() < 0:
         raise ValueError(f"{name} must contain non-negative labels")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def confusion_from_predictions(
@@ -114,18 +114,19 @@ def confusion_from_predictions(
         return ConfusionStats(0.0, 0.0, 0.0, 0.0, 0.0), {}
 
     is_pos = gold_arr != negative_label
-    correct = gold_arr == pred_arr
-    p = int(np.sum(is_pos))
-    n = int(gold_arr.size - p)
-    tp = int(np.sum(correct & is_pos))
-    tn = int(np.sum(correct & ~is_pos))
-    pe = int(np.sum(is_pos & ~correct & (pred_arr != negative_label)))
+    hit = gold_arr == pred_arr
+    tp_mask = hit & is_pos
+    p = np.count_nonzero(is_pos)
+    tp = np.count_nonzero(tp_mask)
+    # a hit on a positive row predicts a positive, so those rows are the tp
+    # ones: tn and pe follow from masks counted once
+    tn = np.count_nonzero(hit) - tp
+    pe = np.count_nonzero(is_pos & (pred_arr != negative_label)) - tp
 
-    per_class = {
-        int(c): int(np.sum(correct & (gold_arr == c)))
-        for c in np.unique(gold_arr[is_pos])
-    }
-    return ConfusionStats(p, n, tp, tn, pe), per_class
+    per_class = dict.fromkeys(np.unique(gold_arr[is_pos]).tolist(), 0)
+    classes, counts = np.unique(gold_arr[tp_mask], return_counts=True)
+    per_class.update(zip(classes.tolist(), counts.tolist()))
+    return ConfusionStats(p, gold_arr.size - p, tp, tn, pe), per_class
 
 
 def precision(stats: ConfusionStats) -> float:

@@ -97,10 +97,17 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # max subtraction keeps exp in range; every output stays strictly positive
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax computed in place: ``logits`` must be a fresh temporary.
+
+    Max subtraction keeps exp in range.  The row max is reduced from a
+    transposed copy, which is exact (max ignores order, NaN still wins) and
+    much faster for narrow rows; the row sum stays ``sum(axis=1)``, whose
+    pairwise order the results depend on.
+    """
+    logits -= np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _activate(name: str, pre: np.ndarray) -> np.ndarray:
@@ -111,8 +118,10 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
 
 def _activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
     if name == "tanh":
-        return 1.0 - act * act
-    return (pre > 0.0).astype(pre.dtype)
+        grad = act * act
+        return np.subtract(1.0, grad, out=grad)
+    # a bool mask multiplies as 0.0 / 1.0
+    return pre > 0.0
 
 
 def _as_float64(values) -> np.ndarray:
@@ -127,6 +136,24 @@ def _row_index(n: int) -> np.ndarray:
     rows = np.arange(n)
     rows.flags.writeable = False
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _unsigned_view(dtype: np.dtype) -> tuple[np.dtype, int]:
+    """The unsigned dtype of an integer dtype's width, and the dtype's max + 1."""
+    return np.dtype(dtype.str.replace("i", "u")), int(np.iinfo(dtype).max) + 1
+
+
+def _labels_out_of_range(labels: np.ndarray, k: int) -> bool:
+    """Whether an integer label lies outside ``[0, k)``, in one reduction.
+
+    Viewed as unsigned of the same width, a negative label reads as at least
+    the signed max + 1, so one max tests both bounds once k is capped there.
+    """
+    if labels.size == 0:
+        return False
+    unsigned, limit = _unsigned_view(labels.dtype)
+    return bool(labels.view(unsigned).max() >= min(k, limit))
 
 
 def _check_features(spec: ModelSpec, features) -> np.ndarray:
@@ -145,12 +172,13 @@ def _check_features(spec: ModelSpec, features) -> np.ndarray:
 def forward(params: ModelParams, features) -> ForwardResult:
     """Compute class probabilities for a batch of feature rows."""
     x = _check_features(params.spec, features)
+    pre = x @ params.weights[0]
+    pre += params.biases[0]
     if params.spec.hidden_dim is None:
-        logits = x @ params.weights[0] + params.biases[0]
-        return ForwardResult(probs=_softmax(logits), inputs=x)
-    pre = x @ params.weights[0] + params.biases[0]
+        return ForwardResult(probs=_softmax(pre), inputs=x)
     act = _activate(params.spec.activation, pre)
-    logits = act @ params.weights[1] + params.biases[1]
+    logits = act @ params.weights[1]
+    logits += params.biases[1]
     return ForwardResult(probs=_softmax(logits), inputs=x, hidden_pre=pre, hidden=act)
 
 
@@ -173,11 +201,12 @@ def backward(
         raise ValueError("gold labels must have one entry per batch row")
     if gold_arr.dtype.kind not in "iu":
         raise ValueError("gold labels must be integers")
-    if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
+    if _labels_out_of_range(gold_arr, probs.shape[1]):
         raise ValueError("gold labels out of range for model class count")
     if w.shape != (batch,):
         raise ValueError("instance_weights must have one entry per batch row")
-    if not np.isfinite(w).all() or w.min() < 0.0:
+    # NaN fails both comparisons
+    if not (w.min() >= 0.0 and w.max() < np.inf):
         raise ValueError("instance_weights must be finite and non-negative")
 
     dlogits = probs.copy()
@@ -191,8 +220,8 @@ def backward(
 
     g_w2 = fwd.hidden.T @ dlogits
     g_b2 = dlogits.sum(axis=0)
-    d_hidden = dlogits @ params.weights[1].T
-    d_pre = d_hidden * _activate_grad(params.spec.activation, fwd.hidden_pre, fwd.hidden)
+    d_pre = dlogits @ params.weights[1].T
+    d_pre *= _activate_grad(params.spec.activation, fwd.hidden_pre, fwd.hidden)
     g_w1 = fwd.inputs.T @ d_pre
     g_b1 = d_pre.sum(axis=0)
     return Gradients(weights=[g_w1, g_w2], biases=[g_b1, g_b2])

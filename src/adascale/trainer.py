@@ -209,9 +209,16 @@ def train(
 
     for epoch in range(config.epochs):
         step_losses = []
-        for idx in batches(train_ds, config.sampler, config.batch_size, _epoch_seed(config.seed, epoch)):
-            x = train_ds.features[idx]
-            y = train_ds.labels[idx]
+        epoch_batches = batches(train_ds, config.sampler, config.batch_size, _epoch_seed(config.seed, epoch))
+        # one gather per epoch; each step reads its rows as a slice
+        order = np.concatenate(epoch_batches) if epoch_batches else []
+        epoch_x, epoch_y = train_ds.features[order], train_ds.labels[order]
+        epoch_positive = epoch_y != NEGATIVE_LABEL
+        offset = 0
+        for idx in epoch_batches:
+            rows = slice(offset, offset + idx.size)
+            offset += idx.size
+            x, y = epoch_x[rows], epoch_y[rows]
             fwd = forward(params, x)
             out = compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
             if not math.isfinite(out.loss):
@@ -225,7 +232,7 @@ def train(
             step_losses.append(out.loss)
             if adaptive:
                 report.w_history.append(float(out.w_used))
-                if not (y != NEGATIVE_LABEL).any():
+                if not np.count_nonzero(epoch_positive[rows]):
                     report.skipped_steps += 1
             grads = backward(params, fwd, y, out.instance_weights)
             opt_state.step(grads)

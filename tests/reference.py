@@ -1,0 +1,240 @@
+"""Plain array formulas that the library's optimised step and evaluation
+must reproduce byte for byte.
+
+Each function is the straightforward form of its library counterpart:
+``model._softmax``, ``model.forward``, ``model.backward``,
+``losses.compute_loss``, ``data.batches`` with its stratified sampler and
+``metrics.confusion_from_predictions``.  They allocate freely, gather each
+batch's rows separately and count with ``np.sum``.  Nothing here may be
+optimised: the oracle tests and ``TestReferenceLoop`` compare the library
+against these copies.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+
+from adascale.data import (
+    NEGATIVE_LABEL,
+    StratificationWarning,
+    StratifiedSampler,
+    UnderSampler,
+    UniformSampler,
+    _chunk,
+)
+from adascale.losses import Adaptive, Focal, LossOutput, Static, Vanilla
+from adascale.metrics import ConfusionStats, f_beta, precision, recall
+from adascale.model import (
+    ForwardResult,
+    Gradients,
+    _activate,
+    _as_float64,
+    _check_features,
+    _row_index,
+)
+from adascale.scaling import BatchPrediction, w_batch
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
+    if name == "tanh":
+        return 1.0 - act * act
+    return (pre > 0.0).astype(pre.dtype)
+
+
+def forward(params, features) -> ForwardResult:
+    x = _check_features(params.spec, features)
+    if params.spec.hidden_dim is None:
+        logits = x @ params.weights[0] + params.biases[0]
+        return ForwardResult(probs=softmax(logits), inputs=x)
+    pre = x @ params.weights[0] + params.biases[0]
+    act = _activate(params.spec.activation, pre)
+    logits = act @ params.weights[1] + params.biases[1]
+    return ForwardResult(probs=softmax(logits), inputs=x, hidden_pre=pre, hidden=act)
+
+
+def backward(params, fwd: ForwardResult, gold, instance_weights) -> Gradients:
+    probs = fwd.probs
+    batch = probs.shape[0]
+    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
+    w = _as_float64(instance_weights)
+    if gold_arr.shape != (batch,):
+        raise ValueError("gold labels must have one entry per batch row")
+    if gold_arr.dtype.kind not in "iu":
+        raise ValueError("gold labels must be integers")
+    if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
+        raise ValueError("gold labels out of range for model class count")
+    if w.shape != (batch,):
+        raise ValueError("instance_weights must have one entry per batch row")
+    if not np.isfinite(w).all() or w.min() < 0.0:
+        raise ValueError("instance_weights must be finite and non-negative")
+
+    dlogits = probs.copy()
+    dlogits[_row_index(batch), gold_arr] -= 1.0
+    dlogits *= (w / batch)[:, None]
+
+    if params.spec.hidden_dim is None:
+        g_w = fwd.inputs.T @ dlogits
+        g_b = dlogits.sum(axis=0)
+        return Gradients(weights=[g_w], biases=[g_b])
+
+    g_w2 = fwd.hidden.T @ dlogits
+    g_b2 = dlogits.sum(axis=0)
+    d_hidden = dlogits @ params.weights[1].T
+    d_pre = d_hidden * activate_grad(params.spec.activation, fwd.hidden_pre, fwd.hidden)
+    g_w1 = fwd.inputs.T @ d_pre
+    g_b1 = d_pre.sum(axis=0)
+    return Gradients(weights=[g_w1, g_w2], biases=[g_b1, g_b2])
+
+
+def compute_loss(strategy, fwd: ForwardResult, gold, negative_label: int = 0) -> LossOutput:
+    probs = fwd.probs
+    batch = probs.shape[0]
+    if batch == 0:
+        raise ValueError("batch must contain at least one instance")
+    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
+    if gold_arr.shape != (batch,):
+        raise ValueError("gold labels must have one entry per batch row")
+    if gold_arr.dtype.kind not in "iu":
+        raise ValueError("gold labels must be integers")
+    if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
+        raise ValueError("gold labels out of range")
+
+    gold_probs = probs[_row_index(batch), gold_arr]
+    is_negative = gold_arr == negative_label
+    w_used = None
+
+    if isinstance(strategy, Vanilla):
+        weights = np.ones(batch)
+    elif isinstance(strategy, Static):
+        weights = np.where(is_negative, strategy.negative_cost, 1.0)
+    elif isinstance(strategy, Focal):
+        weights = (1.0 - gold_probs) ** strategy.gamma
+    elif isinstance(strategy, Adaptive):
+        if np.count_nonzero(is_negative) == batch:
+            w_used = 0.0
+        else:
+            if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
+                raise ValueError("gold_probs must lie in [0, 1]")
+            batch_pred = BatchPrediction._unchecked(gold_probs, ~is_negative)
+            w_used = w_batch(batch_pred, strategy.beta)
+        weights = np.where(is_negative, w_used, 1.0)
+    else:
+        raise TypeError(f"unknown strategy {strategy!r}")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = float((weights * -np.log(gold_probs)).mean())
+    return LossOutput(loss=loss, instance_weights=weights, w_used=w_used)
+
+
+def stratified_batches(labels, sampler, batch_size, rng) -> list[np.ndarray]:
+    n = labels.size
+    pos = rng.permutation(np.flatnonzero(labels != NEGATIVE_LABEL))
+    neg = rng.permutation(np.flatnonzero(labels == NEGATIVE_LABEL))
+    n_batches = math.ceil(n / batch_size)
+    sizes = [batch_size] * (n // batch_size)
+    if n % batch_size:
+        sizes.append(n % batch_size)
+
+    quota = sampler.min_positives_per_batch
+    if pos.size < quota * n_batches:
+        warnings.warn(
+            f"stratified quota infeasible: {pos.size} positives for {n_batches} batches "
+            f"of >= {quota}; allocating best-effort",
+            StratificationWarning,
+            stacklevel=3,
+        )
+
+    reserved = []
+    ptr = 0
+    for size in sizes:
+        take = min(quota, size, pos.size - ptr)
+        reserved.append(pos[ptr : ptr + take])
+        ptr += take
+
+    pool = rng.permutation(np.concatenate([pos[ptr:], neg]))
+    out = []
+    start = 0
+    for size, res in zip(sizes, reserved):
+        fill = pool[start : start + size - res.size]
+        start += fill.size
+        out.append(rng.permutation(np.concatenate([res, fill])))
+    return out
+
+
+def batches(dataset, sampler, batch_size: int, seed: int) -> list[np.ndarray]:
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    rng = np.random.default_rng(seed)
+    labels = dataset.labels
+
+    if isinstance(sampler, UniformSampler):
+        return _chunk(rng.permutation(dataset.n), batch_size)
+    if isinstance(sampler, StratifiedSampler):
+        return stratified_batches(labels, sampler, batch_size, rng)
+    if isinstance(sampler, UnderSampler):
+        pos = np.flatnonzero(labels != NEGATIVE_LABEL)
+        neg = np.flatnonzero(labels == NEGATIVE_LABEL)
+        keep = min(neg.size, int(round(sampler.neg_to_pos_ratio * pos.size)))
+        chosen = rng.permutation(neg)[:keep]
+        pool = rng.permutation(np.concatenate([pos, chosen]))
+        return _chunk(pool, batch_size)
+    raise TypeError(f"unknown sampler {sampler!r}")
+
+
+def _as_label_array(x, *, name: str) -> np.ndarray:
+    arr = np.asarray(x)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        as_int = arr.astype(np.int64)
+        if not np.array_equal(as_int, arr):
+            raise ValueError(f"{name} must contain integer labels")
+        arr = as_int
+    if arr.min() < 0:
+        raise ValueError(f"{name} must contain non-negative labels")
+    return arr.astype(np.int64)
+
+
+def confusion_from_predictions(gold, pred, negative_label: int):
+    gold_arr = _as_label_array(gold, name="gold")
+    pred_arr = _as_label_array(pred, name="pred")
+    if gold_arr.shape != pred_arr.shape:
+        raise ValueError(
+            f"gold and pred must have equal length, got {gold_arr.size} and {pred_arr.size}"
+        )
+    if gold_arr.size == 0:
+        return ConfusionStats(0.0, 0.0, 0.0, 0.0, 0.0), {}
+
+    is_pos = gold_arr != negative_label
+    correct = gold_arr == pred_arr
+    p = int(np.sum(is_pos))
+    n = int(gold_arr.size - p)
+    tp = int(np.sum(correct & is_pos))
+    tn = int(np.sum(correct & ~is_pos))
+    pe = int(np.sum(is_pos & ~correct & (pred_arr != negative_label)))
+
+    per_class = {
+        int(c): int(np.sum(correct & (gold_arr == c)))
+        for c in np.unique(gold_arr[is_pos])
+    }
+    return ConfusionStats(p, n, tp, tn, pe), per_class
+
+
+def evaluate(params, dataset, beta: float = 1.0) -> tuple[float, float, float]:
+    """``trainer.evaluate`` over the formulas above."""
+    probs = forward(params, dataset.features).probs
+    if not np.isfinite(probs).all():
+        raise FloatingPointError("non-finite class probabilities")
+    stats, _ = confusion_from_predictions(dataset.labels, np.argmax(probs, axis=1), NEGATIVE_LABEL)
+    return precision(stats), recall(stats), f_beta(stats, beta)

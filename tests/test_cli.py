@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import adascale
-from adascale.cli import main
+from adascale import harness
+from adascale.cli import main, run
 from adascale.data import GeneratorConfig, load
 
 
@@ -214,3 +216,102 @@ class TestEntryPoint:
         proc = _run_module("--help")
         for sub in ("generate", "train", "eval", "compare", "sweep", "grid"):
             assert sub in proc.stdout
+
+
+def _edit(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+class TestInputErrors:
+    """The ``adascale`` command reports an unusable input in one line, with status 2."""
+
+    def _run(self, monkeypatch, capsys, *args):
+        monkeypatch.setattr(sys, "argv", ["adascale", *args])
+        code = run()
+        captured = capsys.readouterr()
+        return code, captured.err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (
+                ("train", "eval_beta"), math.nan,
+                "ExperimentConfig.arms[0]: Arm.train: TrainConfig.eval_beta must be finite, got nan",
+            ),
+            (
+                ("arms", 1, "train"), {"sampler": {"kind": "undersample", "neg_to_pos_ratio": math.inf}},
+                "ExperimentConfig.arms[1]: Arm.train: TrainConfig.sampler: "
+                "UnderSampler.neg_to_pos_ratio must be finite, got inf",
+            ),
+            (("arms", 0, "name"), "", "$.arms[0].name: '' should be non-empty"),
+            (("n_seeds",), 0, "$.n_seeds: 0 is less than the minimum of 1"),
+            (
+                ("grid", "static"), {"gamma": [1.0]},
+                "grid parameter 'gamma' matches neither the strategy nor the sampler of arm 'static'",
+            ),
+        ],
+        ids=["nan", "arm index", "schema", "schema minimum", "grid"],
+    )
+    def test_config_errors(self, tmp_path, experiment_doc, monkeypatch, capsys, path, value, message):
+        _edit(experiment_doc, path, value)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(experiment_doc))
+        command = ["grid", "--arm", "static"] if path[0] == "grid" else ["compare"]
+        code, err = self._run(monkeypatch, capsys, *command, "--config", str(config))
+        assert (code, err) == (2, f"adascale: error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_override_errors(self, config_path, monkeypatch, capsys):
+        code, err = self._run(monkeypatch, capsys, "compare", "--config", config_path, "--n-seeds", "0")
+        assert (code, err) == (2, "adascale: error: ExperimentConfig.n_seeds must be >= 1, got 0\n")
+        code, err = self._run(
+            monkeypatch, capsys, "train", "--config", config_path, "--arm", "vanilla", "--seed", "-1"
+        )
+        assert (code, err) == (2, "adascale: error: ExperimentConfig.base_seed must be >= 0, got -1\n")
+
+    def test_unreadable_json(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{")
+        code, err = self._run(monkeypatch, capsys, "sweep", "--config", str(config))
+        assert code == 2 and err.startswith("adascale: error: Expecting property name")
+        assert err.count("\n") == 1
+
+    def test_dataset_and_checkpoint_errors(self, tmp_path, experiment_doc, monkeypatch, capsys):
+        missing = tmp_path / "missing.csv"
+        experiment_doc["dataset"] = {"kind": "files", **{split: str(missing) for split in ("train", "dev", "test")}}
+        config = tmp_path / "files.json"
+        config.write_text(json.dumps(experiment_doc))
+        expected = (2, f"adascale: error: {missing}: no such file\n")
+        assert self._run(monkeypatch, capsys, "compare", "--config", str(config)) == expected
+        assert self._run(monkeypatch, capsys, "train", "--config", str(config), "--arm", "vanilla") == expected
+
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text("{}")
+        data_path = tmp_path / "data.csv"
+        assert main(["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2",
+                     "--positive-rate", "0.2"]) == 0
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (2, f"adascale: error: {checkpoint}: not a model checkpoint\n")
+
+    def test_training_errors_propagate(self, config_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken step")
+
+        monkeypatch.setattr(harness, "train", broken)
+        monkeypatch.setattr(sys, "argv", ["adascale", "compare", "--config", config_path])
+        with pytest.raises(ValueError, match="broken step") as caught:
+            run()
+        assert not isinstance(caught.value, harness.InputError)
+
+    def test_module_invocation(self, tmp_path, experiment_doc):
+        experiment_doc["train"]["eval_beta"] = math.nan
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps(experiment_doc))
+        proc = _run_module("compare", "--config", str(config))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "adascale: error: ExperimentConfig.arms[0]: Arm.train: TrainConfig.eval_beta must be finite, got nan\n"
+        )

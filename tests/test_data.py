@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adascale.data import (
+    FORMATS,
     Dataset,
+    FileSource,
     GeneratorConfig,
     StratificationWarning,
     StratifiedSampler,
@@ -184,6 +188,16 @@ class TestSaveLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="no such file"):
             load(tmp_path / "absent.csv")
+
+    def test_formats_are_suffixes_and_config_values(self, tmp_path):
+        ds = Dataset(np.eye(2), np.array([0, 1]), k=2)
+        for fmt in FORMATS:
+            save(ds, tmp_path / f"d.{fmt.upper()}")
+            save(ds, tmp_path / "d.txt", format=fmt)
+            assert load(tmp_path / f"d.{fmt.upper()}").n == load(tmp_path / "d.txt", fmt).n == 2
+        assert fields(FileSource)[-1].metadata["enum"] == (*FORMATS, None)
+        with pytest.raises(ValueError, match="format must be 'csv' or 'jsonl', got 'xml'"):
+            load(tmp_path / "d.txt", "xml")
 
 
 def _toy_dataset(n, n_pos, d=3, seed=0):

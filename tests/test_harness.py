@@ -533,6 +533,15 @@ class TestConfigCodec:
         with pytest.raises(ValueError, match=rf"{re.escape(field)} must be finite, got {value}"):
             experiment_from_json(doc)
 
+    def test_nested_error_names_the_arm_index(self):
+        doc = _mutant("files", ("arms", 1, "train", "sampler", "neg_to_pos_ratio"), math.inf)
+        with pytest.raises(ValueError) as caught:
+            experiment_from_json(doc)
+        assert str(caught.value) == (
+            "ExperimentConfig.arms[1]: Arm.train: TrainConfig.sampler: "
+            "UnderSampler.neg_to_pos_ratio must be finite, got inf"
+        )
+
     @pytest.mark.parametrize(
         "build, message",
         [

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import reference
 
 from adascale.data import (
     NEGATIVE_LABEL,
@@ -217,6 +219,11 @@ class TestReportSerialization:
         assert report.wall_clock_s > 0.0
         assert "wall_clock_s" not in report_to_dict(report)
 
+    def test_wall_clock_is_the_run_duration(self, toy):
+        before = time.perf_counter()
+        _, report = train(*toy, TOY_SPEC, _toy_config(strategy=Vanilla(), epochs=2))
+        assert 0.0 < report.wall_clock_s <= time.perf_counter() - before
+
     def test_write_is_canonical(self, tmp_path, toy):
         _, report = train(*toy, TOY_SPEC, _toy_config(strategy=Vanilla(), epochs=2))
         p1 = tmp_path / "a.json"
@@ -229,9 +236,10 @@ class TestReportSerialization:
 
 
 def _reference_train(train_ds, dev_ds, test_ds, spec, config):
-    """Reference step loop: the public layer calls plus per-array Adam and
-    SGD with momentum, written out without the trainer's flat optimizer
-    state.  ``train`` must reproduce it bit for bit."""
+    """Reference step loop: the plain formulas of ``reference``, one row
+    gather per batch, and per-array Adam and SGD with momentum, written out
+    without the trainer's flat optimizer state.  ``train`` must reproduce it
+    bit for bit."""
     init_seed = int(np.random.SeedSequence((config.seed, 1)).generate_state(1)[0])
     params = init_params(spec, init_seed)
     arrays = params.weights + params.biases
@@ -248,11 +256,11 @@ def _reference_train(train_ds, dev_ds, test_ds, spec, config):
     for epoch in range(config.epochs):
         step_losses = []
         epoch_seed = int(np.random.SeedSequence((config.seed, 2, epoch)).generate_state(1)[0])
-        for idx in batches(train_ds, config.sampler, config.batch_size, epoch_seed):
+        for idx in reference.batches(train_ds, config.sampler, config.batch_size, epoch_seed):
             x = train_ds.features[idx]
             y = train_ds.labels[idx]
-            fwd = forward(params, x)
-            out = compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
+            fwd = reference.forward(params, x)
+            out = reference.compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
             if not np.isfinite(out.loss):
                 report.failure = f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
                 report.valid = False
@@ -263,7 +271,7 @@ def _reference_train(train_ds, dev_ds, test_ds, spec, config):
                 report.w_history.append(float(out.w_used))
                 if not np.any(y != NEGATIVE_LABEL):
                     report.skipped_steps += 1
-            grads = backward(params, fwd, y, out.instance_weights)
+            grads = reference.backward(params, fwd, y, out.instance_weights)
             g_arrays = grads.weights + grads.biases
             if isinstance(opt, SGD):
                 for i, (a, g) in enumerate(zip(arrays, g_arrays)):
@@ -278,7 +286,7 @@ def _reference_train(train_ds, dev_ds, test_ds, spec, config):
                     v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
                     a -= opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
         report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
-        dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+        dev_p, dev_r, dev_f = reference.evaluate(params, dev_ds, config.eval_beta)
         report.dev_precision.append(dev_p)
         report.dev_recall.append(dev_r)
         report.dev_f.append(dev_f)
@@ -292,7 +300,7 @@ def _reference_train(train_ds, dev_ds, test_ds, spec, config):
             and epoch - report.best_epoch >= config.early_stop_patience
         ):
             break
-    report.test_precision, report.test_recall, report.test_f = evaluate(
+    report.test_precision, report.test_recall, report.test_f = reference.evaluate(
         best_params, test_ds, config.eval_beta
     )
     return best_params, report
