@@ -98,12 +98,10 @@ def from_json(tp, doc):
         if tp is None:
             raise ValueError(f"unknown kind {kind!r}")
     elif origin is tuple or tp is tuple:
-        if not args:
-            return tuple(doc)
         items = []
         for i, v in enumerate(doc):
             try:
-                items.append(from_json(args[0], v))
+                items.append(from_json(args[0], v) if args else v)
             except ValueError as error:
                 raise ValueError(f"[{i}]: {error}") from None
         return tuple(items)

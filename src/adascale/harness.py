@@ -75,8 +75,6 @@ def _reading():
     """Re-raise a ``ValueError`` or schema error of the block as an :class:`InputError`."""
     try:
         yield
-    except InputError:
-        raise
     except jsonschema.ValidationError as error:
         raise InputError(f"{error.json_path}: {error.message}") from error
     except ValueError as error:

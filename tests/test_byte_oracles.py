@@ -201,6 +201,14 @@ def test_weight_checks(weights, spec):
     assert got == expected
 
 
+def _warned(call, *args):
+    """The call's result and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in caught]
+
+
 def _labels(rng, n, positive_rate):
     return np.where(rng.random(n) < positive_rate, rng.integers(1, 4, size=n), 0)
 
@@ -214,15 +222,12 @@ def test_stratified_batches(n, quota):
         ds = Dataset(np.zeros((n, 1)), labels, k=4)
         for batch_size in (1, 7, 64):
             seed = int(rng.integers(2**32))
-            with warnings.catch_warnings(record=True) as got_warnings:
-                warnings.simplefilter("always")
-                got = data.batches(ds, StratifiedSampler(quota), batch_size, seed)
-                expected = reference.batches(ds, StratifiedSampler(quota), batch_size, seed)
+            got, got_warnings = _warned(data.batches, ds, StratifiedSampler(quota), batch_size, seed)
+            expected, warned = _warned(reference.batches, ds, StratifiedSampler(quota), batch_size, seed)
+            assert got_warnings == warned
             assert len(got) == len(expected)
             for a, b in zip(got, expected):
                 _same(a, b)
-            messages = [str(w.message) for w in got_warnings]
-            assert messages[: len(messages) // 2] == messages[len(messages) // 2 :]
 
 
 @pytest.mark.parametrize("sampler", [UniformSampler(), UnderSampler(2.0)], ids=str)
