@@ -11,7 +11,6 @@ one ``adascale: error:`` line with exit status 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,9 +19,6 @@ from typing import get_type_hints
 from . import configio, data, harness
 from .model import load_params, save_params
 from .trainer import evaluate, train, write_run_report
-
-def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def _experiment(args) -> harness.ExperimentConfig:
@@ -36,23 +32,27 @@ def _experiment(args) -> harness.ExperimentConfig:
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     with harness._reading():
-        config = harness.experiment_from_json(_load_json(args.config))
+        config = harness.experiment_from_json(configio.read_json(args.config))
         return replace(config, **overrides) if overrides else config
 
 
-def _strict_exit(summaries, strict: bool) -> int:
-    bad = {name: seeds for name, seeds in summaries if seeds}
-    if bad:
-        for name, seeds in bad.items():
-            print(f"invalid runs in arm {name!r}: seeds {seeds}", file=sys.stderr)
-        if strict:
-            return 1
-    return 0
+def _arm(config: harness.ExperimentConfig, name: str) -> harness.Arm:
+    arm = next((a for a in config.arms if a.name == name), None)
+    if arm is None:
+        raise harness.InputError(f"no arm named {name!r} in config")
+    return arm
+
+
+def _strict_exit(invalid: list[str], strict: bool) -> int:
+    """Print one line per group of invalid runs; with ``strict``, any makes the exit status 1."""
+    for line in invalid:
+        print(line, file=sys.stderr)
+    return 1 if invalid and strict else 0
 
 
 def _cmd_generate(args) -> int:
     with harness._reading():
-        doc = _load_json(args.config) if args.config else {}
+        doc = configio.read_json(args.config) if args.config else {}
         for f in fields(data.GeneratorConfig):
             value = getattr(args, f.name)
             if value is not None:
@@ -66,10 +66,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _experiment(args)
-    arm = next((a for a in config.arms if a.name == args.arm), None)
-    if arm is None:
-        print(f"no arm named {args.arm!r} in config", file=sys.stderr)
-        return 2
+    arm = _arm(config, args.arm)
     train_ds, dev_ds, test_ds = harness.load_datasets(config.source)
     spec = harness._build_spec(config.model, train_ds)
     seed = args.seed if args.seed is not None else config.base_seed
@@ -116,7 +113,10 @@ def _cmd_compare(args) -> int:
                 f"var={arm.var_test_f_pct:.2f} best3={100 * arm.best3_test_f:.2f}"
             )
     print(f"reports in {config.output_dir}")
-    return _strict_exit([(a.name, a.invalid_seeds) for a in report.arms], args.strict)
+    invalid = [
+        f"invalid runs in arm {a.name!r}: seeds {a.invalid_seeds}" for a in report.arms if a.invalid_seeds
+    ]
+    return _strict_exit(invalid, args.strict)
 
 
 def _cmd_sweep(args) -> int:
@@ -132,17 +132,14 @@ def _cmd_sweep(args) -> int:
                 f"recall={row.mean_recall:.4f} f1={row.mean_f1:.4f}"
             )
         if row.n_valid < config.n_seeds:
-            invalid.append((f"beta={row.beta:g}", config.n_seeds - row.n_valid))
+            invalid.append(f"invalid runs at beta={row.beta:g}: {config.n_seeds - row.n_valid} of {config.n_seeds}")
     print(f"reports in {config.output_dir}")
     return _strict_exit(invalid, args.strict)
 
 
 def _cmd_grid(args) -> int:
     config = _experiment(args)
-    arm = next((a for a in config.arms if a.name == args.arm), None)
-    if arm is None:
-        print(f"no arm named {args.arm!r} in config", file=sys.stderr)
-        return 2
+    arm = _arm(config, args.arm)
     grid = (config.grid or {}).get(args.arm, {})
     result = harness.grid_search(arm, grid, config)
     for cell in result.cells:
@@ -150,7 +147,7 @@ def _cmd_grid(args) -> int:
         print(f"{cell.params or '(no parameters)'}: mean_dev_f={score}")
     print(f"best: {result.best_params or '(no parameters)'}")
     invalid = [
-        (str(cell.params), config.n_seeds - cell.n_valid)
+        f"invalid runs in grid cell {cell.params}: {config.n_seeds - cell.n_valid} of {config.n_seeds}"
         for cell in result.cells
         if cell.n_valid < config.n_seeds
     ]

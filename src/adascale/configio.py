@@ -2,7 +2,9 @@
 every document the toolkit reads or writes.
 
 All on-disk documents use tagged objects ({"kind": ...}) for the union
-types.  Schemas ship inside the package under ``adascale/schemas`` and are
+types, each tagged with its class's ``kind``; a ``per_run`` class variable
+names fields JSON never holds.  No other module of the package is imported
+here.  Schemas ship inside the package under ``adascale/schemas`` and are
 the contract for external tooling.
 """
 
@@ -13,14 +15,11 @@ import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from importlib import resources
+from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 import jsonschema
-
-from .data import FileSource, StratifiedSampler, SyntheticSource, UnderSampler, UniformSampler
-from .losses import Adaptive, Focal, Static, Vanilla
-from .trainer import SGD, Adam, TrainConfig
 
 __all__ = [
     "to_json",
@@ -31,43 +30,34 @@ __all__ = [
     "validate_comparison_report",
     "validate_sweep_report",
     "validate_grid_report",
+    "read_json",
     "write_json",
 ]
 
 
+def read_json(path):
+    """The JSON document in a file; a file that cannot be read or parsed
+    raises ``ValueError("<path>: <reason>")``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as error:
+        raise ValueError(f"{path}: {error.strerror or error}") from error
+    except ValueError as error:  # malformed JSON, or bytes that are not text
+        raise ValueError(f"{path}: {error}") from error
+
+
 def write_json(doc: dict, path) -> None:
     """Canonical JSON: sorted keys, 2-space indent, trailing newline, no NaN."""
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-# the tag each member of a config union carries in JSON as "kind"
-_KINDS = {
-    Vanilla: "vanilla",
-    Adaptive: "adaptive",
-    Static: "static",
-    Focal: "focal",
-    UniformSampler: "uniform",
-    StratifiedSampler: "stratified",
-    UnderSampler: "undersample",
-    SGD: "sgd",
-    Adam: "adam",
-    SyntheticSource: "synthetic",
-    FileSource: "files",
-}
-
-# set for each run by the protocol, never read from or written to JSON
-_PER_RUN = {TrainConfig: ("strategy", "seed")}
-
-
 def _fields(cls) -> list:
-    return [f for f in fields(cls) if f.name not in _PER_RUN.get(cls, ())]
+    return [f for f in fields(cls) if f.name not in getattr(cls, "per_run", ())]
 
 
 def _encode(obj) -> dict:
     doc = {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
-    kind = _KINDS.get(type(obj))
+    kind = getattr(obj, "kind", None)
     return doc if kind is None else {"kind": kind, **doc}
 
 
@@ -94,7 +84,7 @@ def from_json(tp, doc):
         if len(members) == 1:
             return from_json(members[0], doc)
         kind = doc.get("kind")
-        tp = next((m for m in members if _KINDS.get(m) == kind), None)
+        tp = next((m for m in members if m.kind == kind), None)
         if tp is None:
             raise ValueError(f"unknown kind {kind!r}")
     elif origin is tuple or tp is tuple:
@@ -156,7 +146,7 @@ def schema(tp, keywords=None) -> dict:
     if not is_dataclass(tp):
         return {"type": _JSON_TYPES[tp], **keywords}
     hints = get_type_hints(tp)
-    kind = {"kind": {"const": _KINDS[tp]}} if tp in _KINDS else {}
+    kind = {"kind": {"const": tp.kind}} if hasattr(tp, "kind") else {}
     properties = {**kind, **{f.name: schema(hints[f.name], f.metadata) for f in _fields(tp)}}
     required = [*kind, *(f.name for f in _fields(tp) if f.default is MISSING)]
     doc = {"type": "object", "properties": properties, "additionalProperties": False}

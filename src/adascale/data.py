@@ -20,6 +20,7 @@ import operator
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -372,6 +373,7 @@ class SyntheticSource(Config):
     training split size.
     """
 
+    kind: ClassVar[str] = "synthetic"
     generator: GeneratorConfig = GeneratorConfig()
     n_dev: int = bound(2000, minimum=1)
     n_test: int = bound(2000, minimum=1)
@@ -379,6 +381,7 @@ class SyntheticSource(Config):
 
 @dataclass(frozen=True)
 class FileSource(Config):
+    kind: ClassVar[str] = "files"
     train: str
     dev: str
     test: str
@@ -388,9 +391,18 @@ class FileSource(Config):
 DatasetSource = SyntheticSource | FileSource
 
 
+def _chunk(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    return [indices[i : i + batch_size] for i in range(0, indices.size, batch_size)]
+
+
 @dataclass(frozen=True)
 class UniformSampler(Config):
     """Seeded permutation of the full index set, chunked into batches."""
+
+    kind: ClassVar[str] = "uniform"
+
+    def epoch_batches(self, labels: np.ndarray, batch_size: int, rng: np.random.Generator) -> list:
+        return _chunk(rng.permutation(labels.size), batch_size)
 
 
 @dataclass(frozen=True)
@@ -398,7 +410,50 @@ class StratifiedSampler(Config):
     """Uniform batching that guarantees a minimum positive count per batch
     where the supply of positives allows it."""
 
+    kind: ClassVar[str] = "stratified"
     min_positives_per_batch: int = bound(1, minimum=1)
+
+    def epoch_batches(self, labels: np.ndarray, batch_size: int, rng: np.random.Generator) -> list:
+        n = labels.size
+        pos = rng.permutation(np.flatnonzero(labels != NEGATIVE_LABEL))
+        neg = rng.permutation(np.flatnonzero(labels == NEGATIVE_LABEL))
+        n_batches = math.ceil(n / batch_size)
+        sizes = [batch_size] * (n // batch_size)
+        if n % batch_size:
+            sizes.append(n % batch_size)
+
+        quota = self.min_positives_per_batch
+        if pos.size < quota * n_batches:
+            warnings.warn(
+                f"stratified quota infeasible: {pos.size} positives for {n_batches} batches "
+                f"of >= {quota}; allocating best-effort",
+                StratificationWarning,
+                stacklevel=3,  # the caller of batches()
+            )
+
+        reserved: list[np.ndarray] = []
+        ptr = 0
+        for size in sizes:
+            take = min(quota, size, pos.size - ptr)
+            reserved.append(pos[ptr : ptr + take])
+            ptr += take
+
+        pool = rng.permutation(np.concatenate([pos[ptr:], neg]))
+        # each batch is a view of one epoch buffer, shuffled in place: the same
+        # draws as rng.permutation of the concatenated reserve and fill
+        epoch = np.empty(n, dtype=pool.dtype)
+        out: list[np.ndarray] = []
+        start = taken = 0
+        for size, res in zip(sizes, reserved):
+            fill = size - res.size
+            batch = epoch[start : start + size]
+            batch[: res.size] = res
+            batch[res.size :] = pool[taken : taken + fill]
+            rng.shuffle(batch)
+            out.append(batch)
+            start += size
+            taken += fill
+        return out
 
 
 @dataclass(frozen=True)
@@ -409,59 +464,18 @@ class UnderSampler(Config):
     successive epochs see different negatives.
     """
 
+    kind: ClassVar[str] = "undersample"
     neg_to_pos_ratio: float = bound(exclusiveMinimum=0)
+
+    def epoch_batches(self, labels: np.ndarray, batch_size: int, rng: np.random.Generator) -> list:
+        pos = np.flatnonzero(labels != NEGATIVE_LABEL)
+        neg = np.flatnonzero(labels == NEGATIVE_LABEL)
+        keep = min(neg.size, int(round(self.neg_to_pos_ratio * pos.size)))
+        chosen = rng.permutation(neg)[:keep]
+        return _chunk(rng.permutation(np.concatenate([pos, chosen])), batch_size)
 
 
 SamplerKind = UniformSampler | StratifiedSampler | UnderSampler
-
-
-def _chunk(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [indices[i : i + batch_size] for i in range(0, indices.size, batch_size)]
-
-
-def _stratified_batches(
-    labels: np.ndarray, sampler: StratifiedSampler, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    n = labels.size
-    pos = rng.permutation(np.flatnonzero(labels != NEGATIVE_LABEL))
-    neg = rng.permutation(np.flatnonzero(labels == NEGATIVE_LABEL))
-    n_batches = math.ceil(n / batch_size)
-    sizes = [batch_size] * (n // batch_size)
-    if n % batch_size:
-        sizes.append(n % batch_size)
-
-    quota = sampler.min_positives_per_batch
-    if pos.size < quota * n_batches:
-        warnings.warn(
-            f"stratified quota infeasible: {pos.size} positives for {n_batches} batches "
-            f"of >= {quota}; allocating best-effort",
-            StratificationWarning,
-            stacklevel=3,
-        )
-
-    reserved: list[np.ndarray] = []
-    ptr = 0
-    for size in sizes:
-        take = min(quota, size, pos.size - ptr)
-        reserved.append(pos[ptr : ptr + take])
-        ptr += take
-
-    pool = rng.permutation(np.concatenate([pos[ptr:], neg]))
-    # each batch is a view of one epoch buffer, shuffled in place: the same
-    # draws as rng.permutation of the concatenated reserve and fill
-    epoch = np.empty(n, dtype=pool.dtype)
-    out: list[np.ndarray] = []
-    start = taken = 0
-    for size, res in zip(sizes, reserved):
-        fill = size - res.size
-        batch = epoch[start : start + size]
-        batch[: res.size] = res
-        batch[res.size :] = pool[taken : taken + fill]
-        rng.shuffle(batch)
-        out.append(batch)
-        start += size
-        taken += fill
-    return out
 
 
 def batches(
@@ -474,18 +488,4 @@ def batches(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    labels = dataset.labels
-
-    if isinstance(sampler, UniformSampler):
-        return _chunk(rng.permutation(dataset.n), batch_size)
-    if isinstance(sampler, StratifiedSampler):
-        return _stratified_batches(labels, sampler, batch_size, rng)
-    if isinstance(sampler, UnderSampler):
-        pos = np.flatnonzero(labels != NEGATIVE_LABEL)
-        neg = np.flatnonzero(labels == NEGATIVE_LABEL)
-        keep = min(neg.size, int(round(sampler.neg_to_pos_ratio * pos.size)))
-        chosen = rng.permutation(neg)[:keep]
-        pool = rng.permutation(np.concatenate([pos, chosen]))
-        return _chunk(pool, batch_size)
-    raise TypeError(f"unknown sampler {sampler!r}")
+    return sampler.epoch_batches(dataset.labels, batch_size, np.random.default_rng(seed))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -426,10 +425,15 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     return report
 
 
+def _field_types(config) -> dict:
+    hints = get_type_hints(type(config))  # also holds class variables such as "kind", which are no fields
+    return {f.name: hints[f.name] for f in fields(config)}
+
+
 def _apply_cell(arm: Arm, cell: dict) -> Arm:
     """The arm with each grid value, read as its field's type, set on its strategy or sampler."""
     strategy, sampler = arm.strategy, arm.train.sampler
-    strategy_hints, sampler_hints = get_type_hints(type(strategy)), get_type_hints(type(sampler))
+    strategy_hints, sampler_hints = _field_types(strategy), _field_types(sampler)
     for key, value in cell.items():
         if key not in strategy_hints and key not in sampler_hints:
             raise InputError(
@@ -507,7 +511,7 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     run_dir = Path(run_dir)
     by_arm: dict[str, list[RunReport]] = {}
     for path in sorted(run_dir.glob("run_*.json")):
-        doc = json.loads(path.read_text())
+        doc = configio.read_json(path)
         try:
             configio.validate_run_report(doc)
         except jsonschema.ValidationError as error:

@@ -13,11 +13,15 @@ Strategies:
     Focal(g)    weight (1 - p)^g, down-weighting well-classified instances
     Adaptive(b) weight 1 on positives, batch-estimated scaling weight on
                 negatives, refreshed every step from the current batch
+
+Each strategy declares its JSON tag as ``kind``; ``instance_weights(gold_probs,
+is_negative)`` returns its weights and the step's adaptive weight (else None).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,22 +43,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vanilla(Config):
-    pass
+    kind: ClassVar[str] = "vanilla"
+
+    def instance_weights(self, gold_probs, is_negative):
+        return np.ones(gold_probs.size), None
 
 
 @dataclass(frozen=True)
 class Adaptive(Config):
+    kind: ClassVar[str] = "adaptive"
     beta: float = bound(1.0, exclusiveMinimum=0)
+
+    def instance_weights(self, gold_probs, is_negative):
+        w_used = 0.0
+        if np.count_nonzero(is_negative) < is_negative.size:
+            # NaN passes this range test on purpose: a diverged model's NaN
+            # probabilities reach the loss, which the trainer flags as
+            # non-finite instead of failing the run here
+            if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
+                raise ValueError("gold_probs must lie in [0, 1]")
+            w_used = w_batch(BatchPrediction._unchecked(gold_probs, ~is_negative), self.beta)
+        return np.where(is_negative, w_used, 1.0), w_used
 
 
 @dataclass(frozen=True)
 class Static(Config):
+    kind: ClassVar[str] = "static"
     negative_cost: float = bound(exclusiveMinimum=0)
+
+    def instance_weights(self, gold_probs, is_negative):
+        return np.where(is_negative, self.negative_cost, 1.0), None
 
 
 @dataclass(frozen=True)
 class Focal(Config):
+    kind: ClassVar[str] = "focal"
     gamma: float = bound(minimum=0)
+
+    def instance_weights(self, gold_probs, is_negative):
+        return (1.0 - gold_probs) ** self.gamma, None
 
 
 LossStrategy = Vanilla | Adaptive | Static | Focal
@@ -62,10 +89,9 @@ LossStrategy = Vanilla | Adaptive | Static | Focal
 
 def strategy_label(strategy: LossStrategy) -> str:
     """Short deterministic text tag used in reports and filenames:
-    the lower-cased class name and its fields, e.g. ``adaptive(beta=1)``."""
-    name = type(strategy).__name__.lower()
+    the strategy's kind and its fields, e.g. ``adaptive(beta=1)``."""
     params = ",".join(f"{f.name}={getattr(strategy, f.name):g}" for f in fields(strategy))
-    return f"{name}({params})" if params else name
+    return f"{strategy.kind}({params})" if params else strategy.kind
 
 
 @dataclass
@@ -106,29 +132,7 @@ def compute_loss(
         raise ValueError("gold labels out of range")
 
     gold_probs = probs[_row_index(batch), gold_arr]
-    is_negative = gold_arr == negative_label
-    w_used: float | None = None
-
-    if isinstance(strategy, Vanilla):
-        weights = np.ones(batch)
-    elif isinstance(strategy, Static):
-        weights = np.where(is_negative, strategy.negative_cost, 1.0)
-    elif isinstance(strategy, Focal):
-        weights = (1.0 - gold_probs) ** strategy.gamma
-    elif isinstance(strategy, Adaptive):
-        if np.count_nonzero(is_negative) == batch:
-            w_used = 0.0
-        else:
-            # NaN passes this range test on purpose: a diverged model's NaN
-            # probabilities reach the loss, which the trainer flags as
-            # non-finite instead of failing the run here
-            if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
-                raise ValueError("gold_probs must lie in [0, 1]")
-            batch_pred = BatchPrediction._unchecked(gold_probs, ~is_negative)
-            w_used = w_batch(batch_pred, strategy.beta)
-        weights = np.where(is_negative, w_used, 1.0)
-    else:
-        raise TypeError(f"unknown strategy {strategy!r}")
+    weights, w_used = strategy.instance_weights(gold_probs, gold_arr == negative_label)
 
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configio import read_json
 from .data import Config, bound
 
 __all__ = [
@@ -262,28 +263,31 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path) -> ModelParams:
     """Read a checkpoint written by :func:`save_params`, validating shapes."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != _CHECKPOINT_FORMAT:
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    spec = ModelSpec(
-        input_dim=doc["input_dim"],
-        n_classes=doc["n_classes"],
-        hidden_dim=doc["hidden_dim"],
-        activation=doc["activation"] if doc["hidden_dim"] is not None else "tanh",
-    )
-    weights, biases = [], []
-    layers = doc["layers"]
-    if len(layers) != len(spec.layer_dims):
-        raise ValueError(f"{path}: expected {len(spec.layer_dims)} layers, got {len(layers)}")
-    for layer, (fan_in, fan_out) in zip(layers, spec.layer_dims):
-        w = np.asarray(layer["weight"], dtype=np.float64)
-        b = np.asarray(layer["bias"], dtype=np.float64)
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ValueError(f"{path}: layer shape mismatch")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError(f"{path}: non-finite parameter values")
-        weights.append(w)
-        biases.append(b)
+    try:
+        spec = ModelSpec(
+            input_dim=doc["input_dim"],
+            n_classes=doc["n_classes"],
+            hidden_dim=doc["hidden_dim"],
+            activation=doc["activation"] if doc["hidden_dim"] is not None else "tanh",
+        )
+        weights, biases = [], []
+        layers = doc["layers"]
+        if len(layers) != len(spec.layer_dims):
+            raise ValueError(f"{path}: expected {len(spec.layer_dims)} layers, got {len(layers)}")
+        for layer, (fan_in, fan_out) in zip(layers, spec.layer_dims):
+            w = np.asarray(layer["weight"], dtype=np.float64)
+            b = np.asarray(layer["bias"], dtype=np.float64)
+            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+                raise ValueError(f"{path}: layer shape mismatch")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ValueError(f"{path}: non-finite parameter values")
+            weights.append(w)
+            biases.append(b)
+    except KeyError as error:
+        raise ValueError(f"{path}: missing key {error}") from None
     return ModelParams(spec=spec, weights=weights, biases=biases)

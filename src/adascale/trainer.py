@@ -8,16 +8,16 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
+from .configio import write_json
 from .data import NEGATIVE_LABEL, Config, Dataset, SamplerKind, UniformSampler, batches, bound
-from .losses import Adaptive, LossStrategy, Vanilla, compute_loss, strategy_label
+from .losses import LossStrategy, Vanilla, compute_loss, strategy_label
 from .metrics import confusion_from_predictions, f_beta, precision, recall
 from .model import Gradients, ModelParams, ModelSpec, backward, forward, init_params, predict
 
@@ -36,16 +36,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SGD(Config):
+    kind: ClassVar[str] = "sgd"
     lr: float = bound(0.1, exclusiveMinimum=0)
     momentum: float = bound(0.0, minimum=0, exclusiveMaximum=1)
+
+    def update(self, state: _OptimizerState, g: np.ndarray) -> None:
+        # the velocity is the momentum buffer m: m = momentum * m + g; params -= lr * m
+        state.m *= self.momentum
+        state.m += g
+        np.multiply(state.m, self.lr, out=state.scratch)
+        state.flat -= state.scratch
 
 
 @dataclass(frozen=True)
 class Adam(Config):
+    kind: ClassVar[str] = "adam"
     lr: float = bound(1e-3, exclusiveMinimum=0)
     b1: float = bound(0.9, minimum=0, exclusiveMaximum=1)
     b2: float = bound(0.999, minimum=0, exclusiveMaximum=1)
     eps: float = bound(1e-8, exclusiveMinimum=0)
+
+    def update(self, state: _OptimizerState, g: np.ndarray) -> None:
+        tmp = state.scratch
+        state.t += 1
+        bc1 = 1.0 - self.b1**state.t
+        bc2 = 1.0 - self.b2**state.t
+        # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * (g * g)
+        state.m *= self.b1
+        np.multiply(g, 1.0 - self.b1, out=tmp)
+        state.m += tmp
+        state.v *= self.b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.b2
+        state.v += tmp
+        # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(state.v, bc2, out=state.denom)
+        np.sqrt(state.denom, out=state.denom)
+        state.denom += self.eps
+        np.divide(state.m, bc1, out=tmp)
+        tmp *= self.lr
+        tmp /= state.denom
+        state.flat -= tmp
 
 
 Optimizer = SGD | Adam
@@ -57,9 +88,9 @@ class _OptimizerState:
     Construction moves every weight and bias of ``params`` into one
     contiguous float64 vector and rebinds them as reshaped views of it, so
     each :meth:`step` updates the whole model in one in-place pass over
-    preallocated buffers.  The element-wise operations and their order are
-    those of the per-array update rule, so every result is bit-identical
-    to it.
+    preallocated buffers, of which the optimizer's ``update`` uses its own.
+    The element-wise operations and their order are those of the per-array
+    update rule, so every result is bit-identical to it.
     """
 
     def __init__(self, optimizer: Optimizer, params: ModelParams) -> None:
@@ -75,48 +106,20 @@ class _OptimizerState:
         params.biases[:] = views[n_layers:]
         self.grad = np.empty_like(self.flat)
         self.scratch = np.empty_like(self.flat)
-        if isinstance(optimizer, SGD):
-            self.velocity = np.zeros_like(self.flat)
-        else:
-            self.m = np.zeros_like(self.flat)
-            self.v = np.zeros_like(self.flat)
-            self.denom = np.empty_like(self.flat)
-            self.t = 0
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.denom = np.empty_like(self.flat)
+        self.t = 0
 
     def step(self, grads: Gradients) -> None:
         g = np.concatenate(grads.weights + grads.biases, axis=None, out=self.grad)
-        tmp = self.scratch
-        opt = self.optimizer
-        if isinstance(opt, SGD):
-            # velocity = momentum * velocity + g; params -= lr * velocity
-            self.velocity *= opt.momentum
-            self.velocity += g
-            np.multiply(self.velocity, opt.lr, out=tmp)
-            self.flat -= tmp
-        else:
-            self.t += 1
-            bc1 = 1.0 - opt.b1**self.t
-            bc2 = 1.0 - opt.b2**self.t
-            # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * (g * g)
-            self.m *= opt.b1
-            np.multiply(g, 1.0 - opt.b1, out=tmp)
-            self.m += tmp
-            self.v *= opt.b2
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - opt.b2
-            self.v += tmp
-            # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(self.v, bc2, out=self.denom)
-            np.sqrt(self.denom, out=self.denom)
-            self.denom += opt.eps
-            np.divide(self.m, bc1, out=tmp)
-            tmp *= opt.lr
-            tmp /= self.denom
-            self.flat -= tmp
+        self.optimizer.update(self, g)
 
 
 @dataclass(frozen=True)
 class TrainConfig(Config):
+    # set for each run by the protocol, never read from or written to JSON
+    per_run: ClassVar[tuple[str, ...]] = ("strategy", "seed")
     optimizer: Optimizer = Adam()
     epochs: int = bound(30, minimum=1)
     batch_size: int = bound(64, minimum=1)
@@ -198,7 +201,6 @@ def train(
     init_seed = int(np.random.SeedSequence((config.seed, 1)).generate_state(1)[0])
     params = init_params(model_spec, init_seed)
     opt_state = _OptimizerState(config.optimizer, params)
-    adaptive = isinstance(config.strategy, Adaptive)
 
     report = RunReport(
         seed=config.seed,
@@ -230,7 +232,7 @@ def train(
                 report.wall_clock_s = time.perf_counter() - start
                 return best_params, report
             step_losses.append(out.loss)
-            if adaptive:
+            if out.w_used is not None:
                 report.w_history.append(float(out.w_used))
                 if not np.count_nonzero(epoch_positive[rows]):
                     report.skipped_steps += 1
@@ -274,6 +276,4 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def write_run_report(report: RunReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    write_json(report_to_dict(report), path)

@@ -136,9 +136,6 @@ class TestTrainEval:
         assert main(["train", "--config", str(path), "--arm", "adam/lr", "--seed", "3"]) == 0
         assert json.loads((tmp_path / "run_adam-lr_3.json").read_text())["arm"] == "adam/lr"
 
-    def test_unknown_arm(self, config_path):
-        assert main(["train", "--config", config_path, "--arm", "nope"]) == 2
-
 
 class TestCompareSweepGrid:
     def test_compare(self, tmp_path, config_path, capsys):
@@ -164,7 +161,8 @@ class TestCompareSweepGrid:
         assert (tmp_path / "out" / "grid_static.json").exists()
         assert "best:" in capsys.readouterr().out
 
-    def test_strict_flags_divergent_runs(self, tmp_path):
+    @staticmethod
+    def _divergent_config(tmp_path, strategy, **extra):
         # contradictory data via file source, huge lr: every run aborts
         from adascale.data import Dataset, save
         import numpy as np
@@ -179,16 +177,28 @@ class TestCompareSweepGrid:
                 "dev": str(tmp_path / "dev.csv"),
                 "test": str(tmp_path / "test.csv"),
             },
-            "arms": [{"name": "bad", "strategy": {"kind": "vanilla"}}],
+            "arms": [{"name": "bad", "strategy": strategy}],
             "train": {"optimizer": {"kind": "sgd", "lr": 1e12}, "epochs": 2, "batch_size": 4},
             "n_seeds": 1,
             "best_k": 1,
             "output_dir": str(tmp_path / "out"),
+            **extra,
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main(["compare", "--config", str(path)]) == 0
-        assert main(["compare", "--config", str(path), "--strict"]) == 1
+        return str(path)
+
+    def test_strict_flags_divergent_runs(self, tmp_path, capsys):
+        path = self._divergent_config(tmp_path, {"kind": "vanilla"})
+        assert main(["compare", "--config", path]) == 0
+        assert main(["compare", "--config", path, "--strict"]) == 1
+        assert capsys.readouterr().err == "invalid runs in arm 'bad': seeds [0]\n" * 2
+
+    def test_strict_sweep_counts_runs_per_beta(self, tmp_path, capsys):
+        path = self._divergent_config(tmp_path, {"kind": "adaptive"}, n_seeds=2, beta_sweep=[1.0])
+        assert main(["sweep", "--config", path]) == 0
+        assert main(["sweep", "--config", path, "--strict"]) == 1
+        assert capsys.readouterr().err == "invalid runs at beta=1: 2 of 2\n" * 2
 
 
 def _run_module(*args):
@@ -276,8 +286,20 @@ class TestInputErrors:
         config = tmp_path / "bad.json"
         config.write_text("{")
         code, err = self._run(monkeypatch, capsys, "sweep", "--config", str(config))
-        assert code == 2 and err.startswith("adascale: error: Expecting property name")
+        assert code == 2 and err.startswith(f"adascale: error: {config}: Expecting property name")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compare", "generate"])
+    def test_missing_config(self, tmp_path, monkeypatch, capsys, command):
+        config = tmp_path / "missing.json"
+        extra = ["--out", str(tmp_path / "d.csv")] if command == "generate" else []
+        code, err = self._run(monkeypatch, capsys, command, "--config", str(config), *extra)
+        assert (code, err) == (2, f"adascale: error: {config}: No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_unknown_arm(self, config_path, monkeypatch, capsys, command):
+        code, err = self._run(monkeypatch, capsys, command, "--config", config_path, "--arm", "nope")
+        assert (code, err) == (2, "adascale: error: no arm named 'nope' in config\n")
 
     def test_dataset_and_checkpoint_errors(self, tmp_path, experiment_doc, monkeypatch, capsys):
         missing = tmp_path / "missing.csv"
@@ -295,6 +317,32 @@ class TestInputErrors:
                      "--positive-rate", "0.2"]) == 0
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (2, f"adascale: error: {checkpoint}: not a model checkpoint\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (None, "No such file or directory"),
+            (lambda text: text[:10], "Unterminated string starting at: line 2 column 3 (char 4)"),
+            (lambda text: text.replace('"input_dim"', '"width"'), "missing key 'input_dim'"),
+            (lambda text: "[]", "not a model checkpoint"),
+        ],
+        ids=["missing", "truncated", "missing key", "not an object"],
+    )
+    def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        if edit is None:
+            checkpoint.unlink()
+        else:
+            checkpoint.write_text(edit(checkpoint.read_text()))
+        data_path = tmp_path / "data.csv"
+        assert main(["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2",
+                     "--positive-rate", "0.2"]) == 0
+        capsys.readouterr()
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (2, f"adascale: error: {checkpoint}: {message}\n")
 
     def test_training_errors_propagate(self, config_path, monkeypatch):
         def broken(*args):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import importlib.resources
@@ -7,13 +8,24 @@ import math
 import pickle
 import re
 from dataclasses import replace
+from pathlib import Path
+from typing import get_args
 
 import jsonschema
 import numpy as np
 import pytest
 
 from adascale import configio, harness
-from adascale.data import Dataset, GeneratorConfig, StratifiedSampler, UnderSampler, save
+from adascale.data import (
+    Dataset,
+    DatasetSource,
+    GeneratorConfig,
+    SamplerKind,
+    StratifiedSampler,
+    UnderSampler,
+    UniformSampler,
+    save,
+)
 from adascale.harness import (
     Arm,
     ExperimentConfig,
@@ -29,9 +41,9 @@ from adascale.harness import (
     reaggregate,
     run_experiment,
 )
-from adascale.losses import Adaptive, Static, Vanilla
+from adascale.losses import Adaptive, Focal, LossStrategy, Static, Vanilla
 from adascale.model import ModelSpec
-from adascale.trainer import SGD, Adam, TrainConfig, report_to_dict
+from adascale.trainer import SGD, Adam, Optimizer, TrainConfig, report_to_dict
 from adascale.trainer import train as train_run
 
 
@@ -152,15 +164,16 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda doc: {k: v for k, v in doc.items() if k not in ("test_f", "valid")},
-            lambda doc: {**doc, "surprise": 1},
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k not in ("test_f", "valid")}),
+            lambda text: json.dumps({**json.loads(text), "surprise": 1}),
+            lambda text: text[: len(text) // 2],
         ],
-        ids=["missing_keys", "extra_key"],
+        ids=["missing_keys", "extra_key", "truncated"],
     )
     def test_reaggregate_rejects_invalid_run_files(self, tmp_path, edit):
         run_experiment(_tiny_config(tmp_path / "out"))
         path = tmp_path / "out" / "run_adaptive_1.json"
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        path.write_text(edit(path.read_text()))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             reaggregate(tmp_path / "out")
 
@@ -372,10 +385,45 @@ class TestGridSearch:
         assert len(result.cells) == 1
         assert result.best_params == {}
 
-    def test_unknown_parameter(self, tmp_path):
+    @pytest.mark.parametrize("key", ["nope", "kind"])
+    def test_unknown_parameter(self, tmp_path, key):
+        # a union member's "kind" tag is a class variable, not a field a grid can set
         config = _tiny_config(tmp_path / "out")
         with pytest.raises(ValueError, match="neither"):
-            grid_search(Arm("static", Static(0.5), TINY_TRAIN), {"nope": (1,)}, config)
+            grid_search(Arm("static", Static(0.5), TINY_TRAIN), {key: (1,)}, config)
+
+
+# one value of every member of each tagged config union
+UNION_MEMBERS = {
+    LossStrategy: (Vanilla(), Adaptive(2.0), Static(0.3), Focal(1.5)),
+    SamplerKind: (UniformSampler(), StratifiedSampler(2), UnderSampler(3.0)),
+    Optimizer: (SGD(0.5, 0.9), Adam(0.01)),
+    DatasetSource: (TINY_SOURCE, FileSource("a.csv", "b.csv", "c.csv", "csv")),
+}
+
+
+class TestTaggedUnions:
+    @pytest.mark.parametrize("union", list(UNION_MEMBERS), ids=["strategy", "sampler", "optimizer", "source"])
+    def test_members_round_trip_under_distinct_kinds(self, union):
+        values = UNION_MEMBERS[union]
+        assert [type(v) for v in values] == list(get_args(union))
+        kinds = [type(v).kind for v in values]
+        assert len(set(kinds)) == len(kinds)
+        for value, kind in zip(values, kinds):
+            doc = configio.to_json(value)
+            assert doc["kind"] == kind
+            assert configio.from_json(union, doc) == value
+
+    def test_configio_imports_no_package_module(self):
+        # the codec reads each tag from its class, so no module defining a config is imported
+        tree = ast.parse(Path(configio.__file__).read_text())
+        modules = [
+            "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert modules and not [m for m in modules if m.startswith((".", "adascale"))]
 
 
 class TestConfigCodec:
