@@ -340,7 +340,6 @@ class TestInputErrors:
         data_path = tmp_path / "data.csv"
         assert main(["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2",
                      "--positive-rate", "0.2"]) == 0
-        capsys.readouterr()
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (2, f"adascale: error: {checkpoint}: {message}\n")
 
