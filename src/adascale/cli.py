@@ -53,6 +53,8 @@ def _strict_exit(invalid: list[str], strict: bool) -> int:
 def _cmd_generate(args) -> int:
     with harness._reading():
         doc = configio.read_json(args.config) if args.config else {}
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: not a JSON object")
         for f in fields(data.GeneratorConfig):
             value = getattr(args, f.name)
             if value is not None:

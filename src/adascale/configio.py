@@ -19,8 +19,6 @@ from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-import jsonschema
-
 __all__ = [
     "to_json",
     "from_json",
@@ -160,16 +158,16 @@ def _schema(name: str) -> dict:
 
 
 _NUMBER_ITEM_KEYS = {"type", "minimum", "maximum", "exclusiveMinimum"}
-_generic_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
-def _items(validator, items, instance, schema):
+def _items(generic, validator, items, instance, schema):
     """``items`` that passes a list of plain in-range numbers in one Python pass.
 
-    A run report holds one number per training step; the generic rule walks
-    the item schema once per entry.  Only lists that rule would accept with
-    no error take the short cut; every other list, a failing one included,
-    goes to the generic rule, so errors and ``best_match`` are unchanged.
+    A run report holds one number per training step; the ``generic`` rule
+    walks the item schema once per entry.  Only lists that rule would accept
+    with no error take the short cut; every other list, a failing one
+    included, goes to the generic rule, so errors and ``best_match`` are
+    unchanged.
     """
     if (
         isinstance(items, dict)
@@ -182,23 +180,36 @@ def _items(validator, items, instance, schema):
         above = items.get("exclusiveMinimum", -math.inf)
         if all(type(x) in (int, float) and low <= x <= high and x > above for x in instance):
             return
-    yield from _generic_items(validator, items, instance, schema)
+    yield from generic(validator, items, instance, schema)
 
 
-_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
+@functools.lru_cache(maxsize=None)
+def _validator_class():
+    """Draft 2020-12 with the one-pass ``items`` rule.
+
+    jsonschema loads here, on the first validation, so a process that
+    validates nothing (``adascale eval`` or ``generate``) never imports it.
+    """
+    import jsonschema
+
+    draft = jsonschema.Draft202012Validator
+    items = functools.partial(_items, draft.VALIDATORS["items"])
+    return jsonschema.validators.extend(draft, {"items": items})
 
 
 @functools.lru_cache(maxsize=None)
 def _validator(name: str):
     """One validator per schema; the schema itself is checked once, here."""
-    schema = _schema(name)
-    _Validator.check_schema(schema)
-    return _Validator(schema)
+    validator, schema = _validator_class(), _schema(name)
+    validator.check_schema(schema)
+    return validator(schema)
 
 
 def _validate(doc: dict, schema_name: str) -> None:
     # what jsonschema.validate raises, without re-checking the schema per call
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(schema_name).iter_errors(doc))
     if error is not None:
         raise error
 

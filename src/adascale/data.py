@@ -352,6 +352,8 @@ def load(path, format: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise ValueError(f"{path}: no such file")
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory")
     fmt = _infer_format(path, format)
     feats, labels = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
     if not feats:

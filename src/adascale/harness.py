@@ -18,13 +18,12 @@ from __future__ import annotations
 import csv
 import itertools
 import re
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-import jsonschema
 import numpy as np
 
 from . import configio
@@ -74,10 +73,14 @@ def _reading():
     """Re-raise a ``ValueError`` or schema error of the block as an :class:`InputError`."""
     try:
         yield
-    except jsonschema.ValidationError as error:
-        raise InputError(f"{error.json_path}: {error.message}") from error
     except ValueError as error:
         raise InputError(str(error)) from error
+    except Exception as error:
+        # only a loaded jsonschema raises its errors, so this block never imports it
+        jsonschema = sys.modules.get("jsonschema")
+        if jsonschema is None or not isinstance(error, jsonschema.ValidationError):
+            raise
+        raise InputError(f"{error.json_path}: {error.message}") from error
 
 
 @dataclass(frozen=True)
@@ -257,6 +260,8 @@ def _run_all(tasks, workers: int, datasets):
     """
     if workers <= 1 or len(tasks) <= 1:
         return [_execute_run(t, datasets) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(datasets,)) as pool:
         return list(pool.map(_execute_in_worker, tasks))
 
@@ -508,13 +513,15 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     checked against the run-report schema first; a file that fails raises
     a ``ValueError`` naming it.
     """
+    from jsonschema import ValidationError
+
     run_dir = Path(run_dir)
     by_arm: dict[str, list[RunReport]] = {}
     for path in sorted(run_dir.glob("run_*.json")):
         doc = configio.read_json(path)
         try:
             configio.validate_run_report(doc)
-        except jsonschema.ValidationError as error:
+        except ValidationError as error:
             raise ValueError(f"{path}: not a valid run report: {error.message}") from error
         report = RunReport(**doc)
         by_arm.setdefault(report.arm, []).append(report)

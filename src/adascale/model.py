@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import read_json
+from .configio import from_json, read_json
 from .data import Config, bound
 
 __all__ = [
@@ -269,12 +269,13 @@ def load_params(path) -> ModelParams:
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     try:
-        spec = ModelSpec(
-            input_dim=doc["input_dim"],
-            n_classes=doc["n_classes"],
-            hidden_dim=doc["hidden_dim"],
-            activation=doc["activation"] if doc["hidden_dim"] is not None else "tanh",
-        )
+        dims = {name: doc[name] for name in ("input_dim", "n_classes", "hidden_dim")}
+        if dims["hidden_dim"] is not None:
+            dims["activation"] = doc["activation"]
+        try:
+            spec = from_json(ModelSpec, dims)
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
         weights, biases = [], []
         layers = doc["layers"]
         if len(layers) != len(spec.layer_dims):

@@ -201,16 +201,20 @@ class TestCompareSweepGrid:
         assert capsys.readouterr().err == "invalid runs at beta=1: 2 of 2\n" * 2
 
 
-def _run_module(*args):
+def _run_python(*args):
     # the child process imports the same adascale package as this one, installed or not
     src = str(Path(adascale.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "adascale", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_module(*args):
+    return _run_python("-m", "adascale", *args)
 
 
 class TestEntryPoint:
@@ -233,6 +237,11 @@ def _edit(doc, path, value):
     for key in parents:
         doc = doc[key]
     doc[last] = value
+
+
+def _with(text, **changes):
+    """A JSON document's text with some of its top-level keys set."""
+    return json.dumps({**json.loads(text), **changes})
 
 
 class TestInputErrors:
@@ -325,8 +334,11 @@ class TestInputErrors:
             (lambda text: text[:10], "Unterminated string starting at: line 2 column 3 (char 4)"),
             (lambda text: text.replace('"input_dim"', '"width"'), "missing key 'input_dim'"),
             (lambda text: "[]", "not a model checkpoint"),
+            (lambda text: _with(text, input_dim="3"), "ModelSpec.input_dim: expected int, got '3'"),
+            (lambda text: _with(text, n_classes=True), "ModelSpec.n_classes: expected int, got True"),
+            (lambda text: _with(text, input_dim=3.5), "ModelSpec.input_dim: expected int, got 3.5"),
         ],
-        ids=["missing", "truncated", "missing key", "not an object"],
+        ids=["missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim"],
     )
     def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):
         from adascale.model import ModelSpec, init_params, save_params
@@ -342,6 +354,25 @@ class TestInputErrors:
                      "--positive-rate", "0.2"]) == 0
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (2, f"adascale: error: {checkpoint}: {message}\n")
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["list", "number", "string"])
+    def test_generator_config_not_an_object(self, tmp_path, monkeypatch, capsys, text):
+        config = tmp_path / "gen.json"
+        config.write_text(text)
+        out = tmp_path / "d.csv"
+        code, err = self._run(monkeypatch, capsys, "generate", "--config", str(config), "--out", str(out), "--n", "50")
+        assert (code, err) == (2, f"adascale: error: {config}: not a JSON object\n")
+        assert not out.exists()
+
+    def test_data_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        code, err = self._run(
+            monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(tmp_path), "--format", "csv"
+        )
+        assert (code, err) == (2, f"adascale: error: {tmp_path}: is a directory\n")
 
     def test_training_errors_propagate(self, config_path, monkeypatch):
         def broken(*args):
@@ -362,3 +393,44 @@ class TestInputErrors:
         assert proc.stderr == (
             "adascale: error: ExperimentConfig.arms[0]: Arm.train: TrainConfig.eval_beta must be finite, got nan\n"
         )
+
+
+# prints which of the modules the package loads only on first use are loaded
+_PRINT_LAZY_MODULES = (
+    "print(sorted(m for m in sys.modules if m.startswith(('jsonschema', 'multiprocessing', 'concurrent.futures'))))"
+)
+
+
+class TestColdStart:
+    """A fresh process loads jsonschema and the worker pool only when it validates or pools."""
+
+    def test_import_loads_neither(self):
+        proc = _run_python("-c", f"import sys, adascale, adascale.cli; {_PRINT_LAZY_MODULES}")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_generate_and_eval_load_neither(self, tmp_path):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint, data_path = tmp_path / "model.json", tmp_path / "data.csv"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        commands = [
+            ["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2", "--positive-rate", "0.2"],
+            ["eval", "--model", str(checkpoint), "--data", str(data_path)],
+        ]
+        script = "import json, sys, adascale.cli\nfor argv in json.loads(sys.argv[1]): adascale.cli.main(argv)\n"
+        proc = _run_python("-c", script + _PRINT_LAZY_MODULES, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_error_paths(self, tmp_path, experiment_doc):
+        experiment_doc["n_seeds"] = 0
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(experiment_doc))
+        proc = _run_module("compare", "--config", str(config))
+        assert (proc.returncode, proc.stderr) == (2, "adascale: error: $.n_seeds: 0 is less than the minimum of 1\n")
+
+        run_file = tmp_path / "run_x_0.json"
+        run_file.write_text('{"arm": "x"}')
+        proc = _run_python("-c", "import sys, adascale.harness; adascale.harness.reaggregate(sys.argv[1])", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith(f"ValueError: {run_file}: not a valid run report: ")

@@ -30,6 +30,7 @@ from adascale.harness import (
     Arm,
     ExperimentConfig,
     FileSource,
+    InputError,
     ModelConfig,
     SyntheticSource,
     best_k_test_score,
@@ -775,6 +776,12 @@ class TestLoadDatasets:
         )
         train, dev, test = load_datasets(source)
         assert train.n == dev.n == test.n == 3
+
+    def test_file_source_split_is_a_directory(self, tmp_path):
+        save(Dataset(np.eye(3), np.array([0, 1, 2]), k=3), tmp_path / "train.csv")
+        source = FileSource(str(tmp_path / "train.csv"), str(tmp_path), str(tmp_path / "train.csv"))
+        with pytest.raises(InputError, match=re.escape(f"{tmp_path}: is a directory")):
+            load_datasets(source)
 
     @pytest.mark.parametrize("short_split", ["train", "dev"])
     def test_file_source_class_count_spans_all_splits(self, tmp_path, short_split):
