@@ -263,22 +263,33 @@ def save(dataset: Dataset, path, format: str | None = None) -> None:
     """Write a dataset as CSV (header f0..f{d-1},label) or JSONL.
 
     Floats are written with full repr so a save/load round trip is exact.
+    The bytes are those of ``csv.writer`` (CRLF line ends) and of
+    ``json.dumps`` with its default separators: features are finite, no
+    cell needs quoting and no string needs escaping.  Lines are written as
+    they are formatted, so one row is held in memory at a time.
     """
     path = Path(path)
     fmt = _infer_format(path, format)
     if fmt == "csv":
+        # with no feature columns the label is the line's only cell
+        line = "{},{}\r\n" if dataset.d else "{}{}\r\n"
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{i}" for i in range(dataset.d)] + ["label"])
-            for row, label in zip(dataset.features, dataset.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+            fh.write(",".join([f"f{i}" for i in range(dataset.d)] + ["label"]) + "\r\n")
+            fh.writelines(_format_rows(dataset, ",", line))
     else:
         with path.open("w") as fh:
-            for row, label in zip(dataset.features, dataset.labels):
-                fh.write(
-                    json.dumps({"features": [float(v) for v in row], "label": int(label)})
-                    + "\n"
-                )
+            fh.writelines(_format_rows(dataset, ", ", '{{"features": [{}], "label": {}}}\n'))
+
+
+def _format_rows(dataset: Dataset, sep: str, line: str):
+    """Yield ``line`` filled with each row's features, as ``repr`` joined by
+    ``sep``, and its label."""
+    for row, label in zip(dataset.features, dataset.labels.tolist()):
+        yield line.format(sep.join(map(repr, row.tolist())), label)
+
+
+# labels are stored as int64
+_MAX_LABEL = 2**63 - 1
 
 
 def _load_error(path: Path, lineno: int, message: str) -> ValueError:
@@ -311,7 +322,7 @@ def _load_csv(path: Path) -> tuple[list[list[float]], list[int]]:
                 label = int(row[-1])
             except ValueError:
                 raise _load_error(path, lineno, "malformed label") from None
-            if label < 0:
+            if not 0 <= label <= _MAX_LABEL:
                 raise _load_error(path, lineno, f"label {label} out of range")
             feats.append(values)
             labels.append(label)
@@ -331,12 +342,16 @@ def _load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
             if not isinstance(obj, dict) or "features" not in obj or "label" not in obj:
                 raise _load_error(path, lineno, "object must have 'features' and 'label'")
             raw = obj["features"]
-            if not isinstance(raw, list) or not all(
-                type(v) in (int, float) and math.isfinite(v) for v in raw
-            ):
+            try:
+                finite = isinstance(raw, list) and all(
+                    type(v) in (int, float) and math.isfinite(v) for v in raw
+                )
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise _load_error(path, lineno, "'features' must be a list of finite reals")
             label = obj["label"]
-            if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+            if type(label) is not int or not 0 <= label <= _MAX_LABEL:
                 raise _load_error(path, lineno, f"label {label!r} out of range")
             feats.append([float(v) for v in raw])
             labels.append(label)

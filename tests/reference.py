@@ -3,17 +3,21 @@ must reproduce byte for byte.
 
 Each function is the straightforward form of its library counterpart:
 ``model._softmax``, ``model.forward``, ``model.backward``,
-``losses.compute_loss``, ``data.batches`` with its stratified sampler and
-``metrics.confusion_from_predictions``.  They allocate freely, gather each
-batch's rows separately and count with ``np.sum``.  Nothing here may be
+``losses.compute_loss``, ``data.batches`` with its stratified sampler,
+``metrics.confusion_from_predictions`` and ``data.save``.  They allocate
+freely, gather each batch's rows separately, count with ``np.sum`` and
+write rows through ``csv.writer`` and ``json.dumps``.  Nothing here may be
 optimised: the oracle tests and ``TestReferenceLoop`` compare the library
 against these copies.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from adascale.data import (
     UnderSampler,
     UniformSampler,
     _chunk,
+    _infer_format,
 )
 from adascale.losses import Adaptive, Focal, LossOutput, Static, Vanilla
 from adascale.metrics import ConfusionStats, f_beta, precision, recall
@@ -238,3 +243,22 @@ def evaluate(params, dataset, beta: float = 1.0) -> tuple[float, float, float]:
         raise FloatingPointError("non-finite class probabilities")
     stats, _ = confusion_from_predictions(dataset.labels, np.argmax(probs, axis=1), NEGATIVE_LABEL)
     return precision(stats), recall(stats), f_beta(stats, beta)
+
+
+def save(dataset, path, format: str | None = None) -> None:
+    """``data.save`` through ``csv.writer`` and ``json.dumps``, one row at a time."""
+    path = Path(path)
+    fmt = _infer_format(path, format)
+    if fmt == "csv":
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{i}" for i in range(dataset.d)] + ["label"])
+            for row, label in zip(dataset.features, dataset.labels):
+                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    else:
+        with path.open("w") as fh:
+            for row, label in zip(dataset.features, dataset.labels):
+                fh.write(
+                    json.dumps({"features": [float(v) for v in row], "label": int(label)})
+                    + "\n"
+                )

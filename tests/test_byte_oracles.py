@@ -1,14 +1,18 @@
 """The optimised formulas give the bytes of their plain forms in ``reference``,
 and reject the same inputs with the same messages."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adascale import data, losses, metrics, model
-from adascale.data import Dataset, StratifiedSampler, UnderSampler, UniformSampler
+from adascale.data import FORMATS, Dataset, StratifiedSampler, UnderSampler, UniformSampler
 from adascale.losses import Adaptive, Focal, Static, Vanilla
 from adascale.model import ForwardResult, ModelParams, ModelSpec
 
@@ -293,3 +297,66 @@ def test_confusion_memory_does_not_grow_with_label_values():
     stats, per_class = metrics.confusion_from_predictions(gold, pred, 0)
     assert (stats.p, stats.n, stats.tp, stats.tn, stats.pe) == (3, 2, 2, 1, 0)
     assert per_class == {5: 1, 2**62: 1}
+
+
+
+# the extremes of float64 (subnormal, smallest normal, largest), a signed
+# zero and the points where repr switches between fixed and exponent form
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 3.0, 1e16, 1.7976931348623157e308]
+
+
+def _edge_dataset(n, d):
+    """Edge values of either sign mixed with Gaussian values at three scales; labels up to 33."""
+    rng = np.random.default_rng(n * 100 + d)
+    edges = rng.choice(EDGE_FLOATS, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+    gaussian = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e6], size=(n, d))
+    features = np.where(rng.random((n, d)) < 0.5, edges, gaussian)
+    labels = rng.integers(0, 34, size=n)
+    labels[-1] = 33
+    return Dataset(features, labels, k=34)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2000])
+@pytest.mark.parametrize("d", [0, 1, 20])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_save(tmp_path, n, d, fmt):
+    ds = _edge_dataset(n, d)
+    other = next(f for f in FORMATS if f != fmt)
+    (tmp_path / "got").mkdir()
+    (tmp_path / "expected").mkdir()
+    for name, format in ((f"rows.{fmt}", None), ("rows.DAT", fmt), (f"rows.{other}", fmt)):
+        data.save(ds, tmp_path / "got" / name, format)
+        reference.save(ds, tmp_path / "expected" / name, format)
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+
+
+# every finite float64: any sign and mantissa, exponent bits short of all ones
+FINITE_BITS = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.integers(0, 2046),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@st.composite
+def _datasets(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    bits = draw(st.lists(FINITE_BITS, min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, 33), min_size=n, max_size=n))
+    features = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d)
+    return Dataset(features, np.array(labels), k=34)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_datasets())
+def test_save_any_finite_floats(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in FORMATS:
+            got, expected = Path(tmp, f"got.{fmt}"), Path(tmp, f"expected.{fmt}")
+            data.save(ds, got)
+            reference.save(ds, expected)
+            assert got.read_bytes() == expected.read_bytes()
+            back = data.load(got)
+            _same(back.features, ds.features)
+            _same(back.labels, ds.labels)

@@ -374,6 +374,26 @@ class TestInputErrors:
         )
         assert (code, err) == (2, f"adascale: error: {tmp_path}: is a directory\n")
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("huge.jsonl", '{"features": [1' + "0" * 400 + '], "label": 0}\n',
+             "1: 'features' must be a list of finite reals"),
+            ("big.jsonl", '{"features": [0.5], "label": ' + str(10**30) + "}\n", f"1: label {10**30} out of range"),
+            ("big.csv", f"f0,label\n0.5,{10**30}\n", f"2: label {10**30} out of range"),
+        ],
+        ids=["huge feature", "big jsonl label", "big csv label"],
+    )
+    def test_numbers_beyond_the_arrays(self, tmp_path, monkeypatch, capsys, name, text, message):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(1, 2), 0), checkpoint)
+        data_path = tmp_path / name
+        data_path.write_text(text)
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (2, f"adascale: error: {data_path}:{message}\n")
+
     def test_training_errors_propagate(self, config_path, monkeypatch):
         def broken(*args):
             raise ValueError("broken step")

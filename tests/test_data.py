@@ -178,6 +178,28 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=r"bool\.jsonl:1: 'features' must be a list of finite reals"):
             load(path)
 
+    def test_jsonl_rejects_integer_feature_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"features": [0.5], "label": 0}\n{"features": [1' + "0" * 400 + '], "label": 0}\n')
+        with pytest.raises(ValueError, match=r"huge\.jsonl:2: 'features' must be a list of finite reals"):
+            load(path)
+
+    @pytest.mark.parametrize("label", [2**63, 10**30])
+    @pytest.mark.parametrize(
+        "name, text, lineno",
+        [
+            ("big.csv", "f0,label\n0.5,0\n0.5,{}\n", 3),
+            ("big.jsonl", '{{"features": [0.5], "label": 0}}\n{{"features": [0.5], "label": {}}}\n', 2),
+        ],
+    )
+    def test_label_beyond_int64(self, tmp_path, name, text, lineno, label):
+        path = tmp_path / name
+        path.write_text(text.format(label))
+        with pytest.raises(ValueError, match=rf"{name}:{lineno}: label {label} out of range"):
+            load(path)
+        path.write_text(text.format(2**63 - 1))
+        assert load(path).labels[1] == 2**63 - 1
+
     def test_unknown_extension_needs_format(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("f0,label\n1.0,0\n")
