@@ -299,7 +299,6 @@ def test_confusion_memory_does_not_grow_with_label_values():
     assert per_class == {5: 1, 2**62: 1}
 
 
-
 # the extremes of float64 (subnormal, smallest normal, largest), a signed
 # zero and the points where repr switches between fixed and exponent form
 EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 3.0, 1e16, 1.7976931348623157e308]
