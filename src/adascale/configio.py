@@ -70,9 +70,10 @@ def from_json(tp, doc):
 
     ``tp`` is a config dataclass, a union of tagged ones (chosen by the
     document's "kind"), or a field annotation.  An ``int`` takes an integral
-    number, a ``float`` any number, a bool neither; absent dataclass keys
-    take their defaults.  Any other value, or a key that is neither a field
-    nor "kind", raises ``ValueError`` naming the class and the field.
+    number, a ``float`` any number, a bool neither, and a ``str`` only a
+    string; absent dataclass keys take their defaults.  Any other value, or
+    a key that is neither a field nor "kind", raises ``ValueError`` naming
+    the class and the field.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -99,6 +100,10 @@ def from_json(tp, doc):
         if isinstance(doc, bool) or not isinstance(doc, (int, float)) or (tp is int and doc % 1):
             raise ValueError(f"expected {tp.__name__}, got {doc!r}")
         return tp(doc)
+    if tp is str:
+        if not isinstance(doc, str):
+            raise ValueError(f"expected str, got {doc!r}")
+        return doc
     if not is_dataclass(tp):
         return doc
     unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - {"kind"})

@@ -14,10 +14,12 @@ Bernoulli, so prevalence is deterministic.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -110,6 +112,8 @@ class Dataset:
         labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
+        if feats.shape[1] < 1:
+            raise ValueError("features must have at least one column")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise ValueError("labels must be one per feature row")
         if feats.shape[0] < 1:
@@ -271,11 +275,9 @@ def save(dataset: Dataset, path, format: str | None = None) -> None:
     path = Path(path)
     fmt = _infer_format(path, format)
     if fmt == "csv":
-        # with no feature columns the label is the line's only cell
-        line = "{},{}\r\n" if dataset.d else "{}{}\r\n"
         with path.open("w", newline="") as fh:
             fh.write(",".join([f"f{i}" for i in range(dataset.d)] + ["label"]) + "\r\n")
-            fh.writelines(_format_rows(dataset, ",", line))
+            fh.writelines(_format_rows(dataset, ",", "{},{}\r\n"))
     else:
         with path.open("w") as fh:
             fh.writelines(_format_rows(dataset, ", ", '{{"features": [{}], "label": {}}}\n'))
@@ -296,7 +298,8 @@ def _load_error(path: Path, lineno: int, message: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: {message}")
 
 
-def _load_csv(path: Path) -> tuple[list[list[float]], list[int]]:
+def _load_csv(path: Path, labels: list[int]) -> Iterator[list[float]]:
+    """Yield each data row's features, appending its label to ``labels``."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -308,7 +311,6 @@ def _load_csv(path: Path) -> tuple[list[list[float]], list[int]]:
         d = len(header) - 1
         if header[:-1] != [f"f{i}" for i in range(d)]:
             raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
-        feats, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise _load_error(path, lineno, f"expected {d + 1} columns, got {len(row)}")
@@ -324,13 +326,14 @@ def _load_csv(path: Path) -> tuple[list[list[float]], list[int]]:
                 raise _load_error(path, lineno, "malformed label") from None
             if not 0 <= label <= _MAX_LABEL:
                 raise _load_error(path, lineno, f"label {label} out of range")
-            feats.append(values)
             labels.append(label)
-    return feats, labels
+            yield values
 
 
-def _load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
-    feats, labels = [], []
+def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
+    """Yield each line's features, appending its label to ``labels``; the
+    first line sets the width the others must have."""
+    d = None
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -339,6 +342,8 @@ def _load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 raise _load_error(path, lineno, "malformed JSON") from None
+            except ValueError:  # an integer beyond the int-string digit limit
+                raise _load_error(path, lineno, "integer too long to parse") from None
             if not isinstance(obj, dict) or "features" not in obj or "label" not in obj:
                 raise _load_error(path, lineno, "object must have 'features' and 'label'")
             raw = obj["features"]
@@ -353,16 +358,21 @@ def _load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
             label = obj["label"]
             if type(label) is not int or not 0 <= label <= _MAX_LABEL:
                 raise _load_error(path, lineno, f"label {label!r} out of range")
-            feats.append([float(v) for v in raw])
+            if d is None:
+                if not raw:
+                    raise _load_error(path, lineno, "'features' must not be empty")
+                d = len(raw)
+            elif len(raw) != d:
+                raise _load_error(path, lineno, f"expected {d} features, got {len(raw)}")
             labels.append(label)
-    return feats, labels
+            yield [float(v) for v in raw]
 
 
 def load(path, format: str | None = None) -> Dataset:
     """Load a dataset from CSV or JSONL; k is inferred as max label + 1.
 
-    Parse and validation failures raise ValueError naming the offending
-    line.
+    Rows are parsed one at a time into a single float64 matrix.  Parse and
+    validation failures raise ValueError naming the first offending line.
     """
     path = Path(path)
     if not path.exists():
@@ -370,14 +380,13 @@ def load(path, format: str | None = None) -> Dataset:
     if path.is_dir():
         raise ValueError(f"{path}: is a directory")
     fmt = _infer_format(path, format)
-    feats, labels = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
-    if not feats:
+    labels: list[int] = []
+    rows = (_load_csv if fmt == "csv" else _load_jsonl)(path, labels)
+    first = next(rows, None)
+    if first is None:
         raise _load_error(path, 1, "no data rows")
-    widths = {len(row) for row in feats}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent feature widths {sorted(widths)}")
-    k = max(labels) + 1
-    return Dataset(features=np.asarray(feats), labels=np.asarray(labels), k=max(k, 2))
+    features = np.fromiter(itertools.chain([first], rows), dtype=(np.float64, len(first)))
+    return Dataset(features=features, labels=np.asarray(labels), k=max(max(labels) + 1, 2))
 
 
 @dataclass(frozen=True)
