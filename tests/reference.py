@@ -4,11 +4,12 @@ must reproduce byte for byte.
 Each function is the straightforward form of its library counterpart:
 ``model._softmax``, ``model.forward``, ``model.backward``,
 ``losses.compute_loss``, ``data.batches`` with its stratified sampler,
-``metrics.confusion_from_predictions`` and ``data.save``.  They allocate
-freely, gather each batch's rows separately, count with ``np.sum`` and
-write rows through ``csv.writer`` and ``json.dumps``.  Nothing here may be
-optimised: the oracle tests and ``TestReferenceLoop`` compare the library
-against these copies.
+``metrics.confusion_from_predictions``, ``data.save`` and ``data.load``.
+They allocate freely, gather each batch's rows separately, count with
+``np.sum``, write rows through ``csv.writer`` and ``json.dumps`` and read a
+file as a list of per-row float lists before making one array of it.
+Nothing here may be optimised: the oracle tests and ``TestReferenceLoop``
+compare the library against these copies.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from adascale.data import (
+    _MAX_LABEL,
     NEGATIVE_LABEL,
+    Dataset,
     StratificationWarning,
     StratifiedSampler,
     UnderSampler,
     UniformSampler,
     _chunk,
     _infer_format,
+    _load_error,
 )
 from adascale.losses import Adaptive, Focal, LossOutput, Static, Vanilla
 from adascale.metrics import ConfusionStats, f_beta, precision, recall
@@ -262,3 +266,84 @@ def save(dataset, path, format: str | None = None) -> None:
                     json.dumps({"features": [float(v) for v in row], "label": int(label)})
                     + "\n"
                 )
+
+
+def load_csv(path: Path) -> tuple[list[list[float]], list[int]]:
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise _load_error(path, 1, "empty file") from None
+        if len(header) < 2 or header[-1] != "label":
+            raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
+        d = len(header) - 1
+        if header[:-1] != [f"f{i}" for i in range(d)]:
+            raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
+        feats, labels = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != d + 1:
+                raise _load_error(path, lineno, f"expected {d + 1} columns, got {len(row)}")
+            try:
+                values = [float(v) for v in row[:-1]]
+            except ValueError:
+                raise _load_error(path, lineno, "malformed feature value") from None
+            if not all(math.isfinite(v) for v in values):
+                raise _load_error(path, lineno, "features must be finite")
+            try:
+                label = int(row[-1])
+            except ValueError:
+                raise _load_error(path, lineno, "malformed label") from None
+            if not 0 <= label <= _MAX_LABEL:
+                raise _load_error(path, lineno, f"label {label} out of range")
+            feats.append(values)
+            labels.append(label)
+    return feats, labels
+
+
+def load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
+    feats, labels = [], []
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                raise _load_error(path, lineno, "malformed JSON") from None
+            if not isinstance(obj, dict) or "features" not in obj or "label" not in obj:
+                raise _load_error(path, lineno, "object must have 'features' and 'label'")
+            raw = obj["features"]
+            try:
+                finite = isinstance(raw, list) and all(
+                    type(v) in (int, float) and math.isfinite(v) for v in raw
+                )
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise _load_error(path, lineno, "'features' must be a list of finite reals")
+            label = obj["label"]
+            if type(label) is not int or not 0 <= label <= _MAX_LABEL:
+                raise _load_error(path, lineno, f"label {label!r} out of range")
+            feats.append([float(v) for v in raw])
+            labels.append(label)
+    return feats, labels
+
+
+def load(path, format: str | None = None) -> Dataset:
+    """``data.load`` through per-row float lists, one ``np.asarray`` and a
+    check of the feature widths after the last line."""
+    path = Path(path)
+    if not path.exists():
+        raise ValueError(f"{path}: no such file")
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory")
+    fmt = _infer_format(path, format)
+    feats, labels = load_csv(path) if fmt == "csv" else load_jsonl(path)
+    if not feats:
+        raise _load_error(path, 1, "no data rows")
+    widths = {len(row) for row in feats}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: inconsistent feature widths {sorted(widths)}")
+    k = max(labels) + 1
+    return Dataset(features=np.asarray(feats), labels=np.asarray(labels), k=max(k, 2))

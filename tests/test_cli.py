@@ -381,8 +381,10 @@ class TestInputErrors:
              "1: 'features' must be a list of finite reals"),
             ("big.jsonl", '{"features": [0.5], "label": ' + str(10**30) + "}\n", f"1: label {10**30} out of range"),
             ("big.csv", f"f0,label\n0.5,{10**30}\n", f"2: label {10**30} out of range"),
+            ("long.jsonl", '{"features": [1' + "0" * 5000 + '], "label": 0}\n', "1: integer too long to parse"),
+            ("long.jsonl", '{"features": [0.5], "label": 1' + "0" * 5000 + "}\n", "1: integer too long to parse"),
         ],
-        ids=["huge feature", "big jsonl label", "big csv label"],
+        ids=["huge feature", "big jsonl label", "big csv label", "long feature", "long label"],
     )
     def test_numbers_beyond_the_arrays(self, tmp_path, monkeypatch, capsys, name, text, message):
         from adascale.model import ModelSpec, init_params, save_params

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -33,6 +34,11 @@ class TestDatasetValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             Dataset(np.zeros((0, 2)), np.array([], dtype=int), k=2)
+
+    def test_no_feature_columns_rejected(self):
+        # no model takes zero inputs, and a CSV could not hold such a dataset
+        with pytest.raises(ValueError, match="features must have at least one column"):
+            Dataset(np.zeros((2, 0)), np.array([0, 1]), k=2)
 
     def test_immutability(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), k=2)
@@ -199,6 +205,50 @@ class TestSaveLoad:
             load(path)
         path.write_text(text.format(2**63 - 1))
         assert load(path).labels[1] == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("zero.csv", "label\r\n0\r\n1\r\n", "1: header must be f0,...,f{d-1},label"),
+            ("zero.jsonl", '{"features": [], "label": 0}\n{"features": [], "label": 1}\n',
+             "1: 'features' must not be empty"),
+        ],
+        ids=FORMATS,
+    )
+    def test_zero_width_rejected(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"features": [1' + "0" * 5000 + '], "label": 0}', '{"features": [0.5], "label": 1' + "0" * 5000 + "}"],
+        ids=["feature", "label"],
+    )
+    def test_jsonl_integer_beyond_digit_limit(self, tmp_path, line):
+        # json.loads refuses to convert more than 4,300 digits to an int
+        path = tmp_path / "long.jsonl"
+        path.write_text('{"features": [0.5], "label": 0}\n' + line + "\n")
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:2: integer too long to parse"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_load_memory_bounded_by_matrix(self, tmp_path, fmt):
+        # rows are parsed straight into one float64 matrix: a list of
+        # per-row Python floats would peak near 7x the matrix
+        path = tmp_path / f"train.{fmt}"
+        save(generate(GeneratorConfig(n=10_000, seed=3)), path)
+        tracemalloc.start()
+        try:
+            ds = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (10_000, 20)
+        assert peak <= 3 * ds.features.nbytes
 
     def test_unknown_extension_needs_format(self, tmp_path):
         path = tmp_path / "data.txt"

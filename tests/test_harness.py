@@ -592,6 +592,22 @@ class TestConfigCodec:
         )
 
     @pytest.mark.parametrize(
+        "tp, doc, message",
+        [
+            (Arm, {"name": 0, "strategy": {"kind": "vanilla"}}, "Arm.name: expected str, got 0"),
+            (FileSource, {"train": 1, "dev": 2, "test": 3}, "FileSource.train: expected str, got 1"),
+            (FileSource, {"train": "a.csv", "dev": "b.csv", "test": "c.csv", "format": ["csv"]},
+             "FileSource.format: expected str, got ['csv']"),
+        ],
+        ids=["int arm name", "int file paths", "list format"],
+    )
+    def test_non_string_for_str_field_rejected(self, tp, doc, message):
+        # no schema runs before this codec call, so the codec itself checks the type
+        with pytest.raises(ValueError) as caught:
+            configio.from_json(tp, doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "build, message",
         [
             (lambda: Arm("", Vanilla()), "Arm.name must be of length >= 1, got ''"),
