@@ -122,12 +122,12 @@ def from_json(tp, doc):
     return tp(**values)
 
 
-_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
 
 
 def schema(tp, keywords=None) -> dict:
-    """JSON Schema of what ``from_json(tp, doc)`` reads, walking types as it does;
-    a field adds the keywords of its ``bound()`` and a tagged dataclass its "kind"."""
+    """JSON Schema of what ``from_json(tp, doc)`` reads, walking types as it does, a list as
+    a tuple; a field adds the keywords of its ``bound()`` and a tagged dataclass its "kind"."""
     keywords = dict(keywords or {})
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -141,7 +141,7 @@ def schema(tp, keywords=None) -> dict:
     if "enum" in keywords:
         # the listed values say the type too
         return {"enum": list(keywords["enum"])}
-    if origin is tuple or tp is tuple:
+    if origin in (tuple, list) or tp in (tuple, list):
         items = keywords.pop("items", None)
         return {"type": "array", **keywords, **({"items": schema(args[0], items)} if args else {})}
     if origin is dict:
@@ -211,10 +211,12 @@ def _validator(name: str):
 
 
 def _validate(doc: dict, schema_name: str) -> None:
-    # what jsonschema.validate raises, without re-checking the schema per call
+    # what jsonschema.validate raises, without re-checking the schema per call; of equally
+    # relevant errors a missing key comes first, whatever the order of the schema's keywords
     from jsonschema.exceptions import best_match
 
-    error = best_match(_validator(schema_name).iter_errors(doc))
+    errors = sorted(_validator(schema_name).iter_errors(doc), key=lambda e: e.validator != "required")
+    error = best_match(errors)
     if error is not None:
         raise error
 

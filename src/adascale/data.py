@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 NEGATIVE_LABEL = 0
+SCORE = {"minimum": 0, "maximum": 1}  # the bounds of a precision, recall or F in a report
 # dataset file formats, each named as its file suffix
 FORMATS = ("csv", "jsonl")
 
@@ -82,7 +83,10 @@ def _broken(value, keywords) -> str | None:
         return "finite"
     for key, limit in keywords.items():
         test, text = _BOUNDS[key]
-        if (value is not None or key == "enum") and not test(value, limit):
+        try:
+            if (value is not None or key == "enum") and not test(value, limit):
+                return f"{text} {limit!r}"
+        except TypeError:  # a value of another type than the bound's
             return f"{text} {limit!r}"
     return None
 
@@ -300,7 +304,7 @@ def _load_error(path: Path, lineno: int, message: str) -> ValueError:
 
 def _load_csv(path: Path, labels: list[int]) -> Iterator[list[float]]:
     """Yield each data row's features, appending its label to ``labels``."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -334,7 +338,7 @@ def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
     """Yield each line's features, appending its label to ``labels``; the
     first line sets the width the others must have."""
     d = None
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -344,6 +348,8 @@ def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
                 raise _load_error(path, lineno, "malformed JSON") from None
             except ValueError:  # an integer beyond the int-string digit limit
                 raise _load_error(path, lineno, "integer too long to parse") from None
+            except RecursionError:
+                raise _load_error(path, lineno, "JSON nested too deeply") from None
             if not isinstance(obj, dict) or "features" not in obj or "label" not in obj:
                 raise _load_error(path, lineno, "object must have 'features' and 'label'")
             raw = obj["features"]
@@ -371,8 +377,8 @@ def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
 def load(path, format: str | None = None) -> Dataset:
     """Load a dataset from CSV or JSONL; k is inferred as max label + 1.
 
-    Rows are parsed one at a time into a single float64 matrix.  Parse and
-    validation failures raise ValueError naming the first offending line.
+    Rows of UTF-8 text are parsed one at a time into a single float64 matrix.
+    Parse, decoding and validation failures raise ValueError naming the first offending line.
     """
     path = Path(path)
     if not path.exists():
@@ -382,10 +388,20 @@ def load(path, format: str | None = None) -> Dataset:
     fmt = _infer_format(path, format)
     labels: list[int] = []
     rows = (_load_csv if fmt == "csv" else _load_jsonl)(path, labels)
-    first = next(rows, None)
-    if first is None:
-        raise _load_error(path, 1, "no data rows")
-    features = np.fromiter(itertools.chain([first], rows), dtype=(np.float64, len(first)))
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise _load_error(path, 1, "no data rows")
+        features = np.fromiter(itertools.chain([first], rows), dtype=(np.float64, len(first)))
+    except UnicodeDecodeError:
+        # text decodes in chunks of many lines; no UTF-8 character holds a newline byte,
+        # so the first line that fails on its own is the one to name
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode()
+                except UnicodeDecodeError as error:
+                    raise _load_error(path, lineno, str(error)) from None
     return Dataset(features=features, labels=np.asarray(labels), k=max(max(labels) + 1, 2))
 
 

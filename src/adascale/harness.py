@@ -22,12 +22,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import ClassVar, get_type_hints
 
 import numpy as np
 
 from . import configio
-from .data import Config, Dataset, DatasetSource, FileSource, SyntheticSource, bound, generate, load
+from .data import SCORE, Config, Dataset, DatasetSource, FileSource, SyntheticSource, bound, generate, load
 from .losses import Adaptive, LossStrategy
 from .model import ACTIVATIONS, ModelSpec
 from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
@@ -39,6 +39,7 @@ __all__ = [
     "FileSource",
     "DatasetSource",
     "ExperimentConfig",
+    "RunSummary",
     "ArmSummary",
     "ComparisonReport",
     "SweepRow",
@@ -55,6 +56,8 @@ __all__ = [
     "experiment_from_json",
     "experiment_to_json",
     "experiment_schema",
+    "report_schema",
+    "write_schemas",
 ]
 
 VAR_PCT_SCALE = 1e4  # variance of 100*F equals 1e4 * variance of F
@@ -121,69 +124,81 @@ class ExperimentConfig(Config):
             raise ValueError("arm names must be unique")
 
 
+class _Aggregate:
+    """An aggregate report: JSON tagged with its class's ``format`` and ``version``."""
+
+    version: ClassVar[int] = 1
+    def to_dict(self) -> dict:
+        return {"format": self.format, "version": self.version, **configio.to_json(self)}
+
+
+@dataclass
+class RunSummary:
+    seed: int
+    best_dev_f: float = bound(**SCORE)
+    test_precision: float = bound(**SCORE)
+    test_recall: float = bound(**SCORE)
+    test_f: float = bound(**SCORE)
+    valid: bool
+
+
 @dataclass
 class ArmSummary:
     name: str
-    n_runs: int
-    n_valid: int
-    mean_test_f: float | None
-    var_test_f: float | None
-    var_test_f_pct: float | None
-    best3_test_f: float | None
+    n_runs: int = bound(minimum=0)
+    n_valid: int = bound(minimum=0)
+    mean_test_f: float | None = bound(**SCORE)
+    var_test_f: float | None = bound(minimum=0)
+    var_test_f_pct: float | None = bound(minimum=0)
+    best3_test_f: float | None = bound(**SCORE)
     invalid_seeds: list[int]
-    runs: list[dict]
+    runs: list[RunSummary]
 
 
 @dataclass
-class ComparisonReport:
-    n_seeds: int
-    best_k: int
+class ComparisonReport(_Aggregate):
+    format: ClassVar[str] = "comparison-report"
+    n_seeds: int = bound(minimum=1)
+    best_k: int = bound(minimum=1)
     base_seed: int
     arms: list[ArmSummary]
-
-    def to_dict(self) -> dict:
-        return {"format": "comparison-report", "version": 1, **configio.to_json(self)}
 
 
 @dataclass
 class SweepRow:
-    beta: float
-    n_valid: int
-    mean_precision: float | None
-    mean_recall: float | None
-    mean_f1: float | None
-    std_precision: float | None
-    std_recall: float | None
-    std_f1: float | None
+    beta: float = bound(exclusiveMinimum=0)
+    n_valid: int = bound(minimum=0)
+    mean_precision: float | None = bound(**SCORE)
+    mean_recall: float | None = bound(**SCORE)
+    mean_f1: float | None = bound(**SCORE)
+    std_precision: float | None = bound(minimum=0)
+    std_recall: float | None = bound(minimum=0)
+    std_f1: float | None = bound(minimum=0)
 
 
 @dataclass
-class SweepReport:
-    n_seeds: int
+class SweepReport(_Aggregate):
+    format: ClassVar[str] = "sweep-report"
+    n_seeds: int = bound(minimum=1)
     base_seed: int
     rows: list[SweepRow]
-
-    def to_dict(self) -> dict:
-        return {"format": "sweep-report", "version": 1, **configio.to_json(self)}
 
 
 @dataclass
 class GridCell:
-    params: dict
-    mean_dev_f: float | None
-    n_valid: int
-    test_f: list[float]
+    params: dict[str, float]
+    mean_dev_f: float | None = bound(**SCORE)
+    n_valid: int = bound(minimum=0)
+    test_f: list[float] = bound(items=SCORE)
 
 
 @dataclass
-class GridResult:
+class GridResult(_Aggregate):
+    format: ClassVar[str] = "grid-report"
     arm: str
-    best_index: int
-    best_params: dict
-    cells: list[GridCell]
-
-    def to_dict(self) -> dict:
-        return {"format": "grid-report", "version": 1, **configio.to_json(self)}
+    best_index: int = bound(minimum=0)
+    best_params: dict[str, float]
+    cells: list[GridCell] = bound(minItems=1)
 
 
 def best_k_test_score(dev_scores, test_scores, k: int) -> float:
@@ -313,17 +328,6 @@ def _blocks(results: list, size: int) -> list[list]:
 def _summarize_arm(name: str, reports: list[RunReport], best_k: int) -> ArmSummary:
     reports = sorted(reports, key=lambda r: r.seed)
     valid = [r for r in reports if r.valid]
-    rows = [
-        {
-            "seed": r.seed,
-            "best_dev_f": r.best_dev_f,
-            "test_precision": r.test_precision,
-            "test_recall": r.test_recall,
-            "test_f": r.test_f,
-            "valid": r.valid,
-        }
-        for r in reports
-    ]
     if valid:
         test_f = np.array([r.test_f for r in valid])
         mean = float(np.mean(test_f))
@@ -332,17 +336,11 @@ def _summarize_arm(name: str, reports: list[RunReport], best_k: int) -> ArmSumma
         var_pct = var * VAR_PCT_SCALE
     else:
         mean = var = var_pct = best = None
-    return ArmSummary(
-        name=name,
-        n_runs=len(reports),
-        n_valid=len(valid),
-        mean_test_f=mean,
-        var_test_f=var,
-        var_test_f_pct=var_pct,
-        best3_test_f=best,
-        invalid_seeds=[r.seed for r in reports if not r.valid],
-        runs=rows,
-    )
+    invalid = [r.seed for r in reports if not r.valid]
+    runs = [
+        RunSummary(r.seed, r.best_dev_f, r.test_precision, r.test_recall, r.test_f, r.valid) for r in reports
+    ]
+    return ArmSummary(name, len(reports), len(valid), mean, var, var_pct, best, invalid, runs)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -367,15 +365,9 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     for arm in config.arms:
         runs += _seed_runs(config, arm.name, replace(arm.train, strategy=arm.strategy))
     results, out_dir = _execute(config, runs)
-    report = ComparisonReport(
-        n_seeds=config.n_seeds,
-        best_k=config.best_k,
-        base_seed=config.base_seed,
-        arms=[
-            _summarize_arm(arm.name, [r for r, _ in block], config.best_k)
-            for arm, block in zip(config.arms, _blocks(results, config.n_seeds))
-        ],
-    )
+    blocks = zip(config.arms, _blocks(results, config.n_seeds))
+    arms = [_summarize_arm(arm.name, [r for r, _ in block], config.best_k) for arm, block in blocks]
+    report = ComparisonReport(config.n_seeds, config.best_k, config.base_seed, arms)
     doc = report.to_dict()
     configio.validate_comparison_report(doc)
     configio.write_json(doc, out_dir / "comparison.json")
@@ -479,25 +471,14 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     grid_cells: list[GridCell] = []
     for cell, block in zip(cells, _blocks(results, config.n_seeds)):
         valid = [r for r, _ in block if r.valid]
-        grid_cells.append(
-            GridCell(
-                params=cell,
-                mean_dev_f=float(np.mean([r.best_dev_f for r in valid])) if valid else None,
-                n_valid=len(valid),
-                test_f=[r.test_f for r in valid],
-            )
-        )
+        mean_dev_f = float(np.mean([r.best_dev_f for r in valid])) if valid else None
+        grid_cells.append(GridCell(cell, mean_dev_f, len(valid), [r.test_f for r in valid]))
 
     # a cell without valid runs scores below any dev F; ties keep the first-declared cell
     scores = [-1.0 if c.mean_dev_f is None else c.mean_dev_f for c in grid_cells]
     best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
 
-    grid_result = GridResult(
-        arm=arm.name,
-        best_index=best_index,
-        best_params=grid_cells[best_index].params,
-        cells=grid_cells,
-    )
+    grid_result = GridResult(arm.name, best_index, grid_cells[best_index].params, grid_cells)
     doc = grid_result.to_dict()
     configio.validate_grid_report(doc)
     configio.write_json(doc, out_dir / f"grid_{_safe_name(arm.name)}.json")
@@ -550,8 +531,7 @@ def experiment_to_json(config: ExperimentConfig) -> dict:
 
 
 def experiment_schema() -> dict:
-    """``configio.schema(ExperimentConfig)`` in the layout ``experiment_from_json``
-    reads; ``schemas/experiment_config.schema.json`` is its output."""
+    """``configio.schema(ExperimentConfig)`` in the layout ``experiment_from_json`` reads."""
     doc = configio.schema(ExperimentConfig)
     properties = doc["properties"]
     properties["dataset"] = properties.pop("source")
@@ -563,5 +543,26 @@ def experiment_schema() -> dict:
     properties["beta_sweep"]["type"] = "array"
     properties["grid"]["type"] = "object"
     properties["grid"]["additionalProperties"]["additionalProperties"]["items"] = {"type": "number"}
-    return {"$schema": "https://json-schema.org/draft/2020-12/schema", "$id": "adascale/experiment_config",
-            "title": "Experiment configuration", **doc}
+    return doc
+
+
+def report_schema(cls) -> dict:
+    """``configio.schema(cls)`` of a report as it is written: every field is
+    present, so required, and an aggregate also holds its ``format`` and version."""
+    doc = configio.schema(cls)
+    if issubclass(cls, _Aggregate):
+        doc["properties"] = {"format": {"const": cls.format}, "version": {"const": cls.version}, **doc["properties"]}
+    return {**doc, "required": list(doc["properties"])}
+
+
+def write_schemas(directory) -> None:
+    """Write every schema the package ships, ``schemas/<name>.schema.json``, into ``directory``."""
+    for name, title, doc in (
+        ("experiment_config", "Experiment configuration", experiment_schema()),
+        ("run_report", "Single training run report", report_schema(RunReport)),
+        ("comparison_report", "Multi-arm comparison report", report_schema(ComparisonReport)),
+        ("sweep_report", "Beta sweep report", report_schema(SweepReport)),
+        ("grid_report", "Grid search report", report_schema(GridResult)),
+    ):
+        head = {"$schema": "https://json-schema.org/draft/2020-12/schema", "$id": f"adascale/{name}"}
+        configio.write_json({**head, "title": title, **doc}, Path(directory) / f"{name}.schema.json")

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import write_json
-from .data import NEGATIVE_LABEL, Config, Dataset, SamplerKind, UniformSampler, batches, bound
+from .data import NEGATIVE_LABEL, SCORE, Config, Dataset, SamplerKind, UniformSampler, batches, bound
 from .losses import LossStrategy, Vanilla, compute_loss, strategy_label
 from .metrics import confusion_from_predictions, f_beta, precision, recall
 from .model import Gradients, ModelParams, ModelSpec, backward, forward, init_params, predict
@@ -134,28 +134,29 @@ class TrainConfig(Config):
 class RunReport:
     """Per-seed training outcome.
 
-    ``wall_clock_s`` is informational only and deliberately excluded from
-    the persisted JSON so that repeated runs produce byte-identical files.
+    ``wall_clock_s`` is informational only and, named in ``per_run``, left
+    out of the persisted JSON so that repeated runs produce byte-identical files.
     For invalid (aborted) runs the curves stop at the point of failure and
     test metrics are zeroed.
     """
 
+    per_run: ClassVar[tuple[str, ...]] = ("wall_clock_s",)
     seed: int
     arm: str = ""
     strategy: str = ""
-    eval_beta: float = 1.0
-    epochs_run: int = 0
-    best_epoch: int = -1
-    best_dev_f: float = 0.0
-    dev_precision: list[float] = field(default_factory=list)
-    dev_recall: list[float] = field(default_factory=list)
-    dev_f: list[float] = field(default_factory=list)
-    loss_curve: list[float] = field(default_factory=list)
-    w_history: list[float] = field(default_factory=list)
-    skipped_steps: int = 0
-    test_precision: float = 0.0
-    test_recall: float = 0.0
-    test_f: float = 0.0
+    eval_beta: float = bound(1.0, exclusiveMinimum=0)
+    epochs_run: int = bound(0, minimum=0)
+    best_epoch: int = bound(-1, minimum=-1)
+    best_dev_f: float = bound(0.0, **SCORE)
+    dev_precision: list[float] = field(default_factory=list, metadata={"items": SCORE})
+    dev_recall: list[float] = field(default_factory=list, metadata={"items": SCORE})
+    dev_f: list[float] = field(default_factory=list, metadata={"items": SCORE})
+    loss_curve: list[float] = field(default_factory=list, metadata={"items": {"minimum": 0}})
+    w_history: list[float] = field(default_factory=list, metadata={"items": {"minimum": 0}})
+    skipped_steps: int = bound(0, minimum=0)
+    test_precision: float = bound(0.0, **SCORE)
+    test_recall: float = bound(0.0, **SCORE)
+    test_f: float = bound(0.0, **SCORE)
     valid: bool = True
     failure: str | None = None
     wall_clock_s: float = 0.0
@@ -271,8 +272,8 @@ def train(
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """Canonical JSON payload for a run (timing excluded, see RunReport)."""
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "wall_clock_s"}
+    """Canonical JSON payload for a run, without the fields ``RunReport.per_run`` names."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in report.per_run}
 
 
 def write_run_report(report: RunReport, path) -> None:

@@ -396,6 +396,27 @@ class TestInputErrors:
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (2, f"adascale: error: {data_path}:{message}\n")
 
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("deep.jsonl", b'{"features": ' + b"[" * 100_000 + b"\n", "1: JSON nested too deeply"),
+            ("bad.csv", b"f0,label\n0.5,0\n0.\xff5,1\n",
+             "3: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+            ("bad.jsonl", b'{"features": [0.5], "label": 0}\n{"features": [\xff], "label": 1}\n',
+             "2: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+        ],
+        ids=["nested jsonl", "undecodable csv", "undecodable jsonl"],
+    )
+    def test_unparsable_dataset_lines(self, tmp_path, monkeypatch, capsys, name, data, message):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(1, 2), 0), checkpoint)
+        data_path = tmp_path / name
+        data_path.write_bytes(data)
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (2, f"adascale: error: {data_path}:{message}\n")
+
     def test_training_errors_propagate(self, config_path, monkeypatch):
         def broken(*args):
             raise ValueError("broken step")

@@ -235,6 +235,32 @@ class TestSaveLoad:
             load(path)
         assert str(caught.value) == f"{path}:2: integer too long to parse"
 
+    def test_jsonl_nested_too_deeply(self, tmp_path):
+        # json.loads recurses once per nested list
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"features": [0.5], "label": 0}\n{"features": ' + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:2: JSON nested too deeply"
+
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("bad.csv", b"f0,label\r\n0.5,0\r\n0.\xff5,1\r\n",
+             "3: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+            ("bad.jsonl", b'{"features": [0.5], "label": 0}\n{"features": [\xff], "label": 1}\n',
+             "2: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+        ],
+        ids=FORMATS,
+    )
+    def test_undecodable_bytes_name_the_line(self, tmp_path, name, data, message):
+        # text is decoded in chunks of many lines, so the line is found by decoding each on its own
+        path = tmp_path / name
+        path.write_bytes(data + b"0.5,0\r\n" * 5000 if name.endswith("csv") else data)
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:{message}"
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_load_memory_bounded_by_matrix(self, tmp_path, fmt):
         # rows are parsed straight into one float64 matrix: a list of

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import get_args
@@ -115,7 +116,7 @@ class TestRunExperiment:
         configio.validate_comparison_report(doc)
         for arm in report.arms:
             assert arm.n_valid == 2
-            test_f = [r["test_f"] for r in arm.runs]
+            test_f = [r.test_f for r in arm.runs]
             assert arm.mean_test_f == pytest.approx(np.mean(test_f))
             assert arm.var_test_f == pytest.approx(np.var(test_f))
             assert arm.var_test_f_pct == pytest.approx(1e4 * np.var(test_f))
@@ -141,9 +142,9 @@ class TestRunExperiment:
         config = _tiny_config(tmp_path / "out", n_seeds=1, best_k=1)
         report = run_experiment(config)
         for arm in report.arms:
-            assert arm.mean_test_f == arm.runs[0]["test_f"]
+            assert arm.mean_test_f == arm.runs[0].test_f
             assert arm.var_test_f == 0.0
-            assert arm.best3_test_f == arm.runs[0]["test_f"]
+            assert arm.best3_test_f == arm.runs[0].test_f
 
     def test_byte_identical_reruns(self, tmp_path):
         r1 = run_experiment(_tiny_config(tmp_path / "a"))
@@ -618,8 +619,15 @@ class TestConfigCodec:
                 lambda: ExperimentConfig(TINY_SOURCE, (Arm("a", Vanilla()),), beta_sweep=(1.0, 0.0)),
                 "ExperimentConfig.beta_sweep must be a sequence of items meeting {'exclusiveMinimum': 0}, got (1.0, 0.0)",
             ),
+            # a value of another type than its field's fails the bound, not the comparison
+            (lambda: Arm(0, Vanilla()), "Arm.name must be of length >= 1, got 0"),
+            (lambda: TrainConfig(epochs="3"), "TrainConfig.epochs must be >= 1, got '3'"),
+            (lambda: ExperimentConfig(source=TINY_SOURCE, arms=5), "ExperimentConfig.arms must be of length >= 1, got 5"),
         ],
-        ids=["empty arm name", "hidden_dim 0", "n_dev 0", "infinite eps", "zero in sweep"],
+        ids=[
+            "empty arm name", "hidden_dim 0", "n_dev 0", "infinite eps", "zero in sweep",
+            "int arm name", "string epochs", "int arms",
+        ],
     )
     def test_out_of_range_rejected_on_construction(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -729,14 +737,6 @@ class TestExperimentSchema:
             configio.validate_experiment_config(doc)
         assert (caught.value.message, tuple(caught.value.absolute_path)) == expected
 
-    def test_shipped_schema_is_generated(self, tmp_path):
-        configio.write_json(harness.experiment_schema(), tmp_path / "schema.json")
-        shipped = importlib.resources.files("adascale").joinpath("schemas", "experiment_config.schema.json")
-        assert shipped.read_text() == (tmp_path / "schema.json").read_text(), (
-            "regenerate with: PYTHONPATH=src python -c \"from adascale import configio, harness; "
-            "configio.write_json(harness.experiment_schema(), 'src/adascale/schemas/experiment_config.schema.json')\""
-        )
-
     def test_two_errors_at_once(self):
         doc = _mutant("synthetic", ("n_seeds",), 0)
         doc["model"]["activation"] = "sigmoid"
@@ -819,6 +819,30 @@ class TestLoadDatasets:
         assert report.arms[0].n_valid == 1
 
 
+HANDWRITTEN_SCHEMAS = Path(__file__).parent / "handwritten_schemas"
+SCHEMA_DIR = importlib.resources.files("adascale").joinpath("schemas")
+REGENERATE = "PYTHONPATH=src python -c \"from adascale import harness; harness.write_schemas('src/adascale/schemas')\""
+SHIPPED_SCHEMAS = [
+    f"{name}.schema.json" for name in ("experiment_config", "run_report", "comparison_report", "sweep_report", "grid_report")
+]
+
+
+@pytest.fixture(scope="module")
+def generated_schemas(tmp_path_factory):
+    out = tmp_path_factory.mktemp("schemas")
+    harness.write_schemas(out)
+    return out
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCHEMAS)
+def test_shipped_schema_is_generated(name, generated_schemas):
+    message = f"{name} differs from its generator's output; regenerate every shipped schema with: {REGENERATE}"
+    # no file in the package's schema directory is written by hand
+    assert sorted(p.name for p in SCHEMA_DIR.iterdir()) == sorted(SHIPPED_SCHEMAS), message
+    assert sorted(p.name for p in generated_schemas.iterdir()) == sorted(SHIPPED_SCHEMAS), message
+    assert SCHEMA_DIR.joinpath(name).read_text() == (generated_schemas / name).read_text(), message
+
+
 def _walk(node):
     yield node
     children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
@@ -829,13 +853,7 @@ def _walk(node):
 class TestValidatorOracle:
     """The package's validator reports exactly what a plain jsonschema validator does."""
 
-    SCHEMAS = [
-        "experiment_config.schema.json",
-        "run_report.schema.json",
-        "comparison_report.schema.json",
-        "sweep_report.schema.json",
-        "grid_report.schema.json",
-    ]
+    SCHEMAS = SHIPPED_SCHEMAS
 
     @pytest.fixture(scope="class")
     def documents(self, tmp_path_factory):
@@ -873,12 +891,52 @@ class TestValidatorOracle:
         both = copy.deepcopy(run)
         both["w_history"][0], both["dev_f"][0] = -1.0, 2.0
         yield "run w_history and dev_f", both
+        # what reaggregate meets in a run file of another version: a renamed, a
+        # dropped or an added key, alone or with a bad value
+        renamed = dict(run, seeds=run["seed"])
+        del renamed["seed"]
+        yield "run seed renamed", renamed
+        yield "run test_f and valid dropped", {k: v for k, v in run.items() if k not in ("test_f", "valid")}
+        timed = copy.deepcopy(run)
+        timed["wall_clock_s"], timed["dev_f"][0] = 1.5, 2.0
+        yield "run timed and dev_f above 1", timed
+        yield "run not an object", [run]
         config = docs["experiment_config"]
-        yield "config beta_sweep 0", dict(config, beta_sweep=[0, 1.0])
-        yield "config grid string", dict(config, grid={"focal": {"gamma": ["x", 1]}})
+        yield "experiment_config beta_sweep 0", dict(config, beta_sweep=[0, 1.0])
+        yield "experiment_config grid string", dict(config, grid={"focal": {"gamma": ["x", 1]}})
         grid = copy.deepcopy(docs["grid/grid_static.json"])
         grid["cells"][0]["test_f"] = [0.5, 1.2]
         yield "grid test_f above 1", grid
+        grid = docs["grid/grid_static.json"]
+        yield "grid no cells", dict(grid, cells=[])
+        yield "grid string param", dict(grid, best_params={"negative_cost": "0.2"})
+        renamed = {k: v for k, v in grid.items() if k != "best_index"}
+        yield "grid best_index renamed", dict(renamed, best=grid["best_index"])
+        for label, edits in (
+            ("mean_test_f above 1", [(("arms", 0, "mean_test_f"), 1.5)]),
+            ("integer valid", [(("arms", 1, "runs", 0, "valid"), 1)]),
+            ("extra run key", [(("arms", 0, "runs", 1, "wall_clock_s"), 0.5)]),
+            ("two errors", [(("arms", 1, "n_valid"), -1), (("arms", 0, "runs", 0, "test_f"), "0.5")]),
+        ):
+            comparison = copy.deepcopy(docs["compare/comparison.json"])
+            for (*parents, last), value in edits:
+                functools.reduce(lambda node, key: node[key], parents, comparison)[last] = value
+            yield f"comparison {label}", comparison
+        renamed = copy.deepcopy(docs["compare/comparison.json"])
+        renamed["arms"][0]["best_k_test_f"] = renamed["arms"][0].pop("best3_test_f")
+        yield "comparison best3_test_f renamed", renamed
+        for label, key, value in (
+            ("mean_f1 above 1", "mean_f1", 1.5),
+            ("fractional n_valid", "n_valid", 1.5),
+            ("extra row key", "n_runs", 2),
+            ("negative std_f1", "std_f1", -0.1),
+        ):
+            sweep = copy.deepcopy(docs["sweep/sweep.json"])
+            sweep["rows"][0][key] = value
+            yield f"sweep {label}", sweep
+        two = copy.deepcopy(docs["sweep/sweep.json"])
+        two["rows"][1]["beta"], two["format"] = 0, "comparison-report"
+        yield "sweep two errors", two
 
     def test_same_errors_as_plain_validator(self, documents):
         inputs = list(documents.items()) + list(self._mutants(documents))
@@ -901,6 +959,38 @@ class TestValidatorOracle:
                         expected.absolute_path,
                         expected.validator,
                     ), (schema_name, label)
+
+    def test_generated_report_schemas_judge_as_handwritten(self, documents):
+        # the hand-written schemas the generated ones replaced, kept unchanged as the
+        # reference; every document is checked against every schema, its own kind or not
+        inputs = list(documents.items()) + list(self._mutants(documents))
+        for path in sorted(HANDWRITTEN_SCHEMAS.glob("*.schema.json")):
+            schema_name = path.name
+            old = jsonschema.Draft202012Validator(json.loads(path.read_text()))
+            new = configio._validator(schema_name)
+            for label, doc in inputs:
+                errors = Counter((e.message, tuple(e.absolute_path)) for e in new.iter_errors(doc))
+                expected = Counter((e.message, tuple(e.absolute_path)) for e in old.iter_errors(doc))
+                assert errors == expected, (schema_name, label)
+                # the generated file's sorted keys reorder the errors: _validate's
+                # first error must still be the hand-written schema's best_match
+                best = jsonschema.exceptions.best_match(old.iter_errors(doc))
+                if best is None:
+                    configio._validate(doc, schema_name)
+                    continue
+                with pytest.raises(jsonschema.ValidationError) as caught:
+                    configio._validate(doc, schema_name)
+                got = caught.value
+                assert (got.message, got.absolute_path, got.validator) == (
+                    best.message,
+                    best.absolute_path,
+                    best.validator,
+                ), (schema_name, label)
+
+    def test_generated_report_schemas_equal_handwritten(self, generated_schemas):
+        # equal as JSON values: only the key order of the files differs
+        for path in sorted(HANDWRITTEN_SCHEMAS.glob("*.schema.json")):
+            assert json.loads((generated_schemas / path.name).read_text()) == json.loads(path.read_text()), path.name
 
     def test_schemas_leave_items_alone(self):
         # the oracle's inputs exercise "items" on its own; these keywords would
