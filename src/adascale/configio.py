@@ -1,20 +1,19 @@
-"""One JSON codec for every config dataclass, plus schema validation for
-every document the toolkit reads or writes.
+"""One JSON codec for every config and report dataclass, the package's only
+validator, plus the JSON Schema of what it reads.
 
 All on-disk documents use tagged objects ({"kind": ...}) for the union
 types, each tagged with its class's ``kind``; a ``per_run`` class variable
 names fields JSON never holds.  No other module of the package is imported
-here.  Schemas ship inside the package under ``adascale/schemas`` and are
-the contract for external tooling.
+here.  Schemas ship inside the package under ``adascale/schemas`` as the
+contract for external tooling; the package runs none of them.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
+import reprlib
 from dataclasses import MISSING, fields, is_dataclass
-from importlib import resources
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -23,11 +22,7 @@ __all__ = [
     "to_json",
     "from_json",
     "schema",
-    "validate_experiment_config",
     "validate_run_report",
-    "validate_comparison_report",
-    "validate_sweep_report",
-    "validate_grid_report",
     "read_json",
     "write_json",
 ]
@@ -49,8 +44,12 @@ def write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _fields(cls) -> list:
-    return [f for f in fields(cls) if f.name not in getattr(cls, "per_run", ())]
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    return tuple(f for f in fields(cls) if f.name not in getattr(cls, "per_run", ()))
+
+
+_hints = functools.lru_cache(maxsize=None)(get_type_hints)
 
 
 def _encode(obj) -> dict:
@@ -65,15 +64,30 @@ def to_json(obj):
     return json.loads(json.dumps(obj, default=_encode))
 
 
+def _shown(doc) -> str:
+    # an object or array by its JSON type, as it may be long, and anything else cut short
+    return {dict: "an object", list: "an array"}.get(type(doc)) or reprlib.repr(doc)
+
+
+def _at(where: str, tp, doc):
+    """``from_json(tp, doc)`` whose error names ``where``, a field, an index or a key."""
+    try:
+        return from_json(tp, doc)
+    except ValueError as error:
+        text = str(error)  # an item's starts with its index: "arms" + "[1]: ..."
+        raise ValueError(f"{where}{'' if text.startswith('[') else ': '}{text}") from None
+
+
 def from_json(tp, doc):
     """Build a value of type ``tp`` from its JSON form.
 
-    ``tp`` is a config dataclass, a union of tagged ones (chosen by the
-    document's "kind"), or a field annotation.  An ``int`` takes an integral
-    number, a ``float`` any number, a bool neither, and a ``str`` only a
-    string; absent dataclass keys take their defaults.  Any other value, or
-    a key that is neither a field nor "kind", raises ``ValueError`` naming
-    the class and the field.
+    ``tp`` is a config or report dataclass, a union of tagged ones (chosen by
+    the document's "kind"), or a field annotation.  A dataclass, union or
+    dict takes an object, a tuple or list an array, an ``int`` an integral
+    number, a ``float`` any number, and a ``bool`` or ``str`` only its own
+    type.  Absent keys take their field's default.  Any other value, an
+    absent key without one, or a key that is neither a field nor "kind",
+    raises ``ValueError`` naming the class and the field.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -82,44 +96,55 @@ def from_json(tp, doc):
         members = [a for a in args if a is not type(None)]
         if len(members) == 1:
             return from_json(members[0], doc)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected object, got {_shown(doc)}")
         kind = doc.get("kind")
         tp = next((m for m in members if m.kind == kind), None)
         if tp is None:
             raise ValueError(f"unknown kind {kind!r}")
-    elif origin is tuple or tp is tuple:
-        items = []
-        for i, v in enumerate(doc):
-            try:
-                items.append(from_json(args[0], v) if args else v)
-            except ValueError as error:
-                raise ValueError(f"[{i}]: {error}") from None
-        return tuple(items)
+    elif origin in (tuple, list) or tp in (tuple, list):
+        if not isinstance(doc, list):
+            raise ValueError(f"expected array, got {_shown(doc)}")
+        # a run report's lists hold one float per training step, taken as they are if all are floats
+        if args and not (args[0] is float and set(map(type, doc)) <= {float}):
+            doc = [_at(f"[{i}]", args[0], v) for i, v in enumerate(doc)]
+        return (list if list in (origin, tp) else tuple)(doc)
     elif origin is dict:
-        return {k: from_json(args[1], v) for k, v in doc.items()}
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected object, got {_shown(doc)}")
+        return {k: _at(f"[{k!r}]", args[1], v) for k, v in doc.items()}
     if tp in (int, float):
         if isinstance(doc, bool) or not isinstance(doc, (int, float)) or (tp is int and doc % 1):
             raise ValueError(f"expected {tp.__name__}, got {doc!r}")
-        return tp(doc)
-    if tp is str:
-        if not isinstance(doc, str):
-            raise ValueError(f"expected str, got {doc!r}")
+        try:
+            return tp(doc)
+        except OverflowError:  # an integer beyond the range of a float
+            raise ValueError(f"expected finite float, got {_shown(doc)}") from None
+    if tp in (str, bool):
+        if not isinstance(doc, tp):
+            raise ValueError(f"expected {tp.__name__}, got {doc!r}")
         return doc
     if not is_dataclass(tp):
         return doc
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected {tp.__name__} object, got {_shown(doc)}")
+    # a renamed key reads as the missing one
+    missing = [f.name for f in _fields(tp) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise ValueError(f"missing {tp.__name__} keys {missing}")
     unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - {"kind"})
     if unknown:
         raise ValueError(f"unknown {tp.__name__} keys {unknown}")
-    hints = get_type_hints(tp)
-    values = {}
-    for f in (f for f in _fields(tp) if f.name in doc):
-        try:
-            values[f.name] = from_json(hints[f.name], doc[f.name])
-        except ValueError as error:
-            # an item's error starts with its index: "arms[1]: ..."
-            text = str(error)
-            sep = "" if text.startswith("[") else ": "
-            raise ValueError(f"{tp.__name__}.{f.name}{sep}{text}") from None
-    return tp(**values)
+    hints, present = _hints(tp), [f.name for f in _fields(tp) if f.name in doc]
+    return tp(**{key: _at(f"{tp.__name__}.{key}", hints[key], doc[key]) for key in present})
+
+
+def validate_run_report(cls, doc):
+    """The run report ``cls`` decoded from ``doc``, a run file's JSON, which holds every field."""
+    missing = [f.name for f in _fields(cls) if f.name not in doc] if isinstance(doc, dict) else []
+    if missing:
+        raise ValueError(f"missing {cls.__name__} keys {missing}")
+    return from_json(cls, doc)
 
 
 _JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
@@ -148,94 +173,9 @@ def schema(tp, keywords=None) -> dict:
         return {"type": "object", "additionalProperties": schema(args[1])}
     if not is_dataclass(tp):
         return {"type": _JSON_TYPES[tp], **keywords}
-    hints = get_type_hints(tp)
+    hints = _hints(tp)
     kind = {"kind": {"const": tp.kind}} if hasattr(tp, "kind") else {}
     properties = {**kind, **{f.name: schema(hints[f.name], f.metadata) for f in _fields(tp)}}
     required = [*kind, *(f.name for f in _fields(tp) if f.default is MISSING)]
     doc = {"type": "object", "properties": properties, "additionalProperties": False}
     return {**doc, "required": required} if required else doc
-
-
-@functools.lru_cache(maxsize=None)
-def _schema(name: str) -> dict:
-    text = resources.files("adascale").joinpath("schemas", name).read_text()
-    return json.loads(text)
-
-
-_NUMBER_ITEM_KEYS = {"type", "minimum", "maximum", "exclusiveMinimum"}
-
-
-def _items(generic, validator, items, instance, schema):
-    """``items`` that passes a list of plain in-range numbers in one Python pass.
-
-    A run report holds one number per training step; the ``generic`` rule
-    walks the item schema once per entry.  Only lists that rule would accept
-    with no error take the short cut; every other list, a failing one
-    included, goes to the generic rule, so errors and ``best_match`` are
-    unchanged.
-    """
-    if (
-        isinstance(items, dict)
-        and items.get("type") == "number"
-        and items.keys() <= _NUMBER_ITEM_KEYS
-        and isinstance(instance, list)
-    ):
-        low = items.get("minimum", -math.inf)
-        high = items.get("maximum", math.inf)
-        above = items.get("exclusiveMinimum", -math.inf)
-        if all(type(x) in (int, float) and low <= x <= high and x > above for x in instance):
-            return
-    yield from generic(validator, items, instance, schema)
-
-
-@functools.lru_cache(maxsize=None)
-def _validator_class():
-    """Draft 2020-12 with the one-pass ``items`` rule.
-
-    jsonschema loads here, on the first validation, so a process that
-    validates nothing (``adascale eval`` or ``generate``) never imports it.
-    """
-    import jsonschema
-
-    draft = jsonschema.Draft202012Validator
-    items = functools.partial(_items, draft.VALIDATORS["items"])
-    return jsonschema.validators.extend(draft, {"items": items})
-
-
-@functools.lru_cache(maxsize=None)
-def _validator(name: str):
-    """One validator per schema; the schema itself is checked once, here."""
-    validator, schema = _validator_class(), _schema(name)
-    validator.check_schema(schema)
-    return validator(schema)
-
-
-def _validate(doc: dict, schema_name: str) -> None:
-    # what jsonschema.validate raises, without re-checking the schema per call; of equally
-    # relevant errors a missing key comes first, whatever the order of the schema's keywords
-    from jsonschema.exceptions import best_match
-
-    errors = sorted(_validator(schema_name).iter_errors(doc), key=lambda e: e.validator != "required")
-    error = best_match(errors)
-    if error is not None:
-        raise error
-
-
-def validate_experiment_config(doc: dict) -> None:
-    _validate(doc, "experiment_config.schema.json")
-
-
-def validate_run_report(doc: dict) -> None:
-    _validate(doc, "run_report.schema.json")
-
-
-def validate_comparison_report(doc: dict) -> None:
-    _validate(doc, "comparison_report.schema.json")
-
-
-def validate_sweep_report(doc: dict) -> None:
-    _validate(doc, "sweep_report.schema.json")
-
-
-def validate_grid_report(doc: dict) -> None:
-    _validate(doc, "grid_report.schema.json")

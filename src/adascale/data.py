@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields
@@ -73,34 +74,50 @@ _BOUNDS = {
     "minLength": (lambda v, n: len(v) >= n, "of length >="),
     "minItems": (lambda v, n: len(v) >= n, "of length >="),
     "enum": (lambda v, options: v in options, "one of"),
-    "items": (lambda v, keywords: not any(_broken(x, keywords) for x in v), "a sequence of items meeting"),
 }
 
 
 def _broken(value, keywords) -> str | None:
-    """The bound ``value`` breaks, as text, or None; None meets every keyword but ``enum``."""
+    """What ``value`` breaks, as " must be <bound>, got <value>", or None; None meets all but ``enum``."""
     if isinstance(value, float) and not math.isfinite(value):
-        return "finite"
+        return f" must be finite, got {value!r}"
     for key, limit in keywords.items():
+        if key == "items":
+            if value is not None and (broken := _broken_item(value, limit)):
+                return broken
+            continue
         test, text = _BOUNDS[key]
         try:
             if (value is not None or key == "enum") and not test(value, limit):
-                return f"{text} {limit!r}"
+                return f" must be {text} {limit!r}, got {value!r}"
         except TypeError:  # a value of another type than the bound's
-            return f"{text} {limit!r}"
+            return f" must be {text} {limit!r}, got {value!r}"
     return None
 
 
+def _broken_item(values, keywords) -> str | None:
+    """What the first item of ``values`` to break ``keywords`` breaks, after its "[<index>]";
+    finite numbers within ``minimum``/``maximum``, one per step in a run report, pass in one pass."""
+    if not isinstance(values, (list, tuple)):
+        return f" must be a sequence of items meeting {keywords!r}, got {values!r}"
+    low, high = keywords.get("minimum", -sys.float_info.max), keywords.get("maximum", sys.float_info.max)
+    try:
+        if keywords.keys() <= {"minimum", "maximum"} and all(low <= x <= high for x in values):
+            return None
+    except TypeError:  # an item of another type than the bound's, named below
+        pass
+    return next((f"[{i}]{broken}" for i, x in enumerate(values) if (broken := _broken(x, keywords))), None)
+
+
 class Config:
-    """Base of the config dataclasses: a float field must be finite and every
-    field must meet the keywords of its ``bound()``."""
+    """Base of the config and report dataclasses: a float field must be finite
+    and every field must meet the keywords of its ``bound()``."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            broken = _broken(value, f.metadata)
+            broken = _broken(getattr(self, f.name), f.metadata)
             if broken:
-                raise ValueError(f"{type(self).__name__}.{f.name} must be {broken}, got {value!r}")
+                raise ValueError(f"{type(self).__name__}.{f.name}{broken}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +192,7 @@ class GeneratorConfig(Config):
     def __post_init__(self) -> None:
         super().__post_init__()
         if int(round(self.positive_rate * self.n)) < self.k - 1:
-            raise ValueError("positive_rate * n must round to at least k - 1 positives")
+            raise ValueError(f"GeneratorConfig.positive_rate * n must round to >= k - 1, got {self.n_positive}")
 
     @property
     def n_positive(self) -> int:
@@ -308,30 +325,33 @@ def _load_csv(path: Path, labels: list[int]) -> Iterator[list[float]]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if len(header) < 2 or header[-1] != "label":
+                raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
+            d = len(header) - 1
+            if header[:-1] != [f"f{i}" for i in range(d)]:
+                raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
+            for row in reader:
+                lineno = reader.line_num  # a quoted field may span lines
+                if len(row) != d + 1:
+                    raise _load_error(path, lineno, f"expected {d + 1} columns, got {len(row)}")
+                try:
+                    values = [float(v) for v in row[:-1]]
+                except ValueError:
+                    raise _load_error(path, lineno, "malformed feature value") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise _load_error(path, lineno, "features must be finite")
+                try:
+                    label = int(row[-1])
+                except ValueError:
+                    raise _load_error(path, lineno, "malformed label") from None
+                if not 0 <= label <= _MAX_LABEL:
+                    raise _load_error(path, lineno, f"label {label} out of range")
+                labels.append(label)
+                yield values
         except StopIteration:
             raise _load_error(path, 1, "empty file") from None
-        if len(header) < 2 or header[-1] != "label":
-            raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
-        d = len(header) - 1
-        if header[:-1] != [f"f{i}" for i in range(d)]:
-            raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise _load_error(path, lineno, f"expected {d + 1} columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row[:-1]]
-            except ValueError:
-                raise _load_error(path, lineno, "malformed feature value") from None
-            if not all(math.isfinite(v) for v in values):
-                raise _load_error(path, lineno, "features must be finite")
-            try:
-                label = int(row[-1])
-            except ValueError:
-                raise _load_error(path, lineno, "malformed label") from None
-            if not 0 <= label <= _MAX_LABEL:
-                raise _load_error(path, lineno, f"label {label} out of range")
-            labels.append(label)
-            yield values
+        except csv.Error as error:  # a field over the csv module's size limit
+            raise _load_error(path, reader.line_num, str(error)) from None
 
 
 def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:

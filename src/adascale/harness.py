@@ -18,11 +18,10 @@ from __future__ import annotations
 import csv
 import itertools
 import re
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import ClassVar, get_type_hints
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,17 +72,11 @@ class InputError(ValueError):
 
 @contextmanager
 def _reading():
-    """Re-raise a ``ValueError`` or schema error of the block as an :class:`InputError`."""
+    """Re-raise a ``ValueError`` of the block as an :class:`InputError`."""
     try:
         yield
     except ValueError as error:
         raise InputError(str(error)) from error
-    except Exception as error:
-        # only a loaded jsonschema raises its errors, so this block never imports it
-        jsonschema = sys.modules.get("jsonschema")
-        if jsonschema is None or not isinstance(error, jsonschema.ValidationError):
-            raise
-        raise InputError(f"{error.json_path}: {error.message}") from error
 
 
 @dataclass(frozen=True)
@@ -119,12 +112,12 @@ class ExperimentConfig(Config):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.best_k > self.n_seeds:
-            raise ValueError(f"best_k must be <= n_seeds, got {self.best_k} > {self.n_seeds}")
+            raise ValueError(f"ExperimentConfig.best_k must be <= n_seeds, got {self.best_k} > {self.n_seeds}")
         if len({arm.name for arm in self.arms}) != len(self.arms):
-            raise ValueError("arm names must be unique")
+            raise ValueError("ExperimentConfig.arms: arm names must be unique")
 
 
-class _Aggregate:
+class _Aggregate(Config):
     """An aggregate report: JSON tagged with its class's ``format`` and ``version``."""
 
     version: ClassVar[int] = 1
@@ -133,7 +126,7 @@ class _Aggregate:
 
 
 @dataclass
-class RunSummary:
+class RunSummary(Config):
     seed: int
     best_dev_f: float = bound(**SCORE)
     test_precision: float = bound(**SCORE)
@@ -143,7 +136,7 @@ class RunSummary:
 
 
 @dataclass
-class ArmSummary:
+class ArmSummary(Config):
     name: str
     n_runs: int = bound(minimum=0)
     n_valid: int = bound(minimum=0)
@@ -165,7 +158,7 @@ class ComparisonReport(_Aggregate):
 
 
 @dataclass
-class SweepRow:
+class SweepRow(Config):
     beta: float = bound(exclusiveMinimum=0)
     n_valid: int = bound(minimum=0)
     mean_precision: float | None = bound(**SCORE)
@@ -185,7 +178,7 @@ class SweepReport(_Aggregate):
 
 
 @dataclass
-class GridCell:
+class GridCell(Config):
     params: dict[str, float]
     mean_dev_f: float | None = bound(**SCORE)
     n_valid: int = bound(minimum=0)
@@ -227,6 +220,9 @@ def load_datasets(source: DatasetSource) -> tuple[Dataset, Dataset, Dataset]:
         )
     with _reading():
         splits = [load(path, source.format) for path in (source.train, source.dev, source.test)]
+    for path, ds in ((source.dev, splits[1]), (source.test, splits[2])):
+        if ds.d != splits[0].d:
+            raise InputError(f"{path}: {ds.d} features, but the train split {source.train} has {splits[0].d}")
     # a split may lack the top class, so k is the largest over all three
     k = max(ds.k for ds in splits)
     return tuple(ds if ds.k == k else Dataset(ds.features, ds.labels, k) for ds in splits)
@@ -287,7 +283,7 @@ def _run_file(arm_name: str, seed: int) -> str:
 
 def _persist(report: RunReport, out_dir: Path) -> None:
     write_run_report(report, out_dir / _run_file(report.arm, report.seed))
-    configio.validate_run_report(report_to_dict(report))
+    configio.validate_run_report(RunReport, report_to_dict(report))
 
 
 def _seed_runs(
@@ -368,9 +364,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     blocks = zip(config.arms, _blocks(results, config.n_seeds))
     arms = [_summarize_arm(arm.name, [r for r, _ in block], config.best_k) for arm, block in blocks]
     report = ComparisonReport(config.n_seeds, config.best_k, config.base_seed, arms)
-    doc = report.to_dict()
-    configio.validate_comparison_report(doc)
-    configio.write_json(doc, out_dir / "comparison.json")
+    configio.write_json(report.to_dict(), out_dir / "comparison.json")
     # table-style scale: mean/best3 as percentage points, var on the same scale
     rows = [
         [arm.name, None, None, None]
@@ -411,9 +405,7 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
         rows.append(SweepRow(float(beta), len(per_seed), *(stats or [None] * len(stat_names))))
 
     report = SweepReport(n_seeds=config.n_seeds, base_seed=config.base_seed, rows=rows)
-    doc = report.to_dict()
-    configio.validate_sweep_report(doc)
-    configio.write_json(doc, out_dir / "sweep.json")
+    configio.write_json(report.to_dict(), out_dir / "sweep.json")
     _write_csv(
         out_dir / "sweep.csv",
         ["beta", *stat_names],
@@ -422,27 +414,22 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     return report
 
 
-def _field_types(config) -> dict:
-    hints = get_type_hints(type(config))  # also holds class variables such as "kind", which are no fields
-    return {f.name: hints[f.name] for f in fields(config)}
-
-
 def _apply_cell(arm: Arm, cell: dict) -> Arm:
-    """The arm with each grid value, read as its field's type, set on its strategy or sampler."""
-    strategy, sampler = arm.strategy, arm.train.sampler
-    strategy_hints, sampler_hints = _field_types(strategy), _field_types(sampler)
+    """The arm with each grid value set on its strategy or sampler, which the codec then reads."""
+    parts = (arm.strategy, arm.train.sampler)
+    docs = [configio.to_json(part) for part in parts]
     for key, value in cell.items():
-        if key not in strategy_hints and key not in sampler_hints:
+        # a union member's "kind" tag is a class variable, not a field a grid can set
+        doc = next((doc for doc in docs if key in doc and key != "kind"), None)
+        if doc is None:
             raise InputError(
                 f"grid parameter {key!r} matches neither the strategy nor the sampler of arm {arm.name!r}"
             )
-        try:
-            if key in strategy_hints:
-                strategy = replace(strategy, **{key: configio.from_json(strategy_hints[key], value)})
-            else:
-                sampler = replace(sampler, **{key: configio.from_json(sampler_hints[key], value)})
-        except ValueError as error:
-            raise InputError(f"grid parameter {key!r} of arm {arm.name!r}: {error}") from None
+        doc[key] = value
+    try:
+        strategy, sampler = (configio.from_json(type(part), doc) for part, doc in zip(parts, docs))
+    except ValueError as error:
+        raise InputError(f"grid of arm {arm.name!r}: {error}") from None
     return Arm(name=arm.name, strategy=strategy, train=replace(arm.train, sampler=sampler))
 
 
@@ -479,9 +466,7 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
 
     grid_result = GridResult(arm.name, best_index, grid_cells[best_index].params, grid_cells)
-    doc = grid_result.to_dict()
-    configio.validate_grid_report(doc)
-    configio.write_json(doc, out_dir / f"grid_{_safe_name(arm.name)}.json")
+    configio.write_json(grid_result.to_dict(), out_dir / f"grid_{_safe_name(arm.name)}.json")
     return grid_result
 
 
@@ -490,37 +475,51 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
 
     Independent of in-memory state: reads every ``run_*.json`` under
     ``run_dir``, groups by the embedded arm name and recomputes
-    mean/var/best-k exactly as :func:`run_experiment` does.  Every file is
-    checked against the run-report schema first; a file that fails raises
-    a ``ValueError`` naming it.
+    mean/var/best-k exactly as :func:`run_experiment` does, with the config's
+    ``best_k`` to reproduce ``comparison.json``.  Every file must decode as a
+    complete :class:`RunReport`; one that fails raises a ``ValueError`` naming it.
     """
-    from jsonschema import ValidationError
-
     run_dir = Path(run_dir)
     by_arm: dict[str, list[RunReport]] = {}
     for path in sorted(run_dir.glob("run_*.json")):
         doc = configio.read_json(path)
         try:
-            configio.validate_run_report(doc)
-        except ValidationError as error:
-            raise ValueError(f"{path}: not a valid run report: {error.message}") from error
-        report = RunReport(**doc)
+            report = configio.validate_run_report(RunReport, doc)
+        except ValueError as error:
+            raise ValueError(f"{path}: not a valid run report: {error}") from None
         by_arm.setdefault(report.arm, []).append(report)
     return {name: _summarize_arm(name, reports, best_k) for name, reports in by_arm.items()}
 
 
-def experiment_from_json(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON document.
+# blocks of an experiment document also read on their own: the "train" defaults every arm
+# may override, and a sweep and a grid, left out, never null, a grid's values kept as written
+_LAYOUT = {"train": TrainConfig, "beta_sweep": tuple[float, ...], "grid": dict[str, dict[str, tuple[float, ...]]]}
+
+
+def experiment_from_json(doc) -> ExperimentConfig:
+    """Build an ExperimentConfig from its JSON document, an object whose "dataset" is the source.
 
     An arm's optional "train" block is a shallow override of the top-level
-    "train" defaults (nested optimizer/sampler objects replace, not merge).
+    "train" defaults (nested optimizer/sampler objects replace, not merge),
+    so an error in the defaults is reported at the first arm.
     """
-    configio.validate_experiment_config(doc)
-    base_train = doc.get("train", {})
+    if not isinstance(doc, dict) or "dataset" not in doc or "source" in doc:
+        raise ValueError('ExperimentConfig: expected an object with a "dataset" and no "source"')
+    defaults = doc.get("train", {})
     body = {key: value for key, value in doc.items() if key not in ("dataset", "train")}
     body["source"] = doc["dataset"]
-    body["arms"] = [{**arm, "train": {**base_train, **arm.get("train", {})}} for arm in doc["arms"]]
-    return configio.from_json(ExperimentConfig, body)
+    if isinstance(body.get("arms"), list) and isinstance(defaults, dict):
+        # an arm or a "train" block that is no object is left to the codec to reject
+        body["arms"] = [
+            {**arm, "train": {**defaults, **arm.get("train", {})}}
+            if isinstance(arm, dict) and isinstance(arm.get("train", {}), dict) else arm
+            for arm in body["arms"]
+        ]
+    config = configio.from_json(ExperimentConfig, body)
+    for key, tp in _LAYOUT.items():
+        if key in doc:
+            configio._at(f"ExperimentConfig.{key}", tp, doc[key])
+    return config
 
 
 def experiment_to_json(config: ExperimentConfig) -> dict:
@@ -535,14 +534,10 @@ def experiment_schema() -> dict:
     doc = configio.schema(ExperimentConfig)
     properties = doc["properties"]
     properties["dataset"] = properties.pop("source")
-    # the defaults that each arm's "train" block overrides key by key
-    properties["train"] = configio.schema(TrainConfig)
     doc["required"] = ["dataset" if name == "source" else name for name in doc["required"]]
-    # a sweep or a grid is left out, never null; a grid's values are numbers,
-    # each read as its strategy or sampler field's type when the grid runs
-    properties["beta_sweep"]["type"] = "array"
-    properties["grid"]["type"] = "object"
-    properties["grid"]["additionalProperties"]["additionalProperties"]["items"] = {"type": "number"}
+    bounds = {f.name: f.metadata for f in fields(ExperimentConfig)}
+    for key, tp in _LAYOUT.items():
+        properties[key] = configio.schema(tp, bounds.get(key))
     return doc
 
 

@@ -131,7 +131,7 @@ class TrainConfig(Config):
 
 
 @dataclass
-class RunReport:
+class RunReport(Config):
     """Per-seed training outcome.
 
     ``wall_clock_s`` is informational only and, named in ``per_run``, left

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adascale
@@ -265,14 +266,15 @@ class TestInputErrors:
                 "ExperimentConfig.arms[1]: Arm.train: TrainConfig.sampler: "
                 "UnderSampler.neg_to_pos_ratio must be finite, got inf",
             ),
-            (("arms", 0, "name"), "", "$.arms[0].name: '' should be non-empty"),
-            (("n_seeds",), 0, "$.n_seeds: 0 is less than the minimum of 1"),
+            (("arms", 0, "name"), "", "ExperimentConfig.arms[0]: Arm.name must be of length >= 1, got ''"),
+            (("n_seeds",), 0, "ExperimentConfig.n_seeds must be >= 1, got 0"),
+            (("arms", 0), "vanilla", "ExperimentConfig.arms[0]: expected Arm object, got 'vanilla'"),
             (
                 ("grid", "static"), {"gamma": [1.0]},
                 "grid parameter 'gamma' matches neither the strategy nor the sampler of arm 'static'",
             ),
         ],
-        ids=["nan", "arm index", "schema", "schema minimum", "grid"],
+        ids=["nan", "arm index", "schema", "schema minimum", "arm not an object", "grid"],
     )
     def test_config_errors(self, tmp_path, experiment_doc, monkeypatch, capsys, path, value, message):
         _edit(experiment_doc, path, value)
@@ -281,6 +283,32 @@ class TestInputErrors:
         command = ["grid", "--arm", "static"] if path[0] == "grid" else ["compare"]
         code, err = self._run(monkeypatch, capsys, *command, "--config", str(config))
         assert (code, err) == (2, f"adascale: error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_same_line_from_file_and_flag(self, tmp_path, experiment_doc, config_path, monkeypatch, capsys):
+        # one validator reads the file and the override, so both print one message
+        experiment_doc["n_seeds"] = 0
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(experiment_doc))
+        from_file = self._run(monkeypatch, capsys, "compare", "--config", str(config))
+        from_flag = self._run(monkeypatch, capsys, "compare", "--config", config_path, "--n-seeds", "0")
+        assert from_file == from_flag == (2, "adascale: error: ExperimentConfig.n_seeds must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_splits_of_different_widths(self, tmp_path, experiment_doc, monkeypatch, capsys, workers):
+        from adascale.data import Dataset, save
+
+        paths = {split: tmp_path / f"{split}.csv" for split in ("train", "dev", "test")}
+        for split, path in paths.items():
+            d = 4 if split == "dev" else 5
+            save(Dataset(np.eye(6, d), np.array([0, 1, 0, 1, 0, 1]), k=2), path)
+        experiment_doc["dataset"] = {"kind": "files", **{split: str(path) for split, path in paths.items()}}
+        config = tmp_path / "files.json"
+        config.write_text(json.dumps(experiment_doc))
+        code, err = self._run(monkeypatch, capsys, "compare", "--config", str(config), "--workers", str(workers))
+        assert (code, err) == (
+            2, f"adascale: error: {paths['dev']}: 4 features, but the train split {paths['train']} has 5\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_override_errors(self, config_path, monkeypatch, capsys):
@@ -383,8 +411,9 @@ class TestInputErrors:
             ("big.csv", f"f0,label\n0.5,{10**30}\n", f"2: label {10**30} out of range"),
             ("long.jsonl", '{"features": [1' + "0" * 5000 + '], "label": 0}\n', "1: integer too long to parse"),
             ("long.jsonl", '{"features": [0.5], "label": 1' + "0" * 5000 + "}\n", "1: integer too long to parse"),
+            ("wide.csv", "f0,label\n1" + "0" * 200_000 + ",0\n", "2: field larger than field limit (131072)"),
         ],
-        ids=["huge feature", "big jsonl label", "big csv label", "long feature", "long label"],
+        ids=["huge feature", "big jsonl label", "big csv label", "long feature", "long label", "wide csv field"],
     )
     def test_numbers_beyond_the_arrays(self, tmp_path, monkeypatch, capsys, name, text, message):
         from adascale.model import ModelSpec, init_params, save_params
@@ -445,7 +474,7 @@ _PRINT_LAZY_MODULES = (
 
 
 class TestColdStart:
-    """A fresh process loads jsonschema and the worker pool only when it validates or pools."""
+    """A fresh process loads the worker pool only when it pools, and jsonschema never."""
 
     def test_import_loads_neither(self):
         proc = _run_python("-c", f"import sys, adascale, adascale.cli; {_PRINT_LAZY_MODULES}")
@@ -470,10 +499,46 @@ class TestColdStart:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(experiment_doc))
         proc = _run_module("compare", "--config", str(config))
-        assert (proc.returncode, proc.stderr) == (2, "adascale: error: $.n_seeds: 0 is less than the minimum of 1\n")
+        assert (proc.returncode, proc.stderr) == (2, "adascale: error: ExperimentConfig.n_seeds must be >= 1, got 0\n")
 
         run_file = tmp_path / "run_x_0.json"
         run_file.write_text('{"arm": "x"}')
         proc = _run_python("-c", "import sys, adascale.harness; adascale.harness.reaggregate(sys.argv[1])", str(tmp_path))
         assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1].startswith(f"ValueError: {run_file}: not a valid run report: ")
+        assert proc.stderr.splitlines()[-1] == (
+            f"ValueError: {run_file}: not a valid run report: missing RunReport keys "
+            "['seed', 'strategy', 'eval_beta', 'epochs_run', 'best_epoch', 'best_dev_f', 'dev_precision', "
+            "'dev_recall', 'dev_f', 'loss_curve', 'w_history', 'skipped_steps', 'test_precision', "
+            "'test_recall', 'test_f', 'valid', 'failure']"
+        )
+
+    def test_no_command_loads_jsonschema(self, tmp_path, experiment_doc, config_path):
+        # the shipped schemas are a contract for other tools; the package runs none of them
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint, data_path = tmp_path / "model.json", tmp_path / "data.csv"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        experiment_doc["n_seeds"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(experiment_doc))
+        commands = [
+            ["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2", "--positive-rate", "0.2"],
+            ["eval", "--model", str(checkpoint), "--data", str(data_path)],
+            ["compare", "--config", config_path],
+            ["sweep", "--config", config_path],
+            ["compare", "--config", str(bad)],
+        ]
+        script = (
+            "import json, sys, adascale.cli, adascale.harness\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try: adascale.cli.main(argv)\n"
+            "    except adascale.harness.InputError as error: print(error)\n"
+            "print(sorted(adascale.harness.reaggregate(sys.argv[2], best_k=2)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))\n"
+        )
+        proc = _run_python("-c", script, json.dumps(commands), str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        *_, failed, arms, loaded = proc.stdout.splitlines()
+        assert failed == "ExperimentConfig.n_seeds must be >= 1, got 0"
+        assert arms == str(sorted(["vanilla", "adaptive", "static", "adaptive_beta0.5", "adaptive_beta1"]))
+        assert loaded == "[]"

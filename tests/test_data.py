@@ -243,6 +243,24 @@ class TestSaveLoad:
             load(path)
         assert str(caught.value) == f"{path}:2: JSON nested too deeply"
 
+    def test_csv_error_names_the_physical_line(self, tmp_path):
+        # a quoted field holds a newline, so the bad row is the third record but the fourth line
+        path = tmp_path / "quoted.csv"
+        path.write_text('f0,label\n"0.5\n",0\n0.x,1\n')
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:4: malformed feature value"
+
+    @pytest.mark.parametrize("lineno", [1, 3])
+    def test_csv_field_over_the_size_limit(self, tmp_path, lineno):
+        # the csv module refuses a field over 131,072 characters with its own csv.Error
+        path = tmp_path / "wide.csv"
+        wide = "1" + "0" * 200_000
+        path.write_text(f"f{wide},label\n" if lineno == 1 else f"f0,label\n0.5,0\n{wide},1\n")
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:{lineno}: field larger than field limit (131072)"
+
     @pytest.mark.parametrize(
         "name, data, message",
         [
