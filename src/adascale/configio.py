@@ -21,6 +21,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 __all__ = [
     "to_json",
     "from_json",
+    "mistyped",
     "schema",
     "validate_run_report",
     "read_json",
@@ -137,6 +138,46 @@ def from_json(tp, doc):
         raise ValueError(f"unknown {tp.__name__} keys {unknown}")
     hints, present = _hints(tp), [f.name for f in _fields(tp) if f.name in doc]
     return tp(**{key: _at(f"{tp.__name__}.{key}", hints[key], doc[key]) for key in present})
+
+
+def _type_name(tp) -> str:
+    if get_origin(tp) in (Union, UnionType):
+        return " | ".join(_type_name(a) for a in get_args(tp))
+    return "None" if tp is type(None) else (get_origin(tp) or tp).__name__
+
+
+def mistyped(tp, value) -> str | None:
+    """What keeps the Python ``value`` from being of the annotation ``tp``, as
+    ": expected <type>, got <value>" after the index or key of an item at fault,
+    or None if nothing does.
+
+    Types are read as ``from_json`` reads them: an ``int`` is also a
+    ``float`` (a bool is neither), a tuple or list field takes either, and an
+    optional or tagged union any of its members.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        members = [a for a in args if a is not type(None)]
+        if value is None and len(members) < len(args):
+            return None
+        if len(members) == 1:
+            return mistyped(members[0], value)
+        if isinstance(value, tuple(members)):
+            return None
+    elif origin in (tuple, list) or tp in (tuple, list):
+        if isinstance(value, (tuple, list)):
+            if not args or (args[0] is float and set(map(type, value)) <= {float}):
+                return None
+            return next((f"[{i}]{e}" for i, v in enumerate(value) if (e := mistyped(args[0], v))), None)
+    elif origin is dict:
+        if isinstance(value, dict):
+            return next((f"[{k!r}]{e}" for k, v in value.items() if (e := mistyped(args[1], v))), None)
+    elif not isinstance(tp, type):
+        return None
+    elif isinstance(value, (int, float) if tp is float else tp):
+        if tp is bool or not isinstance(value, bool):
+            return None
+    return f": expected {_type_name(tp)}, got {reprlib.repr(value)}"
 
 
 def validate_run_report(cls, doc):

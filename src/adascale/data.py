@@ -27,6 +27,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .configio import _hints, mistyped
+
 __all__ = [
     "Config",
     "bound",
@@ -78,7 +80,8 @@ _BOUNDS = {
 
 
 def _broken(value, keywords) -> str | None:
-    """What ``value`` breaks, as " must be <bound>, got <value>", or None; None meets all but ``enum``."""
+    """What ``value``, of its field's type, breaks, as " must be <bound>, got <value>",
+    or None; None meets all but ``enum``."""
     if isinstance(value, float) and not math.isfinite(value):
         return f" must be finite, got {value!r}"
     for key, limit in keywords.items():
@@ -87,10 +90,7 @@ def _broken(value, keywords) -> str | None:
                 return broken
             continue
         test, text = _BOUNDS[key]
-        try:
-            if (value is not None or key == "enum") and not test(value, limit):
-                return f" must be {text} {limit!r}, got {value!r}"
-        except TypeError:  # a value of another type than the bound's
+        if (value is not None or key == "enum") and not test(value, limit):
             return f" must be {text} {limit!r}, got {value!r}"
     return None
 
@@ -98,24 +98,22 @@ def _broken(value, keywords) -> str | None:
 def _broken_item(values, keywords) -> str | None:
     """What the first item of ``values`` to break ``keywords`` breaks, after its "[<index>]";
     finite numbers within ``minimum``/``maximum``, one per step in a run report, pass in one pass."""
-    if not isinstance(values, (list, tuple)):
-        return f" must be a sequence of items meeting {keywords!r}, got {values!r}"
     low, high = keywords.get("minimum", -sys.float_info.max), keywords.get("maximum", sys.float_info.max)
-    try:
-        if keywords.keys() <= {"minimum", "maximum"} and all(low <= x <= high for x in values):
-            return None
-    except TypeError:  # an item of another type than the bound's, named below
-        pass
+    if keywords.keys() <= {"minimum", "maximum"} and all(low <= x <= high for x in values):
+        return None
     return next((f"[{i}]{broken}" for i, x in enumerate(values) if (broken := _broken(x, keywords))), None)
 
 
 class Config:
-    """Base of the config and report dataclasses: a float field must be finite
-    and every field must meet the keywords of its ``bound()``."""
+    """Base of the config and report dataclasses: every field must be of its
+    annotated type, a float field finite and every field must meet the
+    keywords of its ``bound()``."""
 
     def __post_init__(self) -> None:
+        hints = _hints(type(self))
         for f in fields(self):
-            broken = _broken(getattr(self, f.name), f.metadata)
+            value = getattr(self, f.name)
+            broken = mistyped(hints[f.name], value) or _broken(value, f.metadata)
             if broken:
                 raise ValueError(f"{type(self).__name__}.{f.name}{broken}")
 

@@ -515,7 +515,14 @@ def experiment_from_json(doc) -> ExperimentConfig:
             if isinstance(arm, dict) and isinstance(arm.get("train", {}), dict) else arm
             for arm in body["arms"]
         ]
-    config = configio.from_json(ExperimentConfig, body)
+    try:
+        config = configio.from_json(ExperimentConfig, body)
+    except ValueError as error:
+        # an error in the source names the key the file spells
+        text = str(error)
+        if not text.startswith("ExperimentConfig.source:"):
+            raise
+        raise ValueError(text.replace("source", "dataset", 1)) from None
     for key, tp in _LAYOUT.items():
         if key in doc:
             configio._at(f"ExperimentConfig.{key}", tp, doc[key])

@@ -27,7 +27,9 @@ import numpy as np
 
 from .data import Config, bound
 from .model import ForwardResult, _labels_out_of_range, _row_index
-from .scaling import BatchPrediction, w_batch
+
+# the kernel, under the name the benchmark in perfbench/ traces as scaling.w_batch
+from .scaling import _w_batch as w_batch
 
 __all__ = [
     "Vanilla",
@@ -52,17 +54,14 @@ class Vanilla(Config):
 @dataclass(frozen=True)
 class Adaptive(Config):
     kind: ClassVar[str] = "adaptive"
+    # its weight sums gold probabilities as expected counts, so compute_loss checks their range
+    sums_gold_probs: ClassVar[bool] = True
     beta: float = bound(1.0, exclusiveMinimum=0)
 
     def instance_weights(self, gold_probs, is_negative):
         w_used = 0.0
         if np.count_nonzero(is_negative) < is_negative.size:
-            # NaN passes this range test on purpose: a diverged model's NaN
-            # probabilities reach the loss, which the trainer flags as
-            # non-finite instead of failing the run here
-            if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
-                raise ValueError("gold_probs must lie in [0, 1]")
-            w_used = w_batch(BatchPrediction._unchecked(gold_probs, ~is_negative), self.beta)
+            w_used = w_batch(gold_probs, ~is_negative, self.beta)
         return np.where(is_negative, w_used, 1.0), w_used
 
 
@@ -130,9 +129,26 @@ def compute_loss(
         raise ValueError("gold labels must be integers")
     if _labels_out_of_range(gold_arr, probs.shape[1]):
         raise ValueError("gold labels out of range")
+    is_negative = gold_arr == negative_label
+    if getattr(strategy, "sums_gold_probs", False) and np.count_nonzero(is_negative) < batch:
+        gold_probs = probs[_row_index(batch), gold_arr]
+        # NaN passes this range test on purpose: a diverged model's NaN
+        # probabilities reach the loss, which the trainer flags as
+        # non-finite instead of failing the run here
+        if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
+            raise ValueError("gold_probs must lie in [0, 1]")
+    return _compute_loss(strategy, probs, gold_arr, is_negative)
 
-    gold_probs = probs[_row_index(batch), gold_arr]
-    weights, w_used = strategy.instance_weights(gold_probs, gold_arr == negative_label)
+
+def _compute_loss(
+    strategy: LossStrategy, probs: np.ndarray, gold: np.ndarray, is_negative: np.ndarray
+) -> LossOutput:
+    """:func:`compute_loss`'s kernel, for a training step's own arrays: ``probs``
+    a non-empty softmax output, ``gold`` its integer labels in range and
+    ``is_negative`` the bool mask of the negative ones."""
+    batch = probs.shape[0]
+    gold_probs = probs[_row_index(batch), gold]
+    weights, w_used = strategy.instance_weights(gold_probs, is_negative)
 
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +172,11 @@ def _check_features(spec: ModelSpec, features) -> np.ndarray:
 
 def forward(params: ModelParams, features) -> ForwardResult:
     """Compute class probabilities for a batch of feature rows."""
-    x = _check_features(params.spec, features)
+    return _forward(params, _check_features(params.spec, features))
+
+
+def _forward(params: ModelParams, x: np.ndarray) -> ForwardResult:
+    """:func:`forward`'s kernel: ``x`` is a finite float64 matrix of the model's width."""
     pre = x @ params.weights[0]
     pre += params.biases[0]
     if params.spec.hidden_dim is None:
@@ -209,23 +213,36 @@ def backward(
     # NaN fails both comparisons
     if not (w.min() >= 0.0 and w.max() < np.inf):
         raise ValueError("instance_weights must be finite and non-negative")
+    grads = Gradients(
+        weights=[np.empty_like(a) for a in params.weights],
+        biases=[np.empty_like(a) for a in params.biases],
+    )
+    return _backward(params, replace(fwd, probs=probs.copy()), gold_arr, w, grads)
 
-    dlogits = probs.copy()
-    dlogits[_row_index(batch), gold_arr] -= 1.0
+
+def _backward(
+    params: ModelParams, fwd: ForwardResult, gold: np.ndarray, w: np.ndarray, grads: Gradients
+) -> Gradients:
+    """:func:`backward`'s kernel, for a training step's own arrays: it turns
+    ``fwd.probs`` into the logit gradient in place and writes the gradients
+    into ``grads``, which it returns."""
+    batch = gold.size
+    dlogits = fwd.probs
+    dlogits[_row_index(batch), gold] -= 1.0
     dlogits *= (w / batch)[:, None]
 
     if params.spec.hidden_dim is None:
-        g_w = fwd.inputs.T @ dlogits
-        g_b = dlogits.sum(axis=0)
-        return Gradients(weights=[g_w], biases=[g_b])
+        np.matmul(fwd.inputs.T, dlogits, out=grads.weights[0])
+        np.add.reduce(dlogits, axis=0, out=grads.biases[0])
+        return grads
 
-    g_w2 = fwd.hidden.T @ dlogits
-    g_b2 = dlogits.sum(axis=0)
+    np.matmul(fwd.hidden.T, dlogits, out=grads.weights[1])
+    np.add.reduce(dlogits, axis=0, out=grads.biases[1])
     d_pre = dlogits @ params.weights[1].T
     d_pre *= _activate_grad(params.spec.activation, fwd.hidden_pre, fwd.hidden)
-    g_w1 = fwd.inputs.T @ d_pre
-    g_b1 = d_pre.sum(axis=0)
-    return Gradients(weights=[g_w1, g_w2], biases=[g_b1, g_b2])
+    np.matmul(fwd.inputs.T, d_pre, out=grads.weights[0])
+    np.add.reduce(d_pre, axis=0, out=grads.biases[0])
+    return grads
 
 
 def predict(params: ModelParams, features) -> np.ndarray:

@@ -59,21 +59,6 @@ class BatchPrediction:
         object.__setattr__(self, "gold_probs", probs)
         object.__setattr__(self, "is_positive", flags)
 
-    @classmethod
-    def _unchecked(cls, gold_probs: np.ndarray, is_positive: np.ndarray) -> "BatchPrediction":
-        """Wrap arrays a caller derived itself, skipping the constructor's checks.
-
-        For use inside a training step only: ``gold_probs`` must be a
-        non-empty 1-D float64 array of softmax gold-class probabilities and
-        ``is_positive`` a bool array of the same shape.  Non-finite
-        probabilities are passed through, so a diverged step yields a NaN
-        weight rather than an error.
-        """
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "gold_probs", gold_probs)
-        object.__setattr__(batch, "is_positive", is_positive)
-        return batch
-
 
 def w_exact(stats: ConfusionStats, beta: float = 1.0) -> float:
     """Exact scaling weight: tp / (beta^2 * p + n - tn + pe).
@@ -96,12 +81,14 @@ def batch_expected_counts(batch: BatchPrediction) -> tuple[float, float, int, in
     sum of the gold-class probabilities of its instances, which stays
     informative even for small batches where hard counts would be 0 or 1.
     """
-    pos = batch.is_positive
-    tp_b = float(batch.gold_probs[pos].sum())
-    tn_b = float(batch.gold_probs[~pos].sum())
-    p_b = int(np.count_nonzero(pos))
-    n_b = int(batch.gold_probs.size - p_b)
-    return tp_b, tn_b, p_b, n_b
+    return _expected_counts(batch.gold_probs, batch.is_positive)
+
+
+def _expected_counts(gold_probs: np.ndarray, is_positive: np.ndarray) -> tuple[float, float, int, int]:
+    tp_b = float(gold_probs[is_positive].sum())
+    tn_b = float(gold_probs[~is_positive].sum())
+    p_b = int(np.count_nonzero(is_positive))
+    return tp_b, tn_b, p_b, int(gold_probs.size - p_b)
 
 
 def w_batch(batch: BatchPrediction, beta: float = 1.0) -> float:
@@ -112,8 +99,15 @@ def w_batch(batch: BatchPrediction, beta: float = 1.0) -> float:
     attributed from gold-class probabilities alone.  A batch with no
     positives yields 0.0, which zeroes that step's negative gradient.
     """
-    beta = _check_beta(beta)
-    tp_b, tn_b, p_b, n_b = batch_expected_counts(batch)
+    return _w_batch(batch.gold_probs, batch.is_positive, _check_beta(beta))
+
+
+def _w_batch(gold_probs: np.ndarray, is_positive: np.ndarray, beta: float) -> float:
+    """:func:`w_batch`'s kernel, for a training step's own arrays: ``gold_probs``
+    a non-empty float64 vector, ``is_positive`` a bool mask of its shape and
+    ``beta`` a checked one.  Non-finite probabilities pass through, so a
+    diverged step yields a NaN weight rather than an error."""
+    tp_b, tn_b, p_b, n_b = _expected_counts(gold_probs, is_positive)
     den = beta * beta * p_b + n_b - tn_b
     if den <= 0.0:
         raise ValueError("batch scaling weight undefined: zero denominator")

@@ -17,9 +17,14 @@ import numpy as np
 
 from .configio import write_json
 from .data import NEGATIVE_LABEL, SCORE, Config, Dataset, SamplerKind, UniformSampler, batches, bound
-from .losses import LossStrategy, Vanilla, compute_loss, strategy_label
+from .losses import LossStrategy, Vanilla, strategy_label
 from .metrics import confusion_from_predictions, f_beta, precision, recall
-from .model import Gradients, ModelParams, ModelSpec, backward, forward, init_params, predict
+from .model import Gradients, ModelParams, ModelSpec, init_params, predict
+
+# train() checks its inputs once and each step runs the kernels, bound under
+# the names the benchmark in perfbench/ traces
+from .losses import _compute_loss as compute_loss
+from .model import _backward as backward, _forward as forward
 
 __all__ = [
     "SGD",
@@ -89,31 +94,38 @@ class _OptimizerState:
     contiguous float64 vector and rebinds them as reshaped views of it, so
     each :meth:`step` updates the whole model in one in-place pass over
     preallocated buffers, of which the optimizer's ``update`` uses its own.
-    The element-wise operations and their order are those of the per-array
-    update rule, so every result is bit-identical to it.
+    ``grads`` holds views of the flat gradient in the same layout, for the
+    backward pass to write into.  The element-wise operations and their
+    order are those of the per-array update rule, so every result is
+    bit-identical to it.
     """
 
     def __init__(self, optimizer: Optimizer, params: ModelParams) -> None:
         self.optimizer = optimizer
         arrays = params.weights + params.biases
         self.flat = np.concatenate([a.ravel() for a in arrays])
-        views, start = [], 0
-        for a in arrays:
-            views.append(self.flat[start : start + a.size].reshape(a.shape))
-            start += a.size
-        n_layers = len(params.weights)
-        params.weights[:] = views[:n_layers]
-        params.biases[:] = views[n_layers:]
         self.grad = np.empty_like(self.flat)
+        n_layers = len(params.weights)
+        params.weights[:], params.biases[:] = self._views(self.flat, arrays, n_layers)
+        self.grads = Gradients(*self._views(self.grad, arrays, n_layers))
         self.scratch = np.empty_like(self.flat)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.denom = np.empty_like(self.flat)
         self.t = 0
 
-    def step(self, grads: Gradients) -> None:
-        g = np.concatenate(grads.weights + grads.biases, axis=None, out=self.grad)
-        self.optimizer.update(self, g)
+    @staticmethod
+    def _views(flat: np.ndarray, arrays: list[np.ndarray], n_layers: int) -> tuple[list, list]:
+        """Views of ``flat`` shaped as ``arrays``: the weights, then the biases."""
+        views, start = [], 0
+        for a in arrays:
+            views.append(flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        return views[:n_layers], views[n_layers:]
+
+    def step(self) -> None:
+        """Apply the gradient the backward pass wrote into ``grads``."""
+        self.optimizer.update(self, self.grad)
 
 
 @dataclass(frozen=True)
@@ -175,6 +187,10 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 def _check_dims(train: Dataset, dev: Dataset, test: Dataset, spec: ModelSpec) -> None:
     for name, ds in (("train", train), ("dev", dev), ("test", test)):
+        # a Dataset's features are finite float64 and its labels int64 in [0, k),
+        # which is what lets each step skip the checks of the public functions
+        if not isinstance(ds, Dataset):
+            raise ValueError(f"{name} split must be a data.Dataset, got {type(ds).__name__}")
         if ds.d != spec.input_dim:
             raise ValueError(f"{name} dataset width {ds.d} != model input_dim {spec.input_dim}")
         if ds.k != spec.n_classes:
@@ -216,14 +232,14 @@ def train(
         # one gather per epoch; each step reads its rows as a slice
         order = np.concatenate(epoch_batches) if epoch_batches else []
         epoch_x, epoch_y = train_ds.features[order], train_ds.labels[order]
-        epoch_positive = epoch_y != NEGATIVE_LABEL
+        epoch_negative = epoch_y == NEGATIVE_LABEL
         offset = 0
         for idx in epoch_batches:
             rows = slice(offset, offset + idx.size)
             offset += idx.size
-            x, y = epoch_x[rows], epoch_y[rows]
-            fwd = forward(params, x)
-            out = compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
+            y, is_negative = epoch_y[rows], epoch_negative[rows]
+            fwd = forward(params, epoch_x[rows])
+            out = compute_loss(config.strategy, fwd.probs, y, is_negative)
             if not math.isfinite(out.loss):
                 report.failure = (
                     f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
@@ -235,10 +251,10 @@ def train(
             step_losses.append(out.loss)
             if out.w_used is not None:
                 report.w_history.append(float(out.w_used))
-                if not np.count_nonzero(epoch_positive[rows]):
+                if is_negative.all():
                     report.skipped_steps += 1
-            grads = backward(params, fwd, y, out.instance_weights)
-            opt_state.step(grads)
+            backward(params, fwd, y, out.instance_weights, opt_state.grads)
+            opt_state.step()
 
         try:
             dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)

@@ -44,7 +44,6 @@ from adascale.model import (
     _check_features,
     _row_index,
 )
-from adascale.scaling import BatchPrediction, w_batch
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -133,8 +132,13 @@ def compute_loss(strategy, fwd: ForwardResult, gold, negative_label: int = 0) ->
         else:
             if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
                 raise ValueError("gold_probs must lie in [0, 1]")
-            batch_pred = BatchPrediction._unchecked(gold_probs, ~is_negative)
-            w_used = w_batch(batch_pred, strategy.beta)
+            # tp_b / (beta^2 * p_b + n_b - tn_b) of the batch's expected counts
+            is_positive = ~is_negative
+            p_b = int(np.sum(is_positive))
+            den = strategy.beta * strategy.beta * p_b + (batch - p_b) - float(gold_probs[is_negative].sum())
+            if den <= 0.0:
+                raise ValueError("batch scaling weight undefined: zero denominator")
+            w_used = float(gold_probs[is_positive].sum()) / den
         weights = np.where(is_negative, w_used, 1.0)
     else:
         raise TypeError(f"unknown strategy {strategy!r}")

@@ -620,7 +620,7 @@ class TestConfigCodec:
             ),
             (
                 lambda: ExperimentConfig(TINY_SOURCE, (Arm("a", Vanilla()),), beta_sweep=5),
-                "ExperimentConfig.beta_sweep must be a sequence of items meeting {'exclusiveMinimum': 0}, got 5",
+                "ExperimentConfig.beta_sweep: expected tuple, got 5",
             ),
             # report classes check their bounds when they are built, an item of a list by its index
             (lambda: RunReport(0, w_history=[0.5, -1.0]), "RunReport.w_history[1] must be >= 0, got -1.0"),
@@ -629,16 +629,21 @@ class TestConfigCodec:
                 lambda: harness.RunSummary(0, 1.5, 0.0, 0.0, 0.0, True),
                 "RunSummary.best_dev_f must be <= 1, got 1.5",
             ),
-            (lambda: harness.GridCell({}, None, 0, [0.5, "x"]), "GridCell.test_f[1] must be >= 0, got 'x'"),
-            # a value of another type than its field's fails the bound, not the comparison
-            (lambda: Arm(0, Vanilla()), "Arm.name must be of length >= 1, got 0"),
-            (lambda: TrainConfig(epochs="3"), "TrainConfig.epochs must be >= 1, got '3'"),
-            (lambda: ExperimentConfig(source=TINY_SOURCE, arms=5), "ExperimentConfig.arms must be of length >= 1, got 5"),
+            (lambda: harness.GridCell({}, None, 0, [0.5, "x"]), "GridCell.test_f[1]: expected float, got 'x'"),
+            # a value of another type than its field's is named by the type, before any bound
+            (lambda: Arm(0, Vanilla()), "Arm.name: expected str, got 0"),
+            (lambda: TrainConfig(epochs="3"), "TrainConfig.epochs: expected int, got '3'"),
+            (lambda: ExperimentConfig(source=TINY_SOURCE, arms=5), "ExperimentConfig.arms: expected tuple, got 5"),
+            (lambda: GeneratorConfig(n=5000.5), "GeneratorConfig.n: expected int, got 5000.5"),
+            (
+                lambda: Arm("a", "vanilla"),
+                "Arm.strategy: expected Vanilla | Adaptive | Static | Focal, got 'vanilla'",
+            ),
         ],
         ids=[
             "empty arm name", "hidden_dim 0", "n_dev 0", "infinite eps", "zero in sweep", "int sweep",
             "negative weight", "infinite dev F", "run summary F above 1", "string grid test F",
-            "int arm name", "string epochs", "int arms",
+            "int arm name", "string epochs", "int arms", "float generator n", "string arm strategy",
         ],
     )
     def test_out_of_range_rejected_on_construction(self, build, message):
@@ -668,7 +673,7 @@ SCHEMA_MUTANTS = [
      "ExperimentConfig.arms[0]: Arm.strategy: unknown kind 'mystery'"),
     ("unknown top-level key", "synthetic", ("surprise",), 1, "unknown ExperimentConfig keys ['surprise']"),
     ("unknown generator key", "synthetic", ("dataset", "generator", "positve_rate"), 0.5,
-     "ExperimentConfig.source: SyntheticSource.generator: unknown GeneratorConfig keys ['positve_rate']"),
+     "ExperimentConfig.dataset: SyntheticSource.generator: unknown GeneratorConfig keys ['positve_rate']"),
     ("unknown arm key", "synthetic", ("arms", 0, "beta"), 1.0, "ExperimentConfig.arms[0]: unknown Arm keys ['beta']"),
     ("strategy inside train", "synthetic", ("train", "strategy"), {"kind": "vanilla"},
      "ExperimentConfig.arms[0]: Arm.train: unknown TrainConfig keys ['strategy']"),
@@ -704,11 +709,11 @@ SCHEMA_MUTANTS = [
     ("epochs string", "synthetic", ("train", "epochs"), "3",
      "ExperimentConfig.arms[0]: Arm.train: TrainConfig.epochs: expected int, got '3'"),
     ("k 1", "synthetic", ("dataset", "generator", "k"), 1,
-     "ExperimentConfig.source: SyntheticSource.generator: GeneratorConfig.k must be >= 2, got 1"),
+     "ExperimentConfig.dataset: SyntheticSource.generator: GeneratorConfig.k must be >= 2, got 1"),
     ("positive_rate 1", "synthetic", ("dataset", "generator", "positive_rate"), 1,
-     "ExperimentConfig.source: SyntheticSource.generator: GeneratorConfig.positive_rate must be < 1, got 1.0"),
+     "ExperimentConfig.dataset: SyntheticSource.generator: GeneratorConfig.positive_rate must be < 1, got 1.0"),
     ("n_dev 0", "synthetic", ("dataset", "n_dev"), 0,
-     "ExperimentConfig.source: SyntheticSource.n_dev must be >= 1, got 0"),
+     "ExperimentConfig.dataset: SyntheticSource.n_dev must be >= 1, got 0"),
     ("patience null", "files", ("train", "early_stop_patience"), None, None),
     ("patience 0", "files", ("train", "early_stop_patience"), 0,
      "ExperimentConfig.arms[0]: Arm.train: TrainConfig.early_stop_patience must be >= 1, got 0"),
@@ -718,10 +723,10 @@ SCHEMA_MUTANTS = [
      "ExperimentConfig.arms[0]: Arm.train: TrainConfig.sampler: "
      "StratifiedSampler.min_positives_per_batch must be >= 1, got 0"),
     ("format tsv", "files", ("dataset", "format"), "tsv",
-     "ExperimentConfig.source: FileSource.format must be one of ('csv', 'jsonl', None), got 'tsv'"),
+     "ExperimentConfig.dataset: FileSource.format must be one of ('csv', 'jsonl', None), got 'tsv'"),
     ("format null", "files", ("dataset", "format"), None, None),
     ("files without test", "files", ("dataset", "test"), _DROP,
-     "ExperimentConfig.source: missing FileSource keys ['test']"),
+     "ExperimentConfig.dataset: missing FileSource keys ['test']"),
     ("eval_beta 0", "files", ("train", "eval_beta"), 0,
      "ExperimentConfig.arms[0]: Arm.train: TrainConfig.eval_beta must be > 0, got 0.0"),
     # structure: a value that is not the object or array its place needs
@@ -732,7 +737,7 @@ SCHEMA_MUTANTS = [
     ("train not an object", "synthetic", ("train",), [{"epochs": 3}],
      "ExperimentConfig.train: expected TrainConfig object, got an array"),
     ("string dataset", "synthetic", ("dataset",), "data.csv",
-     "ExperimentConfig.source: expected object, got 'data.csv'"),
+     "ExperimentConfig.dataset: expected object, got 'data.csv'"),
     ("arm train null", "files", ("arms", 0, "train"), None,
      "ExperimentConfig.arms[0]: Arm.train: expected TrainConfig object, got None"),
     ("null grid arm", "files", ("grid", "focal"), None, "ExperimentConfig.grid['focal']: expected object, got None"),
@@ -754,7 +759,7 @@ SCHEMA_MUTANTS = [
     ("duplicate arm names", "synthetic", ("arms", 1, "name"), "vanilla",
      "ExperimentConfig.arms: arm names must be unique"),
     ("too few positives", "synthetic", ("dataset", "generator", "positive_rate"), 0.001,
-     "ExperimentConfig.source: SyntheticSource.generator: "
+     "ExperimentConfig.dataset: SyntheticSource.generator: "
      "GeneratorConfig.positive_rate * n must round to >= k - 1, got 0"),
 ]
 CODEC_ONLY = {"nan eval_beta", "infinite ratio", "best_k above n_seeds", "duplicate arm names", "too few positives"}

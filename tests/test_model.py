@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss
 from adascale.model import (
     ForwardResult,
     ModelParams,
@@ -182,6 +183,93 @@ class TestBackward:
             backward(params, fwd, np.array([0, 1]), np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             backward(params, fwd, np.array([0, 5]), np.ones(2))
+
+
+class TestPublicStepFunctions:
+    """The public forward, compute_loss and backward check every call and leave
+    their inputs as they were; only the kernels a training step calls write in place."""
+
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec(3, 4), ModelSpec(3, 4, 5, "tanh"), ModelSpec(3, 4, 5, "relu")], ids=str
+    )
+    @pytest.mark.parametrize("strategy", [Vanilla(), Static(0.3), Focal(2.0), Adaptive(1.0)], ids=str)
+    def test_inputs_left_alone(self, spec, strategy):
+        rng = np.random.default_rng(11)
+        params = init_params(spec, 3)
+        x = rng.normal(size=(6, 3))
+        gold = np.array([0, 1, 0, 3, 2, 0])
+        fwd = forward(params, x)
+        arrays = {
+            "x": x, "gold": gold, "probs": fwd.probs, "inputs": fwd.inputs,
+            "hidden_pre": fwd.hidden_pre, "hidden": fwd.hidden,
+            **{f"param{i}": a for i, a in enumerate(params.weights + params.biases)},
+        }
+        before = {name: a.tobytes() for name, a in arrays.items() if a is not None}
+
+        out = compute_loss(strategy, fwd, gold)
+        weights = out.instance_weights.tobytes()
+        first = backward(params, fwd, gold, out.instance_weights)
+        again = backward(params, fwd, gold, out.instance_weights)
+        forward(params, x)
+
+        assert {name: a.tobytes() for name, a in arrays.items() if a is not None} == before
+        assert out.instance_weights.tobytes() == weights
+        for a, b in zip(first.weights + first.biases, again.weights + again.biases):
+            assert a.tobytes() == b.tobytes()
+            assert not any(np.shares_memory(a, p) for p in params.weights + params.biases)
+
+    @staticmethod
+    def _calls():
+        params = init_params(ModelSpec(3, 4), 0)
+        fwd = forward(params, np.zeros((2, 3)))
+        gold, ones = np.array([0, 1]), np.ones(2)
+        bad_probs = ForwardResult(
+            probs=np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]]), inputs=np.zeros((2, 3))
+        )
+        empty = ForwardResult(probs=np.zeros((0, 4)), inputs=np.zeros((0, 3)))
+        return {
+            "2-D features": (lambda: forward(params, np.zeros(3)), "features must be a 2-D matrix"),
+            "feature width": (
+                lambda: forward(params, np.zeros((2, 2))), "feature width 2 does not match model input_dim 3"
+            ),
+            "finite features": (lambda: forward(params, np.array([[0.0, np.inf, 0.0]])), "features must be finite"),
+            "empty batch": (lambda: compute_loss(Vanilla(), empty, np.zeros(0, dtype=int)),
+                            "batch must contain at least one instance"),
+            "loss gold rows": (lambda: compute_loss(Vanilla(), fwd, np.array([0])),
+                               "gold labels must have one entry per batch row"),
+            "loss gold ints": (lambda: compute_loss(Vanilla(), fwd, np.array([0.0, 1.0])),
+                               "gold labels must be integers"),
+            "loss gold range": (lambda: compute_loss(Vanilla(), fwd, np.array([0, 4])), "gold labels out of range"),
+            "gold probs range": (
+                lambda: compute_loss(Adaptive(1.0), bad_probs, gold), "gold_probs must lie in [0, 1]"
+            ),
+            "backward gold rows": (lambda: backward(params, fwd, np.array([0]), ones),
+                                   "gold labels must have one entry per batch row"),
+            "backward gold ints": (lambda: backward(params, fwd, np.array([0.0, 1.0]), ones),
+                                   "gold labels must be integers"),
+            "backward gold range": (lambda: backward(params, fwd, np.array([-1, 1]), ones),
+                                    "gold labels out of range for model class count"),
+            "weight rows": (lambda: backward(params, fwd, gold, np.ones(3)),
+                            "instance_weights must have one entry per batch row"),
+            "negative weight": (lambda: backward(params, fwd, gold, np.array([1.0, -0.5])),
+                                "instance_weights must be finite and non-negative"),
+            "nan weight": (lambda: backward(params, fwd, gold, np.array([1.0, np.nan])),
+                           "instance_weights must be finite and non-negative"),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "2-D features", "feature width", "finite features", "empty batch", "loss gold rows",
+            "loss gold ints", "loss gold range", "gold probs range", "backward gold rows",
+            "backward gold ints", "backward gold range", "weight rows", "negative weight", "nan weight",
+        ],
+    )
+    def test_every_check_raises_its_message(self, case):
+        call, message = self._calls()[case]
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestPredict:

@@ -24,6 +24,7 @@ from adascale.trainer import (
     Adam,
     RunReport,
     TrainConfig,
+    _OptimizerState,
     evaluate,
     report_to_dict,
     train,
@@ -149,6 +150,58 @@ class TestTraining:
     def test_dimension_mismatch(self, toy):
         with pytest.raises(ValueError, match="input_dim"):
             train(*toy, ModelSpec(4, 2), _toy_config(strategy=Vanilla()))
+
+    @pytest.mark.parametrize("split", ["train", "dev", "test"])
+    def test_splits_must_be_datasets(self, toy, split):
+        # each step relies on Dataset's invariants, so train() takes nothing else
+        ds = toy[0]
+        attrs = {"features": ds.features, "labels": ds.labels, "k": ds.k, "n": ds.n, "d": ds.d}
+        duck = type("Split", (), attrs)()
+        splits = dict(zip(("train", "dev", "test"), toy))
+        splits[split] = duck
+        with pytest.raises(ValueError) as caught:
+            train(*splits.values(), TOY_SPEC, _toy_config(strategy=Vanilla(), epochs=1))
+        assert str(caught.value) == f"{split} split must be a data.Dataset, got Split"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", None, "TrainConfig.epochs: expected int, got None"),
+            ("batch_size", 8.0, "TrainConfig.batch_size: expected int, got 8.0"),
+            ("seed", 1.5, "TrainConfig.seed: expected int, got 1.5"),
+            (
+                "strategy", "vanilla",
+                "TrainConfig.strategy: expected Vanilla | Adaptive | Static | Focal, got 'vanilla'",
+            ),
+            (
+                "sampler", None,
+                "TrainConfig.sampler: expected UniformSampler | StratifiedSampler | UnderSampler, got None",
+            ),
+            ("optimizer", "adam", "TrainConfig.optimizer: expected SGD | Adam, got 'adam'"),
+        ],
+    )
+    def test_config_fields_type_checked(self, field, value, message):
+        # built in Python, a wrong-typed field fails where it is set, not inside train()
+        with pytest.raises(ValueError) as caught:
+            TrainConfig(**{field: value})
+        assert str(caught.value) == message
+
+    def test_config_types_read_as_the_codec_reads_them(self):
+        # an int is a float, a bool is no number, and an optional field takes None
+        assert TrainConfig(eval_beta=2, early_stop_patience=None).eval_beta == 2
+        with pytest.raises(ValueError, match=r"^TrainConfig\.epochs: expected int, got True$"):
+            TrainConfig(epochs=True)
+        with pytest.raises(ValueError, match=r"^Adam\.lr: expected float, got False$"):
+            Adam(lr=False)
+
+    def test_optimizer_gradients_are_views_of_its_buffer(self):
+        # the backward pass writes into these, so a step needs no gather
+        params = init_params(ModelSpec(4, 3, 6, "tanh"), 0)
+        state = _OptimizerState(Adam(), params)
+        grads = state.grads.weights + state.grads.biases
+        assert [g.shape for g in grads] == [a.shape for a in params.weights + params.biases]
+        assert all(np.shares_memory(g, state.grad) for g in grads)
+        assert sum(g.size for g in grads) == state.grad.size
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
