@@ -22,6 +22,7 @@ __all__ = [
     "to_json",
     "from_json",
     "mistyped",
+    "as_floats",
     "schema",
     "validate_run_report",
     "read_json",
@@ -152,7 +153,7 @@ def mistyped(tp, value) -> str | None:
     or None if nothing does.
 
     Types are read as ``from_json`` reads them: an ``int`` is also a
-    ``float`` (a bool is neither), a tuple or list field takes either, and an
+    ``float`` if a float can hold it (a bool is neither), a tuple or list field takes either, and an
     optional or tagged union any of its members.
     """
     origin, args = get_origin(tp), get_args(tp)
@@ -175,9 +176,33 @@ def mistyped(tp, value) -> str | None:
     elif not isinstance(tp, type):
         return None
     elif isinstance(value, (int, float) if tp is float else tp):
+        if tp is float and type(value) is int and _overflows_float(value):
+            return f": expected finite float, got {reprlib.repr(value)}"
         if tp is bool or not isinstance(value, bool):
             return None
     return f": expected {_type_name(tp)}, got {reprlib.repr(value)}"
+
+
+def as_floats(tp, value):
+    """``value``, of the annotation ``tp``, with an ``int`` made a ``float`` where
+    ``tp`` is a float, or a tuple of floats, optional or not, as ``from_json``
+    reads it; ``value`` itself when nothing changes."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType) and value is not None and len(args) == 2 and args[1] is type(None):
+        return as_floats(args[0], value)
+    if tp is float and type(value) is int:
+        return float(value)
+    if origin is tuple and args[:1] == (float,) and int in set(map(type, value)):
+        return type(value)(float(v) if type(v) is int else v for v in value)
+    return value
+
+
+def _overflows_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
 
 
 def validate_run_report(cls, doc):

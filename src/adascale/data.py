@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .configio import _hints, mistyped
+from .configio import _hints, as_floats, mistyped
 
 __all__ = [
     "Config",
@@ -107,13 +107,19 @@ def _broken_item(values, keywords) -> str | None:
 class Config:
     """Base of the config and report dataclasses: every field must be of its
     annotated type, a float field finite and every field must meet the
-    keywords of its ``bound()``."""
+    keywords of its ``bound()``.  An int given for a float, or for an item of a
+    tuple of floats, is stored as a float, so a config built in Python writes
+    the JSON of the same config read from a file."""
 
     def __post_init__(self) -> None:
         hints = _hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
-            broken = mistyped(hints[f.name], value) or _broken(value, f.metadata)
+            broken = mistyped(hints[f.name], value)
+            if not broken:
+                if (canonical := as_floats(hints[f.name], value)) is not value:
+                    object.__setattr__(self, f.name, canonical)
+                broken = _broken(canonical, f.metadata)
             if broken:
                 raise ValueError(f"{type(self).__name__}.{f.name}{broken}")
 
@@ -477,10 +483,8 @@ class StratifiedSampler(Config):
         n = labels.size
         pos = rng.permutation(np.flatnonzero(labels != NEGATIVE_LABEL))
         neg = rng.permutation(np.flatnonzero(labels == NEGATIVE_LABEL))
-        n_batches = math.ceil(n / batch_size)
-        sizes = [batch_size] * (n // batch_size)
-        if n % batch_size:
-            sizes.append(n % batch_size)
+        n_full, tail = divmod(n, batch_size)
+        n_batches = n_full + (tail > 0)
 
         quota = self.min_positives_per_batch
         if pos.size < quota * n_batches:
@@ -491,29 +495,25 @@ class StratifiedSampler(Config):
                 stacklevel=3,  # the caller of batches()
             )
 
-        reserved: list[np.ndarray] = []
-        ptr = 0
-        for size in sizes:
-            take = min(quota, size, pos.size - ptr)
-            reserved.append(pos[ptr : ptr + take])
-            ptr += take
-
+        # batch i reserves the next min(quota, size_i) positives while they last
+        caps = np.full(n_batches, min(quota, batch_size))
+        caps[-1] = min(quota, tail or batch_size)
+        ends = np.cumsum(caps).clip(max=pos.size)
+        ptr = int(ends[-1])
         pool = rng.permutation(np.concatenate([pos[ptr:], neg]))
-        # each batch is a view of one epoch buffer, shuffled in place: the same
-        # draws as rng.permutation of the concatenated reserve and fill
+
+        # one epoch buffer, a row per batch: the reserve leads it and the pool fills the rest
+        take = np.diff(ends, prepend=0)
+        reserved = (np.arange(batch_size) < take[:, None]).ravel()[:n]
         epoch = np.empty(n, dtype=pool.dtype)
-        out: list[np.ndarray] = []
-        start = taken = 0
-        for size, res in zip(sizes, reserved):
-            fill = size - res.size
-            batch = epoch[start : start + size]
-            batch[: res.size] = res
-            batch[res.size :] = pool[taken : taken + fill]
-            rng.shuffle(batch)
-            out.append(batch)
-            start += size
-            taken += fill
-        return out
+        epoch[reserved] = pos[:ptr]
+        epoch[~reserved] = pool
+        # each batch is shuffled in place with the draws of rng.permutation of its reserve
+        # and fill; permuted runs shuffle's Fisher-Yates on every row in turn
+        body = epoch[: n_full * batch_size].reshape(n_full, batch_size)
+        rng.permuted(body, axis=1, out=body)
+        rng.shuffle(epoch[n_full * batch_size :])
+        return _chunk(epoch, batch_size)
 
 
 @dataclass(frozen=True)

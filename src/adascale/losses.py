@@ -15,7 +15,9 @@ Strategies:
                 negatives, refreshed every step from the current batch
 
 Each strategy declares its JSON tag as ``kind``; ``instance_weights(gold_probs,
-is_negative)`` returns its weights and the step's adaptive weight (else None).
+is_negative, is_positive, n_positive)`` returns its weights and the step's
+adaptive weight (else None), given the batch's complementary label masks and
+its positive count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Config, bound
-from .model import ForwardResult, _labels_out_of_range, _row_index
+from .model import ForwardResult, _gold_index, _labels_out_of_range
 
 # the kernel, under the name the benchmark in perfbench/ traces as scaling.w_batch
 from .scaling import _w_batch as w_batch
@@ -47,7 +49,7 @@ __all__ = [
 class Vanilla(Config):
     kind: ClassVar[str] = "vanilla"
 
-    def instance_weights(self, gold_probs, is_negative):
+    def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
         return np.ones(gold_probs.size), None
 
 
@@ -58,10 +60,8 @@ class Adaptive(Config):
     sums_gold_probs: ClassVar[bool] = True
     beta: float = bound(1.0, exclusiveMinimum=0)
 
-    def instance_weights(self, gold_probs, is_negative):
-        w_used = 0.0
-        if np.count_nonzero(is_negative) < is_negative.size:
-            w_used = w_batch(gold_probs, ~is_negative, self.beta)
+    def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
+        w_used = w_batch(gold_probs, is_positive, is_negative, n_positive, self.beta) if n_positive else 0.0
         return np.where(is_negative, w_used, 1.0), w_used
 
 
@@ -70,7 +70,7 @@ class Static(Config):
     kind: ClassVar[str] = "static"
     negative_cost: float = bound(exclusiveMinimum=0)
 
-    def instance_weights(self, gold_probs, is_negative):
+    def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
         return np.where(is_negative, self.negative_cost, 1.0), None
 
 
@@ -79,7 +79,7 @@ class Focal(Config):
     kind: ClassVar[str] = "focal"
     gamma: float = bound(minimum=0)
 
-    def instance_weights(self, gold_probs, is_negative):
+    def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
         return (1.0 - gold_probs) ** self.gamma, None
 
 
@@ -130,33 +130,43 @@ def compute_loss(
     if _labels_out_of_range(gold_arr, probs.shape[1]):
         raise ValueError("gold labels out of range")
     is_negative = gold_arr == negative_label
-    if getattr(strategy, "sums_gold_probs", False) and np.count_nonzero(is_negative) < batch:
-        gold_probs = probs[_row_index(batch), gold_arr]
+    is_positive = ~is_negative
+    n_positive = int(np.count_nonzero(is_positive))
+    gold_index = _gold_index(gold_arr, probs.shape[1])
+    if getattr(strategy, "sums_gold_probs", False) and n_positive:
+        gold_probs = probs.take(gold_index)
         # NaN passes this range test on purpose: a diverged model's NaN
         # probabilities reach the loss, which the trainer flags as
         # non-finite instead of failing the run here
         if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
             raise ValueError("gold_probs must lie in [0, 1]")
-    return _compute_loss(strategy, probs, gold_arr, is_negative)
-
-
-def _compute_loss(
-    strategy: LossStrategy, probs: np.ndarray, gold: np.ndarray, is_negative: np.ndarray
-) -> LossOutput:
-    """:func:`compute_loss`'s kernel, for a training step's own arrays: ``probs``
-    a non-empty softmax output, ``gold`` its integer labels in range and
-    ``is_negative`` the bool mask of the negative ones."""
-    batch = probs.shape[0]
-    gold_probs = probs[_row_index(batch), gold]
-    weights, w_used = strategy.instance_weights(gold_probs, is_negative)
-
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks
     with np.errstate(divide="ignore", invalid="ignore"):
-        nll = np.log(gold_probs)
-        np.negative(nll, out=nll)
-        # weights first: of two NaN operands the product keeps the first
-        np.multiply(weights, nll, out=nll)
-        # what ndarray.mean computes: numpy's pairwise sum, then one division
-        loss = float(np.add.reduce(nll)) / batch
+        return _compute_loss(strategy, probs, gold_index, is_negative, is_positive, n_positive)
+
+
+def _compute_loss(
+    strategy: LossStrategy,
+    probs: np.ndarray,
+    gold_index: np.ndarray,
+    is_negative: np.ndarray,
+    is_positive: np.ndarray,
+    n_positive: int,
+) -> LossOutput:
+    """:func:`compute_loss`'s kernel, for a training step's own arrays: ``probs``
+    a non-empty softmax output, ``gold_index`` the flat index of each row's
+    gold entry in it, ``is_negative`` and ``is_positive`` the complementary
+    bool masks of the rows' labels and ``n_positive`` the count of positive
+    rows.  Its caller ignores divide and invalid floating-point errors, which
+    a gold probability of 0 or NaN raises."""
+    batch = probs.shape[0]
+    gold_probs = probs.take(gold_index)
+    weights, w_used = strategy.instance_weights(gold_probs, is_negative, is_positive, n_positive)
+    nll = np.log(gold_probs)
+    np.negative(nll, out=nll)
+    # weights first: of two NaN operands the product keeps the first
+    np.multiply(weights, nll, out=nll)
+    # what ndarray.mean computes: numpy's pairwise sum, then one division
+    loss = float(np.add.reduce(nll)) / batch
     return LossOutput(loss=loss, instance_weights=weights, w_used=w_used)

@@ -145,6 +145,12 @@ def _unsigned_view(dtype: np.dtype) -> tuple[np.dtype, int]:
     return np.dtype(dtype.str.replace("i", "u")), int(np.iinfo(dtype).max) + 1
 
 
+def _gold_index(gold: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of each row's gold entry in a C-ordered ``(rows, k)`` matrix,
+    for integer ``gold`` labels in ``[0, k)``."""
+    return _row_index(gold.size) * k + gold.astype(np.intp, copy=False)
+
+
 def _labels_out_of_range(labels: np.ndarray, k: int) -> bool:
     """Whether an integer label lies outside ``[0, k)``, in one reduction.
 
@@ -217,18 +223,20 @@ def backward(
         weights=[np.empty_like(a) for a in params.weights],
         biases=[np.empty_like(a) for a in params.biases],
     )
-    return _backward(params, replace(fwd, probs=probs.copy()), gold_arr, w, grads)
+    gold_index = _gold_index(gold_arr, probs.shape[1])
+    return _backward(params, replace(fwd, probs=probs.copy()), gold_index, w, grads)
 
 
 def _backward(
-    params: ModelParams, fwd: ForwardResult, gold: np.ndarray, w: np.ndarray, grads: Gradients
+    params: ModelParams, fwd: ForwardResult, gold_index: np.ndarray, w: np.ndarray, grads: Gradients
 ) -> Gradients:
     """:func:`backward`'s kernel, for a training step's own arrays: it turns
-    ``fwd.probs`` into the logit gradient in place and writes the gradients
-    into ``grads``, which it returns."""
-    batch = gold.size
+    ``fwd.probs``, a C-ordered softmax output, into the logit gradient in place,
+    subtracting 1 at the flat ``gold_index`` of each row's gold entry, and
+    writes the gradients into ``grads``, which it returns."""
     dlogits = fwd.probs
-    dlogits[_row_index(batch), gold] -= 1.0
+    batch = dlogits.shape[0]
+    dlogits.reshape(-1)[gold_index] -= 1.0
     dlogits *= (w / batch)[:, None]
 
     if params.spec.hidden_dim is None:

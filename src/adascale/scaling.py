@@ -81,14 +81,19 @@ def batch_expected_counts(batch: BatchPrediction) -> tuple[float, float, int, in
     sum of the gold-class probabilities of its instances, which stays
     informative even for small batches where hard counts would be 0 or 1.
     """
-    return _expected_counts(batch.gold_probs, batch.is_positive)
+    is_positive, is_negative, p_b = _masks(batch.is_positive)
+    tp_b, tn_b = _expected_counts(batch.gold_probs, is_positive, is_negative)
+    return tp_b, tn_b, p_b, batch.gold_probs.size - p_b
 
 
-def _expected_counts(gold_probs: np.ndarray, is_positive: np.ndarray) -> tuple[float, float, int, int]:
-    tp_b = float(gold_probs[is_positive].sum())
-    tn_b = float(gold_probs[~is_positive].sum())
-    p_b = int(np.count_nonzero(is_positive))
-    return tp_b, tn_b, p_b, int(gold_probs.size - p_b)
+def _expected_counts(gold_probs: np.ndarray, is_positive: np.ndarray, is_negative: np.ndarray) -> tuple[float, float]:
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper
+    return float(np.add.reduce(gold_probs[is_positive])), float(np.add.reduce(gold_probs[is_negative]))
+
+
+def _masks(is_positive: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The positive and negative masks of a batch and its positive count."""
+    return is_positive, ~is_positive, int(np.count_nonzero(is_positive))
 
 
 def w_batch(batch: BatchPrediction, beta: float = 1.0) -> float:
@@ -99,16 +104,19 @@ def w_batch(batch: BatchPrediction, beta: float = 1.0) -> float:
     attributed from gold-class probabilities alone.  A batch with no
     positives yields 0.0, which zeroes that step's negative gradient.
     """
-    return _w_batch(batch.gold_probs, batch.is_positive, _check_beta(beta))
+    return _w_batch(batch.gold_probs, *_masks(batch.is_positive), _check_beta(beta))
 
 
-def _w_batch(gold_probs: np.ndarray, is_positive: np.ndarray, beta: float) -> float:
+def _w_batch(
+    gold_probs: np.ndarray, is_positive: np.ndarray, is_negative: np.ndarray, n_positive: int, beta: float
+) -> float:
     """:func:`w_batch`'s kernel, for a training step's own arrays: ``gold_probs``
-    a non-empty float64 vector, ``is_positive`` a bool mask of its shape and
+    a non-empty float64 vector, ``is_positive`` and ``is_negative`` its
+    complementary bool masks, ``n_positive`` the count of the first and
     ``beta`` a checked one.  Non-finite probabilities pass through, so a
     diverged step yields a NaN weight rather than an error."""
-    tp_b, tn_b, p_b, n_b = _expected_counts(gold_probs, is_positive)
-    den = beta * beta * p_b + n_b - tn_b
+    tp_b, tn_b = _expected_counts(gold_probs, is_positive, is_negative)
+    den = beta * beta * n_positive + (gold_probs.size - n_positive) - tn_b
     if den <= 0.0:
         raise ValueError("batch scaling weight undefined: zero denominator")
     return tp_b / den

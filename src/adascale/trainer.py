@@ -46,11 +46,11 @@ class SGD(Config):
     momentum: float = bound(0.0, minimum=0, exclusiveMaximum=1)
 
     def update(self, state: _OptimizerState, g: np.ndarray) -> None:
-        # the velocity is the momentum buffer m: m = momentum * m + g; params -= lr * m
+        # the velocity is the first moment m: m = momentum * m + g; params -= lr * m
         state.m *= self.momentum
         state.m += g
-        np.multiply(state.m, self.lr, out=state.scratch)
-        state.flat -= state.scratch
+        np.multiply(state.m, self.lr, out=state.step_buf)
+        state.flat -= state.step_buf
 
 
 @dataclass(frozen=True)
@@ -62,26 +62,29 @@ class Adam(Config):
     eps: float = bound(1e-8, exclusiveMinimum=0)
 
     def update(self, state: _OptimizerState, g: np.ndarray) -> None:
-        tmp = state.scratch
+        if state.t == 0:
+            # the decays and gains of m and v as (2, P) rows: a ufunc over arrays of one
+            # shape is cheaper than one that broadcasts a (2, 1) column
+            state.rates = tuple(
+                np.repeat([[r1], [r2]], g.size, axis=1) for r1, r2 in ((self.b1, self.b2), (1.0 - self.b1, 1.0 - self.b2))
+            )
+        decay, gain = state.rates
         state.t += 1
-        bc1 = 1.0 - self.b1**state.t
-        bc2 = 1.0 - self.b2**state.t
-        # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * (g * g)
-        state.m *= self.b1
-        np.multiply(g, 1.0 - self.b1, out=tmp)
-        state.m += tmp
-        state.v *= self.b2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.b2
-        state.v += tmp
+        # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * (g * g), over the stacked
+        # moments mv = (m, v) and gradients g2 = (g, g * g)
+        state.mv *= decay
+        np.multiply(g, g, out=state.grad_sq)
+        np.multiply(state.g2, gain, out=state.scratch)
+        state.mv += state.scratch
         # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(state.v, bc2, out=state.denom)
-        np.sqrt(state.denom, out=state.denom)
-        state.denom += self.eps
-        np.divide(state.m, bc1, out=tmp)
-        tmp *= self.lr
-        tmp /= state.denom
-        state.flat -= tmp
+        step, denom = state.step_buf, state.denom
+        np.divide(state.v, 1.0 - self.b2**state.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(state.m, 1.0 - self.b1**state.t, out=step)
+        step *= self.lr
+        step /= denom
+        state.flat -= step
 
 
 Optimizer = SGD | Adam
@@ -93,25 +96,29 @@ class _OptimizerState:
     Construction moves every weight and bias of ``params`` into one
     contiguous float64 vector and rebinds them as reshaped views of it, so
     each :meth:`step` updates the whole model in one in-place pass over
-    preallocated buffers, of which the optimizer's ``update`` uses its own.
-    ``grads`` holds views of the flat gradient in the same layout, for the
-    backward pass to write into.  The element-wise operations and their
-    order are those of the per-array update rule, so every result is
-    bit-identical to it.
+    preallocated buffers.  The moments are stacked in one ``(2, P)`` buffer
+    ``mv``, m (SGD's velocity) then v, and the flat gradient ``grad`` is row
+    0 of ``g2``, whose row 1 takes ``g * g``, so Adam moves both moments with
+    one call per operation.  ``grads`` holds views of ``grad`` in the model's
+    layout, for the backward pass to write into.  Each element goes through
+    the operations of the per-array update rule in their order, so every
+    result is bit-identical to it.
     """
 
     def __init__(self, optimizer: Optimizer, params: ModelParams) -> None:
         self.optimizer = optimizer
         arrays = params.weights + params.biases
         self.flat = np.concatenate([a.ravel() for a in arrays])
-        self.grad = np.empty_like(self.flat)
+        self.g2 = np.empty((2, self.flat.size))
+        self.grad, self.grad_sq = self.g2
         n_layers = len(params.weights)
         params.weights[:], params.biases[:] = self._views(self.flat, arrays, n_layers)
         self.grads = Gradients(*self._views(self.grad, arrays, n_layers))
-        self.scratch = np.empty_like(self.flat)
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        self.denom = np.empty_like(self.flat)
+        self.mv = np.zeros_like(self.g2)
+        self.m, self.v = self.mv
+        self.scratch = np.empty_like(self.g2)
+        self.step_buf, self.denom = self.scratch
+        self.rates: tuple[np.ndarray, ...] = ()  # the optimizer's per-moment constants
         self.t = 0
 
     @staticmethod
@@ -197,6 +204,48 @@ def _check_dims(train: Dataset, dev: Dataset, test: Dataset, spec: ModelSpec) ->
             raise ValueError(f"{name} dataset k {ds.k} != model n_classes {spec.n_classes}")
 
 
+def _train_epoch(
+    train_ds: Dataset, params: ModelParams, opt_state: _OptimizerState, config: TrainConfig, epoch: int, report: RunReport
+) -> float | None:
+    """Run one epoch's steps and return their mean loss, or None, with the
+    report flagged invalid, when a step's loss is not finite."""
+    epoch_batches = batches(train_ds, config.sampler, config.batch_size, _epoch_seed(config.seed, epoch))
+    if not epoch_batches:  # an undersampled epoch is empty when the dataset has no positives
+        return 0.0
+    # what every step reads is built once per epoch, each step taking its rows as a slice:
+    # the rows, their label masks, each batch's positive count and the flat index of
+    # each row's gold entry in its batch's (rows, k) probabilities
+    sizes = [idx.size for idx in epoch_batches]
+    starts = np.cumsum([0] + sizes[:-1])
+    order = np.concatenate(epoch_batches)
+    epoch_x, epoch_y = train_ds.features[order], train_ds.labels[order]
+    epoch_negative = epoch_y == NEGATIVE_LABEL
+    epoch_positive = ~epoch_negative
+    n_positive = np.add.reduceat(epoch_positive, starts, dtype=np.intp).tolist()
+    epoch_gold = (np.arange(order.size) - np.repeat(starts, sizes)) * train_ds.k + epoch_y
+    step_losses = []
+    for start, size, positives in zip(starts.tolist(), sizes, n_positive):
+        rows = slice(start, start + size)
+        gold_index = epoch_gold[rows]
+        fwd = forward(params, epoch_x[rows])
+        out = compute_loss(
+            config.strategy, fwd.probs, gold_index, epoch_negative[rows], epoch_positive[rows], positives
+        )
+        if not math.isfinite(out.loss):
+            report.failure = f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
+            report.valid = False
+            report.epochs_run = epoch
+            return None
+        step_losses.append(out.loss)
+        if out.w_used is not None:
+            report.w_history.append(float(out.w_used))
+            if not positives:
+                report.skipped_steps += 1
+        backward(params, fwd, gold_index, out.instance_weights, opt_state.grads)
+        opt_state.step()
+    return float(np.mean(step_losses))
+
+
 def train(
     train_ds: Dataset,
     dev_ds: Dataset,
@@ -225,59 +274,35 @@ def train(
         eval_beta=config.eval_beta,
     )
     best_params = params.copy()
-
-    for epoch in range(config.epochs):
-        step_losses = []
-        epoch_batches = batches(train_ds, config.sampler, config.batch_size, _epoch_seed(config.seed, epoch))
-        # one gather per epoch; each step reads its rows as a slice
-        order = np.concatenate(epoch_batches) if epoch_batches else []
-        epoch_x, epoch_y = train_ds.features[order], train_ds.labels[order]
-        epoch_negative = epoch_y == NEGATIVE_LABEL
-        offset = 0
-        for idx in epoch_batches:
-            rows = slice(offset, offset + idx.size)
-            offset += idx.size
-            y, is_negative = epoch_y[rows], epoch_negative[rows]
-            fwd = forward(params, epoch_x[rows])
-            out = compute_loss(config.strategy, fwd.probs, y, is_negative)
-            if not math.isfinite(out.loss):
-                report.failure = (
-                    f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
-                )
-                report.valid = False
-                report.epochs_run = epoch
+    # a gold probability of 0 or a diverged model's NaN makes the loss non-finite, the
+    # signal each step checks; its divide and invalid errors are ignored for the whole run
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            epoch_loss = _train_epoch(train_ds, params, opt_state, config, epoch, report)
+            if epoch_loss is None:
                 report.wall_clock_s = time.perf_counter() - start
                 return best_params, report
-            step_losses.append(out.loss)
-            if out.w_used is not None:
-                report.w_history.append(float(out.w_used))
-                if is_negative.all():
-                    report.skipped_steps += 1
-            backward(params, fwd, y, out.instance_weights, opt_state.grads)
-            opt_state.step()
-
-        try:
-            dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
-        except FloatingPointError:
-            report.failure = f"non-finite dev probabilities at epoch {epoch}"
-            report.valid = False
-            report.wall_clock_s = time.perf_counter() - start
-            return best_params, report
-        # an undersampled epoch can be empty when the dataset has no positives
-        report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
-        report.dev_precision.append(dev_p)
-        report.dev_recall.append(dev_r)
-        report.dev_f.append(dev_f)
-        report.epochs_run = epoch + 1
-        if dev_f > report.best_dev_f or report.best_epoch < 0:
-            report.best_dev_f = dev_f
-            report.best_epoch = epoch
-            best_params = params.copy()
-        elif (
-            config.early_stop_patience is not None
-            and epoch - report.best_epoch >= config.early_stop_patience
-        ):
-            break
+            try:
+                dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+            except FloatingPointError:
+                report.failure = f"non-finite dev probabilities at epoch {epoch}"
+                report.valid = False
+                report.wall_clock_s = time.perf_counter() - start
+                return best_params, report
+            report.loss_curve.append(epoch_loss)
+            report.dev_precision.append(dev_p)
+            report.dev_recall.append(dev_r)
+            report.dev_f.append(dev_f)
+            report.epochs_run = epoch + 1
+            if dev_f > report.best_dev_f or report.best_epoch < 0:
+                report.best_dev_f = dev_f
+                report.best_epoch = epoch
+                best_params = params.copy()
+            elif (
+                config.early_stop_patience is not None
+                and epoch - report.best_epoch >= config.early_stop_patience
+            ):
+                break
 
     test_p, test_r, test_f = evaluate(best_params, test_ds, config.eval_beta)
     report.test_precision = test_p

@@ -316,6 +316,24 @@ class TestBetaSweep:
         assert len(report.rows) == 1
         assert report.rows[0].beta == 2.0
 
+    def test_int_betas_write_the_bytes_of_the_file_config(self, tmp_path):
+        # ints given for floats are stored as floats, so the sweep built in Python
+        # and the same experiment read back from its JSON write the same files
+        train = replace(TINY_TRAIN, epochs=1)
+        config = _tiny_config(
+            tmp_path / "python", arms=(Arm("adaptive", Adaptive(1), train),), beta_sweep=(2,)
+        )
+        assert config.beta_sweep == (2.0,) and type(config.beta_sweep[0]) is float
+        assert configio.to_json(config.arms[0].strategy) == {"kind": "adaptive", "beta": 1.0}
+        doc = experiment_to_json(replace(config, output_dir=str(tmp_path / "file")))
+        beta_sweep(config)
+        beta_sweep(experiment_from_json(json.loads(json.dumps(doc))))
+        python_files = sorted(p.relative_to(tmp_path / "python") for p in (tmp_path / "python").rglob("*"))
+        file_files = sorted(p.relative_to(tmp_path / "file") for p in (tmp_path / "file").rglob("*"))
+        assert python_files == file_files and len(python_files) > 2
+        for name in python_files:
+            assert (tmp_path / "python" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+
     def test_requires_adaptive_arm(self, tmp_path):
         config = _tiny_config(
             tmp_path / "out",
@@ -428,6 +446,33 @@ class TestTaggedUnions:
 
 
 class TestConfigCodec:
+    def test_int_floats_stored_as_floats(self):
+        # what from_json stores for an integral number where a float goes
+        config = TrainConfig(eval_beta=2, strategy=Static(1), optimizer=SGD(lr=1, momentum=0))
+        for value in (config.eval_beta, config.strategy.negative_cost, config.optimizer.lr, config.optimizer.momentum):
+            assert type(value) is float
+        doc = {"eval_beta": 2, "optimizer": {"kind": "sgd", "lr": 1, "momentum": 0}}
+        assert configio.to_json(config) == configio.to_json(configio.from_json(TrainConfig, doc))
+        assert configio.to_json(config.optimizer) == {"kind": "sgd", "lr": 1.0, "momentum": 0.0}
+        sweep = _tiny_config("out", beta_sweep=(2, 0.5, 4))
+        assert sweep.beta_sweep == (2.0, 0.5, 4.0) and {type(b) for b in sweep.beta_sweep} == {float}
+        assert _tiny_config("out").beta_sweep is None
+        assert type(TrainConfig(epochs=2).epochs) is int
+        with pytest.raises(ValueError, match=r"^Adaptive\.beta: expected float, got True$"):
+            Adaptive(True)
+        with pytest.raises(ValueError, match=r"^ExperimentConfig\.beta_sweep\[1\]: expected float, got False$"):
+            _tiny_config("out", beta_sweep=(1, False))
+        # an int no float can hold fails as it does in a file
+        big = 10**400
+        with pytest.raises(ValueError) as caught:
+            Adaptive(big)
+        with pytest.raises(ValueError) as read:
+            configio.from_json(Adaptive, {"beta": big})
+        assert str(caught.value) == str(read.value)
+        assert str(caught.value).startswith("Adaptive.beta: expected finite float, got 1000")
+        with pytest.raises(ValueError, match=r"^ExperimentConfig\.beta_sweep\[0\]: expected finite float"):
+            _tiny_config("out", beta_sweep=(big,))
+
     def _doc(self, out_dir="out"):
         return {
             "dataset": {

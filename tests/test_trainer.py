@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +19,7 @@ from adascale.data import (
 )
 from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss, strategy_label
 from adascale.metrics import confusion_from_predictions, f_beta, precision, recall
-from adascale.model import ModelParams, ModelSpec, backward, forward, init_params
+from adascale.model import ForwardResult, ModelParams, ModelSpec, backward, forward, init_params
 from adascale.trainer import (
     SGD,
     Adam,
@@ -139,6 +140,53 @@ class TestTraining:
         # the last run (adaptive, one step per epoch) stopped at its first dev evaluation
         assert report.failure == "non-finite dev probabilities at epoch 0"
         assert report.epochs_run == 0 and report.loss_curve == report.dev_f == []
+
+    @pytest.mark.parametrize(
+        "feature_value, lr, epochs, batch_size, failure",
+        [
+            (1.0, 1e12, 3, 4, "non-finite loss at epoch 0, step 1"),
+            (2.0, 1e308, 3, 4, "non-finite loss at epoch 0, step 1"),
+            (2.0, 1e308, 1, 64, "non-finite dev probabilities at epoch 0"),
+        ],
+    )
+    def test_error_state_restored(self, feature_value, lr, epochs, batch_size, failure):
+        # train() ignores divide and invalid errors while it runs and leaves the
+        # caller's settings as they were, also when a diverged run returns early
+        ds = Dataset(feature_value * np.ones((20, 3)), np.array([0, 1] * 10), k=2)
+        cfg = TrainConfig(
+            optimizer=SGD(lr=lr), epochs=epochs, batch_size=batch_size, strategy=Adaptive(1.0), seed=0
+        )
+        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="warn"):
+            before = np.geterr()
+            _, report = train(ds, ds, ds, ModelSpec(3, 2), cfg)
+            assert np.geterr() == before
+        assert not report.valid and report.failure == failure
+
+    def test_error_state_restored_after_a_valid_run(self, toy):
+        with np.errstate(divide="raise", invalid="raise"):
+            before = np.geterr()
+            _, report = train(*toy, TOY_SPEC, _toy_config(strategy=Adaptive(1.0), epochs=2))
+            assert np.geterr() == before
+        assert report.valid
+
+    def test_diverging_adaptive_run_warns_of_no_divide_or_invalid(self):
+        # the non-finite loss is the signal; the errors behind it are not reported
+        ds = Dataset(np.ones((20, 3)), np.array([0, 1] * 10), k=2)
+        cfg = TrainConfig(optimizer=SGD(lr=1e12), epochs=3, batch_size=4, strategy=Adaptive(1.0), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = train(ds, ds, ds, ModelSpec(3, 2), cfg)
+        assert report.failure == "non-finite loss at epoch 0, step 1"
+        assert report.epochs_run == 0 and len(report.w_history) == 1 and report.loss_curve == []
+
+    @pytest.mark.parametrize("strategy", [Vanilla(), Adaptive(1.0)], ids=str)
+    def test_zero_gold_probability_gives_an_infinite_loss_without_warning(self, strategy):
+        fwd = ForwardResult(probs=np.array([[0.0, 1.0], [0.5, 0.5]]), inputs=np.zeros((2, 1)))
+        for settings in ({"all": "raise"}, {"all": "warn"}):
+            with np.errstate(**settings), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = compute_loss(strategy, fwd, np.array([0, 1]))
+            assert out.loss == np.inf
 
     def test_early_stopping(self, toy):
         cfg = _toy_config(strategy=Vanilla(), epochs=50, early_stop_patience=3)
