@@ -4,8 +4,8 @@ Subcommands: generate, train, eval, compare, sweep, grid.  All take
 ``--config <json>`` plus a small set of flag overrides; ``--seed`` and
 ``--out`` are accepted everywhere.  With ``--strict``, any invalid
 (aborted) run makes the process exit nonzero.  The ``adascale`` command
-(:func:`run`) reports an unusable config, dataset, checkpoint or override as
-one ``adascale: error:`` line with exit status 2.
+(:func:`run`) reports an unusable config, dataset, checkpoint, override or
+output path as one ``adascale: error:`` line with exit status 2.
 """
 
 from __future__ import annotations
@@ -210,13 +210,19 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The ``adascale`` command: :func:`main` on the process arguments, with an
-    unusable config, dataset, checkpoint or override reported as one line
-    and exit status 2 instead of a traceback."""
+    unusable config, dataset, checkpoint, override or output path reported as
+    one line and exit status 2 instead of a traceback."""
     try:
         return main()
     except harness.InputError as error:
-        print(f"adascale: error: {error}", file=sys.stderr)
-        return 2
+        message = str(error)
+    except OSError as error:
+        if error.filename is None:
+            raise
+        # a file the command cannot write (or open), named by the path it was given
+        message = f"{error.filename}: {error.strerror}"
+    print(f"adascale: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

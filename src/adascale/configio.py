@@ -1,33 +1,41 @@
-"""One JSON codec for every config and report dataclass, the package's only
-validator, plus the JSON Schema of what it reads.
+"""What a valid config or report value is, and the one JSON codec for every
+config and report dataclass, plus the JSON Schema of what it reads.
 
-All on-disk documents use tagged objects ({"kind": ...}) for the union
-types, each tagged with its class's ``kind``; a ``per_run`` class variable
-names fields JSON never holds.  No other module of the package is imported
-here.  Schemas ship inside the package under ``adascale/schemas`` as the
-contract for external tooling; the package runs none of them.
+``Config``, the base of the config and report dataclasses, checks each field
+with :func:`checked`, the package's one type walker, and the keywords of its
+:func:`bound`.  All on-disk documents use tagged objects ({"kind": ...}) for
+the union types, each tagged with its class's ``kind``; a ``per_run`` class
+variable names fields JSON never holds.  No other module of the package is
+imported here.  Schemas ship inside the package under ``adascale/schemas``
+as the contract for external tooling; the package runs none of them.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import operator
 import reprlib
-from dataclasses import MISSING, fields, is_dataclass
+import sys
+from dataclasses import MISSING, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 __all__ = [
+    "Config",
+    "bound",
+    "checked",
     "to_json",
     "from_json",
-    "mistyped",
-    "as_floats",
     "schema",
     "validate_run_report",
     "read_json",
     "write_json",
 ]
+
+SCORE = {"minimum": 0, "maximum": 1}  # the bounds of a precision, recall or F in a report
 
 
 def read_json(path):
@@ -71,10 +79,11 @@ def _shown(doc) -> str:
     return {dict: "an object", list: "an array"}.get(type(doc)) or reprlib.repr(doc)
 
 
-def _at(where: str, tp, doc):
-    """``from_json(tp, doc)`` whose error names ``where``, a field, an index or a key."""
+def _at(where: str, walk, tp, value):
+    """``walk(tp, value)``, :func:`from_json` or :func:`checked`, whose error names
+    ``where``, a field, an index or a key."""
     try:
-        return from_json(tp, doc)
+        return walk(tp, value)
     except ValueError as error:
         text = str(error)  # an item's starts with its index: "arms" + "[1]: ..."
         raise ValueError(f"{where}{'' if text.startswith('[') else ': '}{text}") from None
@@ -85,11 +94,12 @@ def from_json(tp, doc):
 
     ``tp`` is a config or report dataclass, a union of tagged ones (chosen by
     the document's "kind"), or a field annotation.  A dataclass, union or
-    dict takes an object, a tuple or list an array, an ``int`` an integral
-    number, a ``float`` any number, and a ``bool`` or ``str`` only its own
-    type.  Absent keys take their field's default.  Any other value, an
-    absent key without one, or a key that is neither a field nor "kind",
-    raises ``ValueError`` naming the class and the field.
+    dict takes an object and a tuple or list an array; an integral number
+    where an ``int`` goes is read as one, and each value read is then
+    :func:`checked`.  Absent keys take their field's default.  Any other
+    value, an absent key without one, or a key that is neither a field nor
+    "kind", raises ``ValueError`` naming the class and the field, the
+    fields in declaration order.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -107,27 +117,17 @@ def from_json(tp, doc):
     elif origin in (tuple, list) or tp in (tuple, list):
         if not isinstance(doc, list):
             raise ValueError(f"expected array, got {_shown(doc)}")
-        # a run report's lists hold one float per training step, taken as they are if all are floats
-        if args and not (args[0] is float and set(map(type, doc)) <= {float}):
-            doc = [_at(f"[{i}]", args[0], v) for i, v in enumerate(doc)]
-        return (list if list in (origin, tp) else tuple)(doc)
+        # a run report's lists hold one float per training step, left to checked() in one pass
+        if args and args[0] is not float:
+            doc = [_at(f"[{i}]", from_json, args[0], v) for i, v in enumerate(doc)]
+        return checked(tp, (list if list in (origin, tp) else tuple)(doc))
     elif origin is dict:
         if not isinstance(doc, dict):
             raise ValueError(f"expected object, got {_shown(doc)}")
-        return {k: _at(f"[{k!r}]", args[1], v) for k, v in doc.items()}
-    if tp in (int, float):
-        if isinstance(doc, bool) or not isinstance(doc, (int, float)) or (tp is int and doc % 1):
-            raise ValueError(f"expected {tp.__name__}, got {doc!r}")
-        try:
-            return tp(doc)
-        except OverflowError:  # an integer beyond the range of a float
-            raise ValueError(f"expected finite float, got {_shown(doc)}") from None
-    if tp in (str, bool):
-        if not isinstance(doc, tp):
-            raise ValueError(f"expected {tp.__name__}, got {doc!r}")
-        return doc
+        return checked(tp, {k: _at(f"[{k!r}]", from_json, args[1], v) for k, v in doc.items()})
     if not is_dataclass(tp):
-        return doc
+        # as the JSON Schema "integer" allows, 2.0 is an int
+        return checked(tp, int(doc) if tp is int and type(doc) is float and doc.is_integer() else doc)
     if not isinstance(doc, dict):
         raise ValueError(f"expected {tp.__name__} object, got {_shown(doc)}")
     # a renamed key reads as the missing one
@@ -138,7 +138,7 @@ def from_json(tp, doc):
     if unknown:
         raise ValueError(f"unknown {tp.__name__} keys {unknown}")
     hints, present = _hints(tp), [f.name for f in _fields(tp) if f.name in doc]
-    return tp(**{key: _at(f"{tp.__name__}.{key}", hints[key], doc[key]) for key in present})
+    return tp(**{key: _at(f"{tp.__name__}.{key}", from_json, hints[key], doc[key]) for key in present})
 
 
 def _type_name(tp) -> str:
@@ -147,14 +147,15 @@ def _type_name(tp) -> str:
     return "None" if tp is type(None) else (get_origin(tp) or tp).__name__
 
 
-def mistyped(tp, value) -> str | None:
-    """What keeps the Python ``value`` from being of the annotation ``tp``, as
-    ": expected <type>, got <value>" after the index or key of an item at fault,
-    or None if nothing does.
+def checked(tp, value):
+    """The Python ``value`` of the annotation ``tp`` in canonical form: an ``int``
+    where a ``float`` goes, at any depth, made a float, and ``value`` itself
+    when nothing changes.
 
-    Types are read as ``from_json`` reads them: an ``int`` is also a
-    ``float`` if a float can hold it (a bool is neither), a tuple or list field takes either, and an
-    optional or tagged union any of its members.
+    An ``int`` is also a ``float`` if a float can hold it (a bool is
+    neither), a tuple or list takes either, and an optional or tagged union
+    any of its members.  A value of another type raises ``ValueError``
+    "expected <type>, got <value>", after the index or key of an item at fault.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -162,47 +163,89 @@ def mistyped(tp, value) -> str | None:
         if value is None and len(members) < len(args):
             return None
         if len(members) == 1:
-            return mistyped(members[0], value)
+            return checked(members[0], value)
         if isinstance(value, tuple(members)):
-            return None
+            return value
     elif origin in (tuple, list) or tp in (tuple, list):
         if isinstance(value, (tuple, list)):
             if not args or (args[0] is float and set(map(type, value)) <= {float}):
-                return None
-            return next((f"[{i}]{e}" for i, v in enumerate(value) if (e := mistyped(args[0], v))), None)
+                return value
+            items = [_at(f"[{i}]", checked, args[0], v) for i, v in enumerate(value)]
+            return value if all(map(operator.is_, items, value)) else type(value)(items)
     elif origin is dict:
         if isinstance(value, dict):
-            return next((f"[{k!r}]{e}" for k, v in value.items() if (e := mistyped(args[1], v))), None)
+            items = {k: _at(f"[{k!r}]", checked, args[1], v) for k, v in value.items()}
+            return value if all(map(operator.is_, items.values(), value.values())) else items
     elif not isinstance(tp, type):
+        return value
+    elif tp is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the range of a float
+            raise ValueError(f"expected finite float, got {reprlib.repr(value)}") from None
+    elif isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(f"expected {_type_name(tp)}, got {reprlib.repr(value)}")
+
+
+def bound(default=MISSING, **keywords):
+    """A config field whose value must meet JSON Schema ``keywords``: ``Config``
+    checks them and :func:`schema` writes them into the schema."""
+    return field(default=default, metadata=keywords)
+
+
+# keyword -> (test the value passes, the bound as text); NaN fails every comparison
+_BOUNDS = {
+    "minimum": (operator.ge, ">="),
+    "exclusiveMinimum": (operator.gt, ">"),
+    "maximum": (operator.le, "<="),
+    "exclusiveMaximum": (operator.lt, "<"),
+    "minLength": (lambda v, n: len(v) >= n, "of length >="),
+    "minItems": (lambda v, n: len(v) >= n, "of length >="),
+    "enum": (lambda v, options: v in options, "one of"),
+}
+
+
+def _broken(value, keywords) -> str | None:
+    """What ``value``, of its field's type, breaks, as " must be <bound>, got <value>",
+    or None; None meets all but ``enum``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f" must be finite, got {value!r}"
+    for key, limit in keywords.items():
+        if key == "items":
+            if value is not None and (broken := _broken_item(value, limit)):
+                return broken
+            continue
+        test, text = _BOUNDS[key]
+        if (value is not None or key == "enum") and not test(value, limit):
+            return f" must be {text} {limit!r}, got {value!r}"
+    return None
+
+
+def _broken_item(values, keywords) -> str | None:
+    """What the first item of ``values`` to break ``keywords`` breaks, after its "[<index>]";
+    finite numbers within ``minimum``/``maximum``, one per step in a run report, pass in one pass."""
+    low, high = keywords.get("minimum", -sys.float_info.max), keywords.get("maximum", sys.float_info.max)
+    if keywords.keys() <= {"minimum", "maximum"} and all(low <= x <= high for x in values):
         return None
-    elif isinstance(value, (int, float) if tp is float else tp):
-        if tp is float and type(value) is int and _overflows_float(value):
-            return f": expected finite float, got {reprlib.repr(value)}"
-        if tp is bool or not isinstance(value, bool):
-            return None
-    return f": expected {_type_name(tp)}, got {reprlib.repr(value)}"
+    return next((f"[{i}]{broken}" for i, x in enumerate(values) if (broken := _broken(x, keywords))), None)
 
 
-def as_floats(tp, value):
-    """``value``, of the annotation ``tp``, with an ``int`` made a ``float`` where
-    ``tp`` is a float, or a tuple of floats, optional or not, as ``from_json``
-    reads it; ``value`` itself when nothing changes."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin in (Union, UnionType) and value is not None and len(args) == 2 and args[1] is type(None):
-        return as_floats(args[0], value)
-    if tp is float and type(value) is int:
-        return float(value)
-    if origin is tuple and args[:1] == (float,) and int in set(map(type, value)):
-        return type(value)(float(v) if type(v) is int else v for v in value)
-    return value
+class Config:
+    """Base of the config and report dataclasses: every field is stored as
+    :func:`checked` against its annotation returns it, a float field must be
+    finite and every field must meet the keywords of its :func:`bound`.  So a
+    config built in Python writes the JSON of the same config read from a file."""
 
-
-def _overflows_float(value: int) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
+    def __post_init__(self) -> None:
+        hints = _hints(type(self))
+        for f in fields(self):
+            where, value = f"{type(self).__name__}.{f.name}", getattr(self, f.name)
+            canonical = _at(where, checked, hints[f.name], value)
+            if canonical is not value:
+                object.__setattr__(self, f.name, canonical)
+            if broken := _broken(canonical, f.metadata):
+                raise ValueError(f"{where}{broken}")
 
 
 def validate_run_report(cls, doc):

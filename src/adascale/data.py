@@ -1,5 +1,7 @@
-"""Synthetic sparse-detection datasets, file ingestion and batch sampling,
-plus ``Config``, the base that checks every config dataclass's bounds.
+"""Synthetic sparse-detection datasets, file ingestion and batch sampling.
+
+The generator, source and sampler configs are ``configio.Config``
+dataclasses: ``configio`` decides what a valid value of each is.
 
 Label convention throughout the package: 0 is the background (negative)
 class, labels 1..k-1 are the positive classes.
@@ -17,21 +19,17 @@ import csv
 import itertools
 import json
 import math
-import operator
-import sys
 import warnings
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .configio import _hints, as_floats, mistyped
+from .configio import Config, bound
 
 __all__ = [
-    "Config",
-    "bound",
     "Dataset",
     "GeneratorConfig",
     "GenerationDetails",
@@ -52,76 +50,12 @@ __all__ = [
 ]
 
 NEGATIVE_LABEL = 0
-SCORE = {"minimum": 0, "maximum": 1}  # the bounds of a precision, recall or F in a report
 # dataset file formats, each named as its file suffix
 FORMATS = ("csv", "jsonl")
 
 
 class StratificationWarning(UserWarning):
     """Raised-as-warning when a stratified epoch cannot honor its quota."""
-
-
-def bound(default=MISSING, **keywords):
-    """A config field whose value must meet JSON Schema ``keywords``: ``Config``
-    checks them and ``configio.schema`` writes them into the schema."""
-    return field(default=default, metadata=keywords)
-
-
-# keyword -> (test the value passes, the bound as text); NaN fails every comparison
-_BOUNDS = {
-    "minimum": (operator.ge, ">="),
-    "exclusiveMinimum": (operator.gt, ">"),
-    "maximum": (operator.le, "<="),
-    "exclusiveMaximum": (operator.lt, "<"),
-    "minLength": (lambda v, n: len(v) >= n, "of length >="),
-    "minItems": (lambda v, n: len(v) >= n, "of length >="),
-    "enum": (lambda v, options: v in options, "one of"),
-}
-
-
-def _broken(value, keywords) -> str | None:
-    """What ``value``, of its field's type, breaks, as " must be <bound>, got <value>",
-    or None; None meets all but ``enum``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return f" must be finite, got {value!r}"
-    for key, limit in keywords.items():
-        if key == "items":
-            if value is not None and (broken := _broken_item(value, limit)):
-                return broken
-            continue
-        test, text = _BOUNDS[key]
-        if (value is not None or key == "enum") and not test(value, limit):
-            return f" must be {text} {limit!r}, got {value!r}"
-    return None
-
-
-def _broken_item(values, keywords) -> str | None:
-    """What the first item of ``values`` to break ``keywords`` breaks, after its "[<index>]";
-    finite numbers within ``minimum``/``maximum``, one per step in a run report, pass in one pass."""
-    low, high = keywords.get("minimum", -sys.float_info.max), keywords.get("maximum", sys.float_info.max)
-    if keywords.keys() <= {"minimum", "maximum"} and all(low <= x <= high for x in values):
-        return None
-    return next((f"[{i}]{broken}" for i, x in enumerate(values) if (broken := _broken(x, keywords))), None)
-
-
-class Config:
-    """Base of the config and report dataclasses: every field must be of its
-    annotated type, a float field finite and every field must meet the
-    keywords of its ``bound()``.  An int given for a float, or for an item of a
-    tuple of floats, is stored as a float, so a config built in Python writes
-    the JSON of the same config read from a file."""
-
-    def __post_init__(self) -> None:
-        hints = _hints(type(self))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            broken = mistyped(hints[f.name], value)
-            if not broken:
-                if (canonical := as_floats(hints[f.name], value)) is not value:
-                    object.__setattr__(self, f.name, canonical)
-                broken = _broken(canonical, f.metadata)
-            if broken:
-                raise ValueError(f"{type(self).__name__}.{f.name}{broken}")
 
 
 @dataclass(frozen=True)

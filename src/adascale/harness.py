@@ -26,7 +26,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import configio
-from .data import SCORE, Config, Dataset, DatasetSource, FileSource, SyntheticSource, bound, generate, load
+from .configio import SCORE, Config, bound
+from .data import Dataset, DatasetSource, FileSource, SyntheticSource, generate, load
 from .losses import Adaptive, LossStrategy
 from .model import ACTIVATIONS, ModelSpec
 from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
@@ -477,11 +478,15 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     ``run_dir``, groups by the embedded arm name and recomputes
     mean/var/best-k exactly as :func:`run_experiment` does, with the config's
     ``best_k`` to reproduce ``comparison.json``.  Every file must decode as a
-    complete :class:`RunReport`; one that fails raises a ``ValueError`` naming it.
+    complete :class:`RunReport`; one that fails raises a ``ValueError`` naming
+    it, and so does a ``run_dir`` that holds no run file, or no such directory.
     """
     run_dir = Path(run_dir)
+    paths = sorted(run_dir.glob("run_*.json"))
+    if not paths:
+        raise ValueError(f"{run_dir}: no run_*.json files")
     by_arm: dict[str, list[RunReport]] = {}
-    for path in sorted(run_dir.glob("run_*.json")):
+    for path in paths:
         doc = configio.read_json(path)
         try:
             report = configio.validate_run_report(RunReport, doc)
@@ -492,7 +497,8 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
 
 
 # blocks of an experiment document also read on their own: the "train" defaults every arm
-# may override, and a sweep and a grid, left out, never null, a grid's values kept as written
+# may override, and a sweep and a grid, left out, never null; a grid's numbers stay in the
+# config as written, for grid_search to set as its fields' types
 _LAYOUT = {"train": TrainConfig, "beta_sweep": tuple[float, ...], "grid": dict[str, dict[str, tuple[float, ...]]]}
 
 
@@ -525,7 +531,7 @@ def experiment_from_json(doc) -> ExperimentConfig:
         raise ValueError(text.replace("source", "dataset", 1)) from None
     for key, tp in _LAYOUT.items():
         if key in doc:
-            configio._at(f"ExperimentConfig.{key}", tp, doc[key])
+            configio._at(f"ExperimentConfig.{key}", configio.from_json, tp, doc[key])
     return config
 
 

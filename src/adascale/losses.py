@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Config, bound
+from .configio import Config, bound
 from .model import ForwardResult, _gold_index, _labels_out_of_range
 
 # the kernel, under the name the benchmark in perfbench/ traces as scaling.w_batch

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import from_json, read_json
-from .data import Config, bound
+from .configio import Config, bound, from_json, read_json
 
 __all__ = [
     "ModelSpec",

@@ -15,8 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .configio import write_json
-from .data import NEGATIVE_LABEL, SCORE, Config, Dataset, SamplerKind, UniformSampler, batches, bound
+from .configio import SCORE, Config, bound, write_json
+from .data import NEGATIVE_LABEL, Dataset, SamplerKind, UniformSampler, batches
 from .losses import LossStrategy, Vanilla, strategy_label
 from .metrics import confusion_from_predictions, f_beta, precision, recall
 from .model import Gradients, ModelParams, ModelSpec, init_params, predict

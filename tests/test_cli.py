@@ -383,6 +383,35 @@ class TestInputErrors:
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (2, f"adascale: error: {checkpoint}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["generate", "--n", "40", "--d", "3", "--k", "2", "--positive-rate", "0.2", "--out", "{nodir}/x.csv"],
+             "{nodir}/x.csv: No such file or directory"),
+            (["eval", "--model", "{model}", "--data", "{data}", "--out", "{nodir}/e.json"],
+             "{nodir}/e.json: No such file or directory"),
+            (["train", "--config", "{config}", "--arm", "vanilla", "--out", "{nodir}/r.json"],
+             "{nodir}/r.json: No such file or directory"),
+            (["train", "--config", "{config}", "--arm", "vanilla", "--out", "{dir}/r.json", "--save-model",
+              "{nodir}/m.json"], "{nodir}/m.json: No such file or directory"),
+            (["compare", "--config", "{config}", "--out", "{file}"], "{file}: File exists"),
+            (["sweep", "--config", "{config}", "--out", "{file}"], "{file}: File exists"),
+            (["grid", "--config", "{config}", "--arm", "static", "--out", "{file}"], "{file}: File exists"),
+        ],
+        ids=["generate", "eval", "train", "save-model", "compare", "sweep", "grid"],
+    )
+    def test_unwritable_output_path(self, tmp_path, config_path, monkeypatch, capsys, args, expected):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        paths = {"nodir": tmp_path / "nodir", "dir": tmp_path, "config": config_path, "file": tmp_path / "file",
+                 "model": tmp_path / "model.json", "data": tmp_path / "data.csv"}
+        paths["file"].write_text("")
+        save_params(init_params(ModelSpec(3, 2), 0), paths["model"])
+        assert main(["generate", "--out", str(paths["data"]), "--n", "40", "--d", "3", "--k", "2",
+                     "--positive-rate", "0.2"]) == 0
+        code, err = self._run(monkeypatch, capsys, *(arg.format(**paths) for arg in args))
+        assert (code, err) == (2, f"adascale: error: {expected.format(**paths)}\n")
+
     @pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["list", "number", "string"])
     def test_generator_config_not_an_object(self, tmp_path, monkeypatch, capsys, text):
         config = tmp_path / "gen.json"

@@ -8,7 +8,7 @@ import math
 import pickle
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 from typing import get_args
 
@@ -178,6 +178,13 @@ class TestRunExperiment:
         path.write_text(edit(path.read_text()))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             reaggregate(tmp_path / "out")
+
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["no directory", "no run files"])
+    def test_reaggregate_rejects_a_directory_without_runs(self, tmp_path, make):
+        run_dir = tmp_path / "out"
+        make(run_dir)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(run_dir))}: no run_"):
+            reaggregate(run_dir)
 
     @pytest.mark.parametrize(
         "protocol",
@@ -398,6 +405,16 @@ class TestGridSearch:
             grid_search(arm, {"min_positives_per_batch": (1, 1.5)}, bad)
         assert not (tmp_path / "bad").exists()
 
+    def test_int_and_float_values_write_the_same_files(self, tmp_path):
+        # a grid value is stored as its field's type, so the report does not depend on how it was typed
+        arm = Arm("static", Static(0.5), replace(TINY_TRAIN, epochs=1))
+        for name, costs in (("int", (1, 2)), ("float", (1.0, 2.0))):
+            grid_search(arm, {"negative_cost": costs}, _tiny_config(tmp_path / name, n_seeds=1, best_k=1))
+        files = sorted(p.name for p in (tmp_path / "int").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "float").iterdir()) and "grid_static.json" in files
+        for name in files:
+            assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes(), name
+
     def test_empty_grid_single_cell(self, tmp_path):
         config = _tiny_config(tmp_path / "out", n_seeds=1, best_k=1)
         result = grid_search(Arm("adaptive", Adaptive(1.0), TINY_TRAIN), {}, config)
@@ -445,7 +462,44 @@ class TestTaggedUnions:
         assert modules and not [m for m in modules if m.startswith((".", "adascale"))]
 
 
+def _int_float_configs() -> list:
+    """One value of every config and report class, built with an int wherever a
+    float goes: in a field, an item of a tuple or list and a value of a dict."""
+    generator = GeneratorConfig(n=400, d=5, k=3, positive_rate=0.1, class_separation=4, noise_scale=1)
+    source = SyntheticSource(generator, n_dev=150, n_test=150)
+    train = TrainConfig(optimizer=SGD(1, 0), sampler=UnderSampler(3), eval_beta=2, early_stop_patience=2)
+    summary = harness.RunSummary(3, 1, 0, 1, 0, True)
+    arm_summary = harness.ArmSummary("a", 2, 1, 1, 0, 0, 1, [4], [summary])
+    row = harness.SweepRow(2, 1, 1, 0, 1, 0, 0, 0)
+    cell = harness.GridCell({"negative_cost": 1, "min_positives_per_batch": 2}, 1, 2, [1, 0])
+    return [
+        generator, source, FileSource("a.csv", "b.csv", "c.csv"),
+        UniformSampler(), StratifiedSampler(2), UnderSampler(3),
+        ModelSpec(5, 3, 4, "relu"), ModelConfig(4, "relu"),
+        Vanilla(), Adaptive(2), Static(1), Focal(2), SGD(1, 0), Adam(1, 0, 0, 1), train,
+        Arm("a", Static(1), train),
+        ExperimentConfig(source, (Arm("a", Adaptive(1)),), beta_sweep=(1, 2), grid={"a": {"beta": (1, 2)}}),
+        RunReport(0, "a", "adaptive(beta=2)", 2, 1, 0, 1, [1], [0], [1], [2], [0, 1], 0, 1, 0, 1),
+        summary, arm_summary, harness.ComparisonReport(2, 1, 0, [arm_summary]),
+        row, harness.SweepReport(1, 0, [row]),
+        cell, harness.GridResult("a", 0, {"negative_cost": 1}, [cell]),
+    ]
+
+
+def _subclasses(cls) -> set:
+    return {sub for child in cls.__subclasses__() for sub in (child, *_subclasses(child))}
+
+
 class TestConfigCodec:
+    def test_int_floats_write_the_json_they_read_back(self):
+        # JSON text compares 1 and 1.0 as different, so each float field, item and value must be a float
+        values = _int_float_configs()
+        assert {type(v) for v in values} == {c for c in _subclasses(configio.Config) if is_dataclass(c)}
+        for value in values:
+            text = json.dumps(configio.to_json(value), sort_keys=True)
+            read = configio.from_json(type(value), configio.to_json(value))
+            assert json.dumps(configio.to_json(read), sort_keys=True) == text, type(value).__name__
+
     def test_int_floats_stored_as_floats(self):
         # what from_json stores for an integral number where a float goes
         config = TrainConfig(eval_beta=2, strategy=Static(1), optimizer=SGD(lr=1, momentum=0))
@@ -849,6 +903,11 @@ class TestExperimentSchema:
         assert str(caught.value) == (
             "ExperimentConfig.model: ModelConfig.activation must be one of ('tanh', 'relu'), got 'sigmoid'"
         )
+        doc = _mutant("synthetic", ("n_seeds",), "x")
+        doc["beta_sweep"] = "y"
+        with pytest.raises(ValueError) as caught:
+            experiment_from_json(doc)
+        assert str(caught.value) == "ExperimentConfig.n_seeds: expected int, got 'x'"
 
 
 class TestRunReportSchema:
