@@ -66,17 +66,30 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would, leaving no new file behind."""
+    existed = path.exists()
+    with path.open("a"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def _cmd_train(args) -> int:
     config = _experiment(args)
     arm = _arm(config, args.arm)
+    seed = args.seed if args.seed is not None else config.base_seed
+    out = Path(args.out or harness._run_file(arm.name, seed))
+    # an output the run cannot write is reported before the run trains
+    for path in (out, args.save_model):
+        if path:
+            _check_writable(Path(path))
     train_ds, dev_ds, test_ds = harness.load_datasets(config.source)
     spec = harness._build_spec(config.model, train_ds)
-    seed = args.seed if args.seed is not None else config.base_seed
     with harness._reading():
         train_config = replace(arm.train, strategy=arm.strategy, seed=seed)
     params, report = train(train_ds, dev_ds, test_ds, spec, train_config)
     report.arm = arm.name
-    out = Path(args.out or harness._run_file(arm.name, seed))
     write_run_report(report, out)
     if args.save_model:
         save_params(params, args.save_model)

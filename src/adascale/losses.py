@@ -18,6 +18,9 @@ Each strategy declares its JSON tag as ``kind``; ``instance_weights(gold_probs,
 is_negative, is_positive, n_positive)`` returns its weights and the step's
 adaptive weight (else None), given the batch's complementary label masks and
 its positive count.
+
+:func:`compute_loss` is its checks (the gold-label one shared with
+``model.backward``) and its kernel, no speed tricks: no training step calls it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import Config, bound
-from .model import ForwardResult, _gold_index, _labels_out_of_range
+from .model import ForwardResult, _check_gold
 
 # the kernel, under the name the benchmark in perfbench/ traces as scaling.w_batch
 from .scaling import _w_batch as w_batch
@@ -119,20 +122,12 @@ def compute_loss(
     step contributes no gradient.
     """
     probs = fwd.probs
-    batch = probs.shape[0]
-    if batch == 0:
+    if probs.shape[0] == 0:
         raise ValueError("batch must contain at least one instance")
-    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
-    if gold_arr.shape != (batch,):
-        raise ValueError("gold labels must have one entry per batch row")
-    if gold_arr.dtype.kind not in "iu":
-        raise ValueError("gold labels must be integers")
-    if _labels_out_of_range(gold_arr, probs.shape[1]):
-        raise ValueError("gold labels out of range")
-    is_negative = gold_arr == negative_label
+    gold, gold_index = _check_gold(gold, probs, "gold labels out of range")
+    is_negative = gold == negative_label
     is_positive = ~is_negative
     n_positive = int(np.count_nonzero(is_positive))
-    gold_index = _gold_index(gold_arr, probs.shape[1])
     if getattr(strategy, "sums_gold_probs", False) and n_positive:
         gold_probs = probs.take(gold_index)
         # NaN passes this range test on purpose: a diverged model's NaN

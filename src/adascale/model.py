@@ -4,11 +4,14 @@ Two architectures: a linear softmax layer, and one hidden layer (tanh or
 relu) followed by softmax.  The loss layer lives elsewhere and only ever
 talks to these models through per-instance weights, so any strategy that
 can express itself as instance weighting plugs in unchanged.
+
+The public :func:`forward` and :func:`backward` check each call, then run the
+kernel a training step calls; no step calls them, so they carry no speed
+tricks.  ``backward`` shares its gold-label check with ``losses.compute_loss``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -124,46 +127,22 @@ def _activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
     return pre > 0.0
 
 
-def _as_float64(values) -> np.ndarray:
-    if type(values) is np.ndarray and values.dtype == np.float64:
-        return values
-    return np.asarray(values, dtype=np.float64)
-
-
-@functools.lru_cache(maxsize=None)
-def _row_index(n: int) -> np.ndarray:
-    """Read-only ``arange(n)``, shared by every batch of n rows."""
-    rows = np.arange(n)
-    rows.flags.writeable = False
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _unsigned_view(dtype: np.dtype) -> tuple[np.dtype, int]:
-    """The unsigned dtype of an integer dtype's width, and the dtype's max + 1."""
-    return np.dtype(dtype.str.replace("i", "u")), int(np.iinfo(dtype).max) + 1
-
-
-def _gold_index(gold: np.ndarray, k: int) -> np.ndarray:
-    """Flat index of each row's gold entry in a C-ordered ``(rows, k)`` matrix,
-    for integer ``gold`` labels in ``[0, k)``."""
-    return _row_index(gold.size) * k + gold.astype(np.intp, copy=False)
-
-
-def _labels_out_of_range(labels: np.ndarray, k: int) -> bool:
-    """Whether an integer label lies outside ``[0, k)``, in one reduction.
-
-    Viewed as unsigned of the same width, a negative label reads as at least
-    the signed max + 1, so one max tests both bounds once k is capped there.
-    """
-    if labels.size == 0:
-        return False
-    unsigned, limit = _unsigned_view(labels.dtype)
-    return bool(labels.view(unsigned).max() >= min(k, limit))
+def _check_gold(gold, probs: np.ndarray, out_of_range: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked gold labels of a ``(rows, k)`` batch and each one's flat index in it."""
+    gold = np.asarray(gold)
+    rows = probs.shape[0]
+    if gold.shape != (rows,):
+        raise ValueError("gold labels must have one entry per batch row")
+    if gold.dtype.kind not in "iu":
+        raise ValueError("gold labels must be integers")
+    k = probs.shape[1]
+    if gold.size and (gold.min() < 0 or gold.max() >= k):
+        raise ValueError(out_of_range)
+    return gold, np.arange(rows) * k + gold.astype(np.intp)
 
 
 def _check_features(spec: ModelSpec, features) -> np.ndarray:
-    x = _as_float64(features)
+    x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if x.shape[1] != spec.input_dim:
@@ -204,16 +183,9 @@ def backward(
     so the returned gradient is exactly linear in the instance weights.
     """
     probs = fwd.probs
-    batch = probs.shape[0]
-    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
-    w = _as_float64(instance_weights)
-    if gold_arr.shape != (batch,):
-        raise ValueError("gold labels must have one entry per batch row")
-    if gold_arr.dtype.kind not in "iu":
-        raise ValueError("gold labels must be integers")
-    if _labels_out_of_range(gold_arr, probs.shape[1]):
-        raise ValueError("gold labels out of range for model class count")
-    if w.shape != (batch,):
+    w = np.asarray(instance_weights, dtype=np.float64)
+    _, gold_index = _check_gold(gold, probs, "gold labels out of range for model class count")
+    if w.shape != (probs.shape[0],):
         raise ValueError("instance_weights must have one entry per batch row")
     # NaN fails both comparisons
     if not (w.min() >= 0.0 and w.max() < np.inf):
@@ -222,7 +194,6 @@ def backward(
         weights=[np.empty_like(a) for a in params.weights],
         biases=[np.empty_like(a) for a in params.biases],
     )
-    gold_index = _gold_index(gold_arr, probs.shape[1])
     return _backward(params, replace(fwd, probs=probs.copy()), gold_index, w, grads)
 
 

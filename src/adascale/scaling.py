@@ -10,7 +10,8 @@ hyper-parameter to tune.
 Two forms are provided: the exact dataset-level weight from full confusion
 counts, and a batch-wise estimator that replaces tp/tn with their expected
 values (sums of the gold-class softmax probabilities inside the batch) so
-the weight can be refreshed at every optimization step.
+the weight can be refreshed at every optimization step.  The public
+:func:`w_batch` checks its inputs and runs the kernel a training step calls.
 """
 
 from __future__ import annotations
@@ -81,19 +82,14 @@ def batch_expected_counts(batch: BatchPrediction) -> tuple[float, float, int, in
     sum of the gold-class probabilities of its instances, which stays
     informative even for small batches where hard counts would be 0 or 1.
     """
-    is_positive, is_negative, p_b = _masks(batch.is_positive)
-    tp_b, tn_b = _expected_counts(batch.gold_probs, is_positive, is_negative)
+    p_b = int(np.count_nonzero(batch.is_positive))
+    tp_b, tn_b = _expected_counts(batch.gold_probs, batch.is_positive, ~batch.is_positive)
     return tp_b, tn_b, p_b, batch.gold_probs.size - p_b
 
 
 def _expected_counts(gold_probs: np.ndarray, is_positive: np.ndarray, is_negative: np.ndarray) -> tuple[float, float]:
     # np.add.reduce is what ndarray.sum runs, without its Python wrapper
     return float(np.add.reduce(gold_probs[is_positive])), float(np.add.reduce(gold_probs[is_negative]))
-
-
-def _masks(is_positive: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The positive and negative masks of a batch and its positive count."""
-    return is_positive, ~is_positive, int(np.count_nonzero(is_positive))
 
 
 def w_batch(batch: BatchPrediction, beta: float = 1.0) -> float:
@@ -104,7 +100,9 @@ def w_batch(batch: BatchPrediction, beta: float = 1.0) -> float:
     attributed from gold-class probabilities alone.  A batch with no
     positives yields 0.0, which zeroes that step's negative gradient.
     """
-    return _w_batch(batch.gold_probs, *_masks(batch.is_positive), _check_beta(beta))
+    is_positive = batch.is_positive
+    p_b = int(np.count_nonzero(is_positive))
+    return _w_batch(batch.gold_probs, is_positive, ~is_positive, p_b, _check_beta(beta))
 
 
 def _w_batch(

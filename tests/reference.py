@@ -40,9 +40,7 @@ from adascale.model import (
     ForwardResult,
     Gradients,
     _activate,
-    _as_float64,
     _check_features,
-    _row_index,
 )
 
 
@@ -73,7 +71,7 @@ def backward(params, fwd: ForwardResult, gold, instance_weights) -> Gradients:
     probs = fwd.probs
     batch = probs.shape[0]
     gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
-    w = _as_float64(instance_weights)
+    w = np.asarray(instance_weights, dtype=np.float64)
     if gold_arr.shape != (batch,):
         raise ValueError("gold labels must have one entry per batch row")
     if gold_arr.dtype.kind not in "iu":
@@ -86,7 +84,7 @@ def backward(params, fwd: ForwardResult, gold, instance_weights) -> Gradients:
         raise ValueError("instance_weights must be finite and non-negative")
 
     dlogits = probs.copy()
-    dlogits[_row_index(batch), gold_arr] -= 1.0
+    dlogits[np.arange(batch), gold_arr] -= 1.0
     dlogits *= (w / batch)[:, None]
 
     if params.spec.hidden_dim is None:
@@ -116,7 +114,7 @@ def compute_loss(strategy, fwd: ForwardResult, gold, negative_label: int = 0) ->
     if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
         raise ValueError("gold labels out of range")
 
-    gold_probs = probs[_row_index(batch), gold_arr]
+    gold_probs = probs[np.arange(batch), gold_arr]
     is_negative = gold_arr == negative_label
     w_used = None
 

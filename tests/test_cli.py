@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import adascale
-from adascale import harness
+from adascale import cli, harness
 from adascale.cli import main, run
 from adascale.data import GeneratorConfig, load
 
@@ -232,6 +232,13 @@ class TestEntryPoint:
         for sub in ("generate", "train", "eval", "compare", "sweep", "grid"):
             assert sub in proc.stdout
 
+    # the quick demos; 02 is the one caller outside the tests of the public
+    # BatchPrediction, batch_expected_counts and w_batch
+    @pytest.mark.parametrize("demo", ["01_metrics_and_marginal_utility.py", "02_batch_weight_estimation.py"])
+    def test_demo_runs(self, demo):
+        proc = _run_python(str(Path(__file__).resolve().parents[1] / "demos" / demo))
+        assert proc.returncode == 0, proc.stderr
+
 
 def _edit(doc, path, value):
     *parents, last = path
@@ -243,6 +250,10 @@ def _edit(doc, path, value):
 def _with(text, **changes):
     """A JSON document's text with some of its top-level keys set."""
     return json.dumps({**json.loads(text), **changes})
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("trained before the output paths were checked")
 
 
 class TestInputErrors:
@@ -409,8 +420,12 @@ class TestInputErrors:
         save_params(init_params(ModelSpec(3, 2), 0), paths["model"])
         assert main(["generate", "--out", str(paths["data"]), "--n", "40", "--d", "3", "--k", "2",
                      "--positive-rate", "0.2"]) == 0
+        written = set(tmp_path.iterdir())
+        monkeypatch.setattr(cli, "train", _no_training)
         code, err = self._run(monkeypatch, capsys, *(arg.format(**paths) for arg in args))
         assert (code, err) == (2, f"adascale: error: {expected.format(**paths)}\n")
+        # train rejects its outputs before it trains and leaves no file behind
+        assert set(tmp_path.iterdir()) == written
 
     @pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["list", "number", "string"])
     def test_generator_config_not_an_object(self, tmp_path, monkeypatch, capsys, text):
