@@ -87,7 +87,7 @@ def _cmd_train(args) -> int:
     train_ds, dev_ds, test_ds = harness.load_datasets(config.source)
     spec = harness._build_spec(config.model, train_ds)
     with harness._reading():
-        train_config = replace(arm.train, strategy=arm.strategy, seed=seed)
+        train_config = harness._run_config(arm, seed)
     params, report = train(train_ds, dev_ds, test_ds, spec, train_config)
     report.arm = arm.name
     write_run_report(report, out)
@@ -155,7 +155,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_grid(args) -> int:
     config = _experiment(args)
     arm = _arm(config, args.arm)
-    grid = (config.grid or {}).get(args.arm, {})
+    grid = config.grid.get(args.arm, {})
     result = harness.grid_search(arm, grid, config)
     for cell in result.cells:
         score = "-" if cell.mean_dev_f is None else f"{cell.mean_dev_f:.4f}"

@@ -130,8 +130,8 @@ def from_json(tp, doc):
         return checked(tp, int(doc) if tp is int and type(doc) is float and doc.is_integer() else doc)
     if not isinstance(doc, dict):
         raise ValueError(f"expected {tp.__name__} object, got {_shown(doc)}")
-    # a renamed key reads as the missing one
-    missing = [f.name for f in _fields(tp) if f.default is MISSING and f.name not in doc]
+    # a field without a default, plain or from a factory, must be present; a renamed key reads as missing
+    missing = [f.name for f in _fields(tp) if f.default is f.default_factory is MISSING and f.name not in doc]
     if missing:
         raise ValueError(f"missing {tp.__name__} keys {missing}")
     unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - {"kind"})
@@ -285,6 +285,6 @@ def schema(tp, keywords=None) -> dict:
     hints = _hints(tp)
     kind = {"kind": {"const": tp.kind}} if hasattr(tp, "kind") else {}
     properties = {**kind, **{f.name: schema(hints[f.name], f.metadata) for f in _fields(tp)}}
-    required = [*kind, *(f.name for f in _fields(tp) if f.default is MISSING)]
+    required = [*kind, *(f.name for f in _fields(tp) if f.default is f.default_factory is MISSING)]
     doc = {"type": "object", "properties": properties, "additionalProperties": False}
     return {**doc, "required": required} if required else doc

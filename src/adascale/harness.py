@@ -1,11 +1,15 @@
 """Experiment orchestration: multi-seed comparisons, beta sweeps, grid search.
 
-Protocol: every arm trains once per seed (all arms share the same seed
-list, so comparisons are paired), every run is persisted as JSON before
-any aggregate is computed, and aggregates are recomputable from the
-persisted files alone (:func:`reaggregate`).  Each protocol only plans its
-``(arm name, TrainConfig)`` runs; one pipeline (:func:`_execute`) trains
-and persists them all.
+Protocol: each protocol only plans its arms, one :class:`Arm` per compared
+system, beta or grid cell.  One pipeline (:func:`_execute`) trains every arm
+once per seed (all arms share the same seed list, so comparisons are
+paired) and persists every run as JSON before any aggregate is computed.
+
+A comparison's and a grid's aggregates are recomputable from the persisted
+files alone (:func:`reaggregate` rebuilds a comparison).  A sweep's are only
+in part: its precision and recall columns, and F1 at beta = 1, equal the
+run files' values, but F1 at any other beta comes from the extra test pass
+at beta = 1 in :func:`_execute_run`, which no file holds (ROADMAP item 4).
 
 Reported variance follows the percentage-point convention: test F is
 expressed on a 0..100 scale, so the reported Var is 1e4 times the raw
@@ -19,7 +23,7 @@ import csv
 import itertools
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -105,8 +109,8 @@ class ExperimentConfig(Config):
     n_seeds: int = bound(10, minimum=1)
     best_k: int = bound(3, minimum=1)
     base_seed: int = bound(0, minimum=0)
-    beta_sweep: tuple[float, ...] | None = bound(None, items={"exclusiveMinimum": 0})
-    grid: dict[str, dict[str, tuple]] | None = None
+    beta_sweep: tuple[float, ...] = bound((), items={"exclusiveMinimum": 0})
+    grid: dict[str, dict[str, tuple[float, ...]]] = field(default_factory=dict)
     output_dir: str = "out"
     workers: int = bound(1, minimum=1)
 
@@ -114,8 +118,12 @@ class ExperimentConfig(Config):
         super().__post_init__()
         if self.best_k > self.n_seeds:
             raise ValueError(f"ExperimentConfig.best_k must be <= n_seeds, got {self.best_k} > {self.n_seeds}")
-        if len({arm.name for arm in self.arms}) != len(self.arms):
+        names = {arm.name for arm in self.arms}
+        if len(names) != len(self.arms):
             raise ValueError("ExperimentConfig.arms: arm names must be unique")
+        for name in self.grid:
+            if name not in names:
+                raise ValueError(f"ExperimentConfig.grid: no arm named {name!r}")
 
 
 class _Aggregate(Config):
@@ -287,39 +295,33 @@ def _persist(report: RunReport, out_dir: Path) -> None:
     configio.validate_run_report(RunReport, report_to_dict(report))
 
 
-def _seed_runs(
-    config: ExperimentConfig, arm_name: str, train_config: TrainConfig
-) -> list[tuple[str, TrainConfig]]:
-    """One ``(arm name, TrainConfig)`` run per seed of the shared seed list."""
-    return [(arm_name, replace(train_config, seed=config.base_seed + s)) for s in range(config.n_seeds)]
+def _run_config(arm: Arm, seed: int) -> TrainConfig:
+    return replace(arm.train, strategy=arm.strategy, seed=seed)
 
 
-def _execute(config: ExperimentConfig, runs: list[tuple[str, TrainConfig]]) -> tuple[list, Path]:
-    """Train the planned ``(arm name, TrainConfig)`` runs and persist every report.
+def _execute(config: ExperimentConfig, arms) -> tuple[list[list], Path]:
+    """Train each arm at every seed of the shared seed list and persist every report.
 
-    Runs whose reports would share a file are rejected before any training.
-    Results come back in plan order, so each protocol reads its arms, betas
-    or cells as consecutive blocks of ``n_seeds``.
+    Arms whose reports would share a file are rejected before any training.
+    Returns each arm's block of ``(report, extras)`` results, in seed order.
     """
+    seeds = range(config.base_seed, config.base_seed + config.n_seeds)
     files: dict[str, str] = {}
-    for arm_name, train_config in runs:
-        file = _run_file(arm_name, train_config.seed)
+    for arm in arms:
+        # a run file's name ends in its seed, so two arms share the files of every seed or of none
+        file = _run_file(arm.name, seeds[0])
         if file in files:
-            raise InputError(f"arms {files[file]!r} and {arm_name!r} both write {file}")
-        files[file] = arm_name
+            raise InputError(f"arms {files[file]!r} and {arm.name!r} both write {file}")
+        files[file] = arm.name
     datasets = load_datasets(config.source)
     spec = _build_spec(config.model, datasets[0])
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(spec, train_config, arm_name) for arm_name, train_config in runs]
+    tasks = [(spec, _run_config(arm, seed), arm.name) for arm in arms for seed in seeds]
     results = _run_all(tasks, config.workers, datasets)
     for report, _ in results:
         _persist(report, out_dir)
-    return results, out_dir
-
-
-def _blocks(results: list, size: int) -> list[list]:
-    return [results[i : i + size] for i in range(0, len(results), size)]
+    return [results[i : i + len(seeds)] for i in range(0, len(results), len(seeds))], out_dir
 
 
 def _summarize_arm(name: str, reports: list[RunReport], best_k: int) -> ArmSummary:
@@ -358,12 +360,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     invalid (aborted) runs are excluded from aggregates and listed in the
     arm summary.  Writes ``comparison.csv`` and ``comparison.json``.
     """
-    runs = []
-    for arm in config.arms:
-        runs += _seed_runs(config, arm.name, replace(arm.train, strategy=arm.strategy))
-    results, out_dir = _execute(config, runs)
-    blocks = zip(config.arms, _blocks(results, config.n_seeds))
-    arms = [_summarize_arm(arm.name, [r for r, _ in block], config.best_k) for arm, block in blocks]
+    blocks, out_dir = _execute(config, config.arms)
+    arms = [_summarize_arm(a.name, [r for r, _ in block], config.best_k) for a, block in zip(config.arms, blocks)]
     report = ComparisonReport(config.n_seeds, config.best_k, config.base_seed, arms)
     configio.write_json(report.to_dict(), out_dir / "comparison.json")
     # table-style scale: mean/best3 as percentage points, var on the same scale
@@ -391,14 +389,14 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     if template is None:
         raise InputError("beta sweep requires an adaptive arm in the experiment config")
 
-    runs = []
-    for beta in config.beta_sweep:
-        train_config = replace(template.train, strategy=Adaptive(beta=beta), eval_beta=beta)
-        runs += _seed_runs(config, f"adaptive_beta{beta:g}", train_config)
-    results, out_dir = _execute(config, runs)
+    arms = [
+        Arm(f"adaptive_beta{beta:g}", Adaptive(beta), replace(template.train, eval_beta=beta))
+        for beta in config.beta_sweep
+    ]
+    blocks, out_dir = _execute(config, arms)
     stat_names = [f.name for f in fields(SweepRow)][2:]
     rows: list[SweepRow] = []
-    for beta, block in zip(config.beta_sweep, _blocks(results, config.n_seeds)):
+    for beta, block in zip(config.beta_sweep, blocks):
         per_seed = [extras for report, extras in block if report.valid]
         # SweepRow's field order: three means, then three stddevs, each over one 1-D column
         columns = [np.array(column) for column in zip(*per_seed)]
@@ -416,7 +414,7 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
 
 
 def _apply_cell(arm: Arm, cell: dict) -> Arm:
-    """The arm with each grid value set on its strategy or sampler, which the codec then reads."""
+    """The cell's arm, named by its values, each set on the arm's strategy or sampler for the codec to read."""
     parts = (arm.strategy, arm.train.sampler)
     docs = [configio.to_json(part) for part in parts]
     for key, value in cell.items():
@@ -431,7 +429,8 @@ def _apply_cell(arm: Arm, cell: dict) -> Arm:
         strategy, sampler = (configio.from_json(type(part), doc) for part, doc in zip(parts, docs))
     except ValueError as error:
         raise InputError(f"grid of arm {arm.name!r}: {error}") from None
-    return Arm(name=arm.name, strategy=strategy, train=replace(arm.train, sampler=sampler))
+    label = ",".join(f"{key}={value:g}" for key, value in cell.items())
+    return Arm(f"{arm.name}#{label}" if label else arm.name, strategy, replace(arm.train, sampler=sampler))
 
 
 def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
@@ -448,16 +447,10 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     if not cells:
         raise InputError("grid value lists must be non-empty")
 
-    runs = []
-    for cell in cells:
-        cell_arm = _apply_cell(arm, cell)
-        label = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items())
-        arm_name = f"{arm.name}#{label}" if label else arm.name
-        runs += _seed_runs(config, arm_name, replace(cell_arm.train, strategy=cell_arm.strategy))
-    results, out_dir = _execute(config, runs)
+    blocks, out_dir = _execute(config, [_apply_cell(arm, cell) for cell in cells])
 
     grid_cells: list[GridCell] = []
-    for cell, block in zip(cells, _blocks(results, config.n_seeds)):
+    for cell, block in zip(cells, blocks):
         valid = [r for r, _ in block if r.valid]
         mean_dev_f = float(np.mean([r.best_dev_f for r in valid])) if valid else None
         grid_cells.append(GridCell(cell, mean_dev_f, len(valid), [r.test_f for r in valid]))
@@ -496,18 +489,13 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     return {name: _summarize_arm(name, reports, best_k) for name, reports in by_arm.items()}
 
 
-# blocks of an experiment document also read on their own: the "train" defaults every arm
-# may override, and a sweep and a grid, left out, never null; a grid's numbers stay in the
-# config as written, for grid_search to set as its fields' types
-_LAYOUT = {"train": TrainConfig, "beta_sweep": tuple[float, ...], "grid": dict[str, dict[str, tuple[float, ...]]]}
-
-
 def experiment_from_json(doc) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON document, an object whose "dataset" is the source.
 
     An arm's optional "train" block is a shallow override of the top-level
     "train" defaults (nested optimizer/sampler objects replace, not merge),
-    so an error in the defaults is reported at the first arm.
+    so an error in the defaults is reported at the first arm, and at
+    "train" itself when every arm overrides the key at fault.
     """
     if not isinstance(doc, dict) or "dataset" not in doc or "source" in doc:
         raise ValueError('ExperimentConfig: expected an object with a "dataset" and no "source"')
@@ -529,17 +517,15 @@ def experiment_from_json(doc) -> ExperimentConfig:
         if not text.startswith("ExperimentConfig.source:"):
             raise
         raise ValueError(text.replace("source", "dataset", 1)) from None
-    for key, tp in _LAYOUT.items():
-        if key in doc:
-            configio._at(f"ExperimentConfig.{key}", configio.from_json, tp, doc[key])
+    try:
+        configio.from_json(TrainConfig, defaults)
+    except ValueError as error:
+        raise ValueError(f"ExperimentConfig.train: {error}") from None
     return config
 
 
 def experiment_to_json(config: ExperimentConfig) -> dict:
-    doc = configio.to_json(config)
-    doc["dataset"] = doc.pop("source")
-    # an experiment without a sweep or a grid leaves the key out
-    return {key: value for key, value in doc.items() if value is not None}
+    return {"dataset" if key == "source" else key: value for key, value in configio.to_json(config).items()}
 
 
 def experiment_schema() -> dict:
@@ -547,10 +533,8 @@ def experiment_schema() -> dict:
     doc = configio.schema(ExperimentConfig)
     properties = doc["properties"]
     properties["dataset"] = properties.pop("source")
+    properties["train"] = configio.schema(TrainConfig)
     doc["required"] = ["dataset" if name == "source" else name for name in doc["required"]]
-    bounds = {f.name: f.metadata for f in fields(ExperimentConfig)}
-    for key, tp in _LAYOUT.items():
-        properties[key] = configio.schema(tp, bounds.get(key))
     return doc
 
 

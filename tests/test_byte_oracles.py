@@ -169,7 +169,7 @@ def test_label_checks(dtype, labels):
 
 @pytest.mark.parametrize("k", (128, 129, 200, 300))
 def test_narrow_labels_against_many_classes(k):
-    # an int8 label's unsigned view is below k here, yet a negative one must still fail
+    # against k >= 128 every non-negative int8 label is a class, yet a negative one must still fail
     rng = np.random.default_rng(k)
     fwd = ForwardResult(probs=rng.dirichlet(np.ones(k), size=3), inputs=np.zeros((3, 1)))
     for labels in ([0, 1, 127], [0, -1, 5], [0, -128, 5]):

@@ -202,7 +202,7 @@ class TestCompareSweepGrid:
         assert capsys.readouterr().err == "invalid runs at beta=1: 2 of 2\n" * 2
 
 
-def _run_python(*args):
+def _run_python(*args, cwd=None):
     # the child process imports the same adascale package as this one, installed or not
     src = str(Path(adascale.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -211,6 +211,7 @@ def _run_python(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
     )
 
 
@@ -232,11 +233,20 @@ class TestEntryPoint:
         for sub in ("generate", "train", "eval", "compare", "sweep", "grid"):
             assert sub in proc.stdout
 
-    # the quick demos; 02 is the one caller outside the tests of the public
-    # BatchPrediction, batch_expected_counts and w_batch
-    @pytest.mark.parametrize("demo", ["01_metrics_and_marginal_utility.py", "02_batch_weight_estimation.py"])
-    def test_demo_runs(self, demo):
-        proc = _run_python(str(Path(__file__).resolve().parents[1] / "demos" / demo))
+    # the Python demos; 02 is the one caller outside the tests of the public
+    # BatchPrediction, batch_expected_counts and w_batch, and 03 and 04 the only
+    # ones of run_experiment and beta_sweep, which write demo_out/ under the working directory
+    @pytest.mark.parametrize(
+        "demo",
+        [
+            "01_metrics_and_marginal_utility.py",
+            "02_batch_weight_estimation.py",
+            "03_adaptive_vs_baselines.py",
+            "04_beta_tradeoff.py",
+        ],
+    )
+    def test_demo_runs(self, demo, tmp_path):
+        proc = _run_python(str(Path(__file__).resolve().parents[1] / "demos" / demo), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -341,6 +341,20 @@ class TestBetaSweep:
         for name in python_files:
             assert (tmp_path / "python" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
 
+    def test_run_files_rebuild_precision_recall_and_f1_at_beta_1(self, tmp_path):
+        # a row's F1 comes from an extra test pass at beta = 1; a run file holds its run's
+        # precision and recall, and its F at the run's own beta, so F1 only where beta = 1
+        report = _sweep(tmp_path / "out", betas=(0.5, 1.0))
+        for row in report.rows:
+            paths = (tmp_path / "out").glob(f"run_adaptive_beta{row.beta:g}_*.json")
+            runs = sorted((json.loads(p.read_text()) for p in paths), key=lambda run: run["seed"])
+            assert row.n_valid == len(runs) == 2
+            rebuilt = [("precision", "test_precision"), ("recall", "test_recall")]
+            for name, key in rebuilt + ([("f1", "test_f")] if row.beta == 1.0 else []):
+                column = np.array([run[key] for run in runs])
+                assert getattr(row, f"mean_{name}") == float(np.mean(column)), (row.beta, name)
+                assert getattr(row, f"std_{name}") == float(np.std(column)), (row.beta, name)
+
     def test_requires_adaptive_arm(self, tmp_path):
         config = _tiny_config(
             tmp_path / "out",
@@ -500,6 +514,15 @@ class TestConfigCodec:
             read = configio.from_json(type(value), configio.to_json(value))
             assert json.dumps(configio.to_json(read), sort_keys=True) == text, type(value).__name__
 
+    def test_int_grid_values_write_the_json_of_floats(self):
+        # a grid value is stored as a float, so the experiment document does not depend on how it was typed
+        arms = (Arm("static", Static(0.5)),)
+        texts = {
+            json.dumps(experiment_to_json(_tiny_config("out", arms=arms, grid={"static": {"negative_cost": costs}})))
+            for costs in ((1, 2), (1.0, 2.0))
+        }
+        assert len(texts) == 1 and '"negative_cost": [1.0, 2.0]' in texts.pop()
+
     def test_int_floats_stored_as_floats(self):
         # what from_json stores for an integral number where a float goes
         config = TrainConfig(eval_beta=2, strategy=Static(1), optimizer=SGD(lr=1, momentum=0))
@@ -510,7 +533,7 @@ class TestConfigCodec:
         assert configio.to_json(config.optimizer) == {"kind": "sgd", "lr": 1.0, "momentum": 0.0}
         sweep = _tiny_config("out", beta_sweep=(2, 0.5, 4))
         assert sweep.beta_sweep == (2.0, 0.5, 4.0) and {type(b) for b in sweep.beta_sweep} == {float}
-        assert _tiny_config("out").beta_sweep is None
+        assert _tiny_config("out").beta_sweep == ()
         assert type(TrainConfig(epochs=2).epochs) is int
         with pytest.raises(ValueError, match=r"^Adaptive\.beta: expected float, got True$"):
             Adaptive(True)
@@ -630,7 +653,7 @@ class TestConfigCodec:
         "output_dir": "out",
         "workers": 2,
         "beta_sweep": [0.5, 1.0, 2.0],
-        "grid": {"focal": {"gamma": [0, 1.5]}},
+        "grid": {"focal": {"gamma": [0.0, 1.5]}},
     }
 
     def test_round_trip(self):
@@ -848,7 +871,7 @@ SCHEMA_MUTANTS = [
     ("defaults overridden by every arm", "files", ("train", "sampler"),
      {"kind": "stratified", "min_positives_per_batch": 0},
      "ExperimentConfig.train: TrainConfig.sampler: StratifiedSampler.min_positives_per_batch must be >= 1, got 0"),
-    # what JSON Schema cannot say: a finite number, and the three rules across fields
+    # what JSON Schema cannot say: a finite number, and the four rules across fields
     ("nan eval_beta", "files", ("train", "eval_beta"), math.nan,
      "ExperimentConfig.arms[0]: Arm.train: TrainConfig.eval_beta must be finite, got nan"),
     ("infinite ratio", "files", ("arms", 1, "train", "sampler", "neg_to_pos_ratio"), math.inf,
@@ -857,11 +880,16 @@ SCHEMA_MUTANTS = [
     ("best_k above n_seeds", "synthetic", ("best_k",), 3, "ExperimentConfig.best_k must be <= n_seeds, got 3 > 2"),
     ("duplicate arm names", "synthetic", ("arms", 1, "name"), "vanilla",
      "ExperimentConfig.arms: arm names must be unique"),
+    ("grid of a misspelled arm", "files", ("grid", "adaptve"), {"beta": [0.5, 2]},
+     "ExperimentConfig.grid: no arm named 'adaptve'"),
     ("too few positives", "synthetic", ("dataset", "generator", "positive_rate"), 0.001,
      "ExperimentConfig.dataset: SyntheticSource.generator: "
      "GeneratorConfig.positive_rate * n must round to >= k - 1, got 0"),
 ]
-CODEC_ONLY = {"nan eval_beta", "infinite ratio", "best_k above n_seeds", "duplicate arm names", "too few positives"}
+CODEC_ONLY = {
+    "nan eval_beta", "infinite ratio", "best_k above n_seeds", "duplicate arm names", "grid of a misspelled arm",
+    "too few positives",
+}
 
 
 def _mutant(base: str, path: tuple, value) -> dict:
