@@ -102,6 +102,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # an output the command cannot write is reported before the dataset loads
+    if args.out:
+        _check_writable(Path(args.out))
     # every input of an evaluation is the user's: a checkpoint, a dataset that
     # must fit it and a beta
     with harness._reading():

@@ -228,25 +228,33 @@ def save(dataset: Dataset, path, format: str | None = None) -> None:
     Floats are written with full repr so a save/load round trip is exact.
     The bytes are those of ``csv.writer`` (CRLF line ends) and of
     ``json.dumps`` with its default separators: features are finite, no
-    cell needs quoting and no string needs escaping.  Lines are written as
-    they are formatted, so one row is held in memory at a time.
+    cell needs quoting and no string needs escaping.  Rows are formatted
+    and written in blocks of ``_SAVE_BLOCK``, so memory stays bounded by a
+    block, not the file.
     """
     path = Path(path)
     fmt = _infer_format(path, format)
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             fh.write(",".join([f"f{i}" for i in range(dataset.d)] + ["label"]) + "\r\n")
-            fh.writelines(_format_rows(dataset, ",", "{},{}\r\n"))
+            fh.writelines(_format_blocks(dataset, ",", "{},{}\r\n"))
     else:
         with path.open("w") as fh:
-            fh.writelines(_format_rows(dataset, ", ", '{{"features": [{}], "label": {}}}\n'))
+            fh.writelines(_format_blocks(dataset, ", ", '{{"features": [{}], "label": {}}}\n'))
 
 
-def _format_rows(dataset: Dataset, sep: str, line: str):
-    """Yield ``line`` filled with each row's features, as ``repr`` joined by
-    ``sep``, and its label."""
-    for row, label in zip(dataset.features, dataset.labels.tolist()):
-        yield line.format(sep.join(map(repr, row.tolist())), label)
+_SAVE_BLOCK = 512
+
+
+def _format_blocks(dataset: Dataset, sep: str, line: str) -> Iterator[str]:
+    """Yield the text of each block of rows: ``line`` filled with each row's
+    features, as ``repr`` joined by ``sep``, and its label."""
+    for start in range(0, dataset.n, _SAVE_BLOCK):
+        block = slice(start, start + _SAVE_BLOCK)
+        yield "".join([
+            line.format(sep.join(map(repr, row)), label)
+            for row, label in zip(dataset.features[block].tolist(), dataset.labels[block].tolist())
+        ])
 
 
 # labels are stored as int64
@@ -259,7 +267,7 @@ def _load_error(path: Path, lineno: int, message: str) -> ValueError:
 
 def _load_csv(path: Path, labels: list[int]) -> Iterator[list[float]]:
     """Yield each data row's features, appending its label to ``labels``."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -269,21 +277,22 @@ def _load_csv(path: Path, labels: list[int]) -> Iterator[list[float]]:
             if header[:-1] != [f"f{i}" for i in range(d)]:
                 raise _load_error(path, 1, "header must be f0,...,f{d-1},label")
             for row in reader:
-                lineno = reader.line_num  # a quoted field may span lines
+                # reader.line_num, not a count of rows: a quoted field may span lines
                 if len(row) != d + 1:
-                    raise _load_error(path, lineno, f"expected {d + 1} columns, got {len(row)}")
+                    raise _load_error(path, reader.line_num, f"expected {d + 1} columns, got {len(row)}")
+                label = row.pop()
                 try:
-                    values = [float(v) for v in row[:-1]]
+                    values = list(map(float, row))
                 except ValueError:
-                    raise _load_error(path, lineno, "malformed feature value") from None
-                if not all(math.isfinite(v) for v in values):
-                    raise _load_error(path, lineno, "features must be finite")
+                    raise _load_error(path, reader.line_num, "malformed feature value") from None
+                if not all(map(math.isfinite, values)):
+                    raise _load_error(path, reader.line_num, "features must be finite")
                 try:
-                    label = int(row[-1])
+                    label = int(label)
                 except ValueError:
-                    raise _load_error(path, lineno, "malformed label") from None
+                    raise _load_error(path, reader.line_num, "malformed label") from None
                 if not 0 <= label <= _MAX_LABEL:
-                    raise _load_error(path, lineno, f"label {label} out of range")
+                    raise _load_error(path, reader.line_num, f"label {label} out of range")
                 labels.append(label)
                 yield values
         except StopIteration:
@@ -292,16 +301,20 @@ def _load_csv(path: Path, labels: list[int]) -> Iterator[list[float]]:
             raise _load_error(path, reader.line_num, str(error)) from None
 
 
-def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
-    """Yield each line's features, appending its label to ``labels``; the
-    first line sets the width the others must have."""
+# what json.loads runs on a str
+_decode_json = json.JSONDecoder().decode
+
+
+def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[int | float]]:
+    """Yield each line's decoded features, appending its label to ``labels``;
+    the first line sets the width the others must have."""
     d = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_json(line)
             except json.JSONDecodeError:
                 raise _load_error(path, lineno, "malformed JSON") from None
             except ValueError:  # an integer beyond the int-string digit limit
@@ -312,8 +325,8 @@ def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
                 raise _load_error(path, lineno, "object must have 'features' and 'label'")
             raw = obj["features"]
             try:
-                finite = isinstance(raw, list) and all(
-                    type(v) in (int, float) and math.isfinite(v) for v in raw
+                finite = (
+                    isinstance(raw, list) and {int, float}.issuperset(map(type, raw)) and all(map(math.isfinite, raw))
                 )
             except OverflowError:  # an integer too large for a float
                 finite = False
@@ -329,13 +342,15 @@ def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[float]]:
             elif len(raw) != d:
                 raise _load_error(path, lineno, f"expected {d} features, got {len(raw)}")
             labels.append(label)
-            yield [float(v) for v in raw]
+            # np.fromiter converts the ints as float() does
+            yield raw
 
 
 def load(path, format: str | None = None) -> Dataset:
     """Load a dataset from CSV or JSONL; k is inferred as max label + 1.
 
-    Rows of UTF-8 text are parsed one at a time into a single float64 matrix.
+    Rows of UTF-8 text, after an optional byte order mark, are parsed one at
+    a time into a single float64 matrix, each value converted once.
     Parse, decoding and validation failures raise ValueError naming the first offending line.
     """
     path = Path(path)

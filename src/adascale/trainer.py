@@ -182,7 +182,13 @@ class RunReport(Config):
 
 
 def evaluate(params: ModelParams, dataset: Dataset, beta: float = 1.0) -> tuple[float, float, float]:
-    """Micro precision/recall/F-beta of hard predictions, negative label 0."""
+    """Micro precision/recall/F-beta of hard predictions, negative label 0.
+
+    The dataset may lack the model's top classes, but not hold a label the
+    model cannot predict.
+    """
+    if dataset.k > params.spec.n_classes:
+        raise ValueError(f"dataset k {dataset.k} exceeds model n_classes {params.spec.n_classes}")
     preds = predict(params, dataset.features)
     stats, _ = confusion_from_predictions(dataset.labels, preds, NEGATIVE_LABEL)
     return precision(stats), recall(stats), f_beta(stats, beta)

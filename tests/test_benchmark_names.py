@@ -87,3 +87,30 @@ def test_traced_mlp_pool_run_calls_every_training_layer(perfbench, tmp_path):
     assert run.runs == 10
     # the batch weight is computed once for every adaptive step that has a positive
     assert calls["scaling.w_batch"] == run.steps - run.skipped
+
+
+def test_traced_files_pass_calls_every_file_layer(perfbench, tmp_path):
+    # the files workload's set-up and one pass, traced as the benchmark traces them:
+    # a loader or cli edit that stops a files layer recording calls fails here
+    workloads, tracing = perfbench
+    wl = workloads.FilesRoundtrip()
+    tracer = tracing.Tracer(run_root="trainer.train")
+    roots = {"setup": [len(tracer.spans)]}
+    with workloads.traced(tracer, workloads.in_process_plan, "bench.setup"):
+        state = wl.prepare(3, tmp_path / "work")
+    roots["run"] = roots["parent"] = [len(tracer.spans)]
+    out = tmp_path / "out"
+    with workloads.traced(tracer, workloads.in_process_plan, "bench.pass"):
+        returned = wl.run_pass(state, out, tracer=tracer)
+    checks = workloads.Checks()
+    run = wl.inspect(state, out, returned, checks)
+    assert checks.failures == []
+
+    calls = {name: stats["calls"] for name, stats in tracer.totals().items()}
+    for layer in workloads.LAYERS:
+        if layer.name in wl.layers:
+            assert sum(calls.get(span, 0) for span in layer.spans) > 0, layer.name
+    # the benchmark's own reading of the trace raises CoverageError for a silent layer
+    layers = workloads.layer_values(wl, tracer, roots, {"run": run, "parent": run})
+    # two formats of the 10k/2k/2k splits, then the 2k test split cli eval scores
+    assert layers["data.rows_loaded"]["value"] == 30_000

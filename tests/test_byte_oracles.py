@@ -315,7 +315,7 @@ def _edge_dataset(n, d):
     return Dataset(features, labels, k=34)
 
 
-@pytest.mark.parametrize("n", [1, 2, 2000])
+@pytest.mark.parametrize("n", [1, 2, 512, 513, 2000])
 @pytest.mark.parametrize("d", [1, 2, 20])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_save(tmp_path, n, d, fmt):
@@ -411,6 +411,11 @@ LOAD_CASES = [
     ("jsonl width", "a.jsonl", '{"features": [0.5], "label": 0}\n{"features": [0.5, 1], "label": 0}\n'),
     ("jsonl width then malformed", "a.jsonl", '{"features": [0.5, 1], "label": 0}\n{"features": [0.5], "label": 0}\nnot json\n'),
     ("jsonl width twice", "a.jsonl", '{"features": [0.5], "label": 0}\n\n{"features": [], "label": 0}\n{"features": [1, 2], "label": 0}\n'),
+    # np.fromiter converts ints to float64 as float() does, rounding those beyond 2**53
+    ("jsonl integers a float rounds", "a.jsonl", '{"features": [' + f"{2**53 + 1}, {-(2**63) - 1}" + '], "label": 1}\n'),
+    ("jsonl ints and floats mixed", "a.jsonl", '{"features": [1, 0.5, -2], "label": 0}\n{"features": [0.25, 3, -0.0], "label": 1}\n'),
+    ("jsonl negative infinity", "a.jsonl", '{"features": [0.5, -Infinity], "label": 0}\n'),
+    ("jsonl string before integer beyond float", "a.jsonl", '{"features": ["x", 1' + "0" * 400 + '], "label": 0}\n'),
 ]
 
 # the one intended difference: the first JSONL row of another width than the

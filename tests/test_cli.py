@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import adascale
-from adascale import cli, harness
+from adascale import cli, data, harness
 from adascale.cli import main, run
 from adascale.data import GeneratorConfig, load
 
@@ -266,6 +266,10 @@ def _no_training(*args, **kwargs):
     raise AssertionError("trained before the output paths were checked")
 
 
+def _no_loading(*args, **kwargs):
+    raise AssertionError("loaded a dataset before the output paths were checked")
+
+
 class TestInputErrors:
     """The ``adascale`` command reports an unusable input in one line, with status 2."""
 
@@ -432,6 +436,7 @@ class TestInputErrors:
                      "--positive-rate", "0.2"]) == 0
         written = set(tmp_path.iterdir())
         monkeypatch.setattr(cli, "train", _no_training)
+        monkeypatch.setattr(data, "load", _no_loading)  # as eval loads its dataset
         code, err = self._run(monkeypatch, capsys, *(arg.format(**paths) for arg in args))
         assert (code, err) == (2, f"adascale: error: {expected.format(**paths)}\n")
         # train rejects its outputs before it trains and leaves no file behind
@@ -455,6 +460,21 @@ class TestInputErrors:
             monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(tmp_path), "--format", "csv"
         )
         assert (code, err) == (2, f"adascale: error: {tmp_path}: is a directory\n")
+
+    def test_dataset_with_more_classes_than_the_model(self, tmp_path, monkeypatch, capsys):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        data_path = tmp_path / "data.csv"
+        assert main(["generate", "--out", str(data_path), "--n", "60", "--d", "3", "--k", "4",
+                     "--positive-rate", "0.1"]) == 0
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (2, "adascale: error: dataset k 4 exceeds model n_classes 2\n")
+        # a dataset that lacks the model's top classes is scored
+        save_params(init_params(ModelSpec(3, 5), 0), checkpoint)
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
         "name, text, message",

@@ -1,3 +1,4 @@
+import codecs
 import tracemalloc
 from dataclasses import fields
 
@@ -293,6 +294,33 @@ class TestSaveLoad:
             tracemalloc.stop()
         assert ds.features.shape == (10_000, 20)
         assert peak <= 3 * ds.features.nbytes
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_save_memory_bounded_by_a_block(self, tmp_path, fmt):
+        # rows are formatted 512 at a time, about 0.4x the matrix here: the
+        # whole file's text would be near 3x
+        ds = generate(GeneratorConfig(n=10_000, seed=3))
+        tracemalloc.start()
+        try:
+            save(ds, tmp_path / f"train.{fmt}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.features.nbytes / 2
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_byte_order_mark_skipped(self, tmp_path, fmt):
+        # spreadsheet exports of "CSV UTF-8" start with a UTF-8 byte order mark
+        ds = Dataset(np.array([[0.5, -1.0], [2.0, 0.25], [1e-05, 3.0]]), np.array([0, 2, 1]), k=3)
+        path = tmp_path / f"bom.{fmt}"
+        save(ds, path)
+        saved = path.read_bytes()
+        assert not saved.startswith(codecs.BOM_UTF8)
+        path.write_bytes(codecs.BOM_UTF8 + saved)
+        back = load(path)
+        npt.assert_array_equal(back.features, ds.features)
+        npt.assert_array_equal(back.labels, ds.labels)
+        assert back.k == 3
 
     def test_unknown_extension_needs_format(self, tmp_path):
         path = tmp_path / "data.txt"
