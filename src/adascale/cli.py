@@ -17,8 +17,9 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import configio, data, harness
+from .metrics import _check_beta
 from .model import load_params, save_params
-from .trainer import evaluate, train, write_run_report
+from .trainer import evaluate, train
 
 
 def _experiment(args) -> harness.ExperimentConfig:
@@ -90,7 +91,7 @@ def _cmd_train(args) -> int:
         train_config = harness._run_config(arm, seed)
     params, report = train(train_ds, dev_ds, test_ds, spec, train_config)
     report.arm = arm.name
-    write_run_report(report, out)
+    harness._persist(report, out)
     if args.save_model:
         save_params(params, args.save_model)
     status = "ok" if report.valid else f"INVALID ({report.failure})"
@@ -105,12 +106,15 @@ def _cmd_eval(args) -> int:
     # an output the command cannot write is reported before the dataset loads
     if args.out:
         _check_writable(Path(args.out))
-    # every input of an evaluation is the user's: a checkpoint, a dataset that
-    # must fit it and a beta
+    # every input is the user's: a beta, checked first, a checkpoint and a dataset it can score
     with harness._reading():
+        _check_beta(args.beta)
         params = load_params(args.model)
         dataset = data.load(args.data, args.format)
-        p, r, f = evaluate(params, dataset, args.beta)
+        try:
+            p, r, f = evaluate(params, dataset, args.beta)
+        except FloatingPointError as error:
+            raise ValueError(f"{args.data}: {error} from {args.model}") from None
     print(f"precision={p:.6f} recall={r:.6f} f_beta={f:.6f} (beta={args.beta:g})")
     if args.out:
         configio.write_json(

@@ -290,9 +290,9 @@ def _run_file(arm_name: str, seed: int) -> str:
     return f"run_{_safe_name(arm_name)}_{seed}.json"
 
 
-def _persist(report: RunReport, out_dir: Path) -> None:
-    write_run_report(report, out_dir / _run_file(report.arm, report.seed))
+def _persist(report: RunReport, path: Path) -> None:
     configio.validate_run_report(RunReport, report_to_dict(report))
+    write_run_report(report, path)
 
 
 def _run_config(arm: Arm, seed: int) -> TrainConfig:
@@ -320,7 +320,7 @@ def _execute(config: ExperimentConfig, arms) -> tuple[list[list], Path]:
     tasks = [(spec, _run_config(arm, seed), arm.name) for arm in arms for seed in seeds]
     results = _run_all(tasks, config.workers, datasets)
     for report, _ in results:
-        _persist(report, out_dir)
+        _persist(report, out_dir / _run_file(report.arm, report.seed))
     return [results[i : i + len(seeds)] for i in range(0, len(results), len(seeds))], out_dir
 
 

@@ -224,9 +224,10 @@ def _backward(
 
 
 def predict(params: ModelParams, features) -> np.ndarray:
-    """Per-row argmax labels; ties resolve to the lowest class index.  A
-    diverged model's non-finite probabilities raise ``FloatingPointError``."""
-    probs = forward(params, features).probs
+    """Per-row argmax labels; ties resolve to the lowest class index.  A diverged model's
+    non-finite probabilities raise ``FloatingPointError``, with no numpy warning before it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = forward(params, features).probs
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite class probabilities")
     return np.argmax(probs, axis=1)

@@ -212,9 +212,8 @@ def _check_dims(train: Dataset, dev: Dataset, test: Dataset, spec: ModelSpec) ->
 
 def _train_epoch(
     train_ds: Dataset, params: ModelParams, opt_state: _OptimizerState, config: TrainConfig, epoch: int, report: RunReport
-) -> float | None:
-    """Run one epoch's steps and return their mean loss, or None, with the
-    report flagged invalid, when a step's loss is not finite."""
+) -> float:
+    """Run one epoch's steps and return their mean loss; a non-finite loss raises ``FloatingPointError``."""
     epoch_batches = batches(train_ds, config.sampler, config.batch_size, _epoch_seed(config.seed, epoch))
     if not epoch_batches:  # an undersampled epoch is empty when the dataset has no positives
         return 0.0
@@ -238,10 +237,7 @@ def _train_epoch(
             config.strategy, fwd.probs, gold_index, epoch_negative[rows], epoch_positive[rows], positives
         )
         if not math.isfinite(out.loss):
-            report.failure = f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
-            report.valid = False
-            report.epochs_run = epoch
-            return None
+            raise FloatingPointError(f"non-finite loss at epoch {epoch}, step {len(step_losses)}")
         step_losses.append(out.loss)
         if out.w_used is not None:
             report.w_history.append(float(out.w_used))
@@ -264,9 +260,9 @@ def train(
     After every epoch the dev set is scored with micro F at
     ``config.eval_beta`` on hard predictions; the parameters with the best
     dev F are retained (ties keep the earlier epoch) and final test metrics
-    come from those retained parameters.  A non-finite loss or dev
-    probability aborts the run and flags the report invalid instead of raising.
-    """
+    come from those retained parameters.  A non-finite loss, dev or test probability
+    ends the run, invalid, instead of raising: its curves keep the finished epochs
+    and its test metrics stay 0."""
     _check_dims(train_ds, dev_ds, test_ds, model_spec)
     start = time.perf_counter()
 
@@ -283,37 +279,35 @@ def train(
     # a gold probability of 0 or a diverged model's NaN makes the loss non-finite, the
     # signal each step checks; its divide and invalid errors are ignored for the whole run
     with np.errstate(divide="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            epoch_loss = _train_epoch(train_ds, params, opt_state, config, epoch, report)
-            if epoch_loss is None:
-                report.wall_clock_s = time.perf_counter() - start
-                return best_params, report
+        try:
+            for epoch in range(config.epochs):
+                epoch_loss = _train_epoch(train_ds, params, opt_state, config, epoch, report)
+                try:
+                    dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+                except FloatingPointError:
+                    raise FloatingPointError(f"non-finite dev probabilities at epoch {epoch}") from None
+                report.loss_curve.append(epoch_loss)
+                report.dev_precision.append(dev_p)
+                report.dev_recall.append(dev_r)
+                report.dev_f.append(dev_f)
+                report.epochs_run = epoch + 1
+                if dev_f > report.best_dev_f or report.best_epoch < 0:
+                    report.best_dev_f = dev_f
+                    report.best_epoch = epoch
+                    best_params = params.copy()
+                elif (
+                    config.early_stop_patience is not None
+                    and epoch - report.best_epoch >= config.early_stop_patience
+                ):
+                    break
             try:
-                dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+                test_scores = evaluate(best_params, test_ds, config.eval_beta)
             except FloatingPointError:
-                report.failure = f"non-finite dev probabilities at epoch {epoch}"
-                report.valid = False
-                report.wall_clock_s = time.perf_counter() - start
-                return best_params, report
-            report.loss_curve.append(epoch_loss)
-            report.dev_precision.append(dev_p)
-            report.dev_recall.append(dev_r)
-            report.dev_f.append(dev_f)
-            report.epochs_run = epoch + 1
-            if dev_f > report.best_dev_f or report.best_epoch < 0:
-                report.best_dev_f = dev_f
-                report.best_epoch = epoch
-                best_params = params.copy()
-            elif (
-                config.early_stop_patience is not None
-                and epoch - report.best_epoch >= config.early_stop_patience
-            ):
-                break
-
-    test_p, test_r, test_f = evaluate(best_params, test_ds, config.eval_beta)
-    report.test_precision = test_p
-    report.test_recall = test_r
-    report.test_f = test_f
+                raise FloatingPointError("non-finite test probabilities") from None
+            report.test_precision, report.test_recall, report.test_f = test_scores
+        except FloatingPointError as error:
+            report.failure = str(error)
+            report.valid = False
     report.wall_clock_s = time.perf_counter() - start
     return best_params, report
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -111,6 +112,21 @@ class TestTrainEval:
         doc = json.loads(run_path.read_text())
         assert doc["seed"] == 3 and doc["arm"] == "adaptive"
         assert model_path.exists()
+
+    def test_train_checks_its_run_file_before_writing(self, tmp_path, config_path, monkeypatch):
+        # a single run gets the check each of a protocol's runs gets
+        from adascale.trainer import train
+
+        def overscored(*args):
+            params, report = train(*args)
+            report.test_f = 2.0
+            return params, report
+
+        monkeypatch.setattr(cli, "train", overscored)
+        run_path = tmp_path / "run.json"
+        with pytest.raises(ValueError, match=re.escape("RunReport.test_f must be <= 1, got 2.0")):
+            main(["train", "--config", config_path, "--arm", "vanilla", "--out", str(run_path)])
+        assert not run_path.exists()
 
     def test_eval_prints_metrics(self, tmp_path, config_path, capsys):
         model_path = tmp_path / "model.json"
@@ -475,6 +491,29 @@ class TestInputErrors:
         save_params(init_params(ModelSpec(3, 5), 0), checkpoint)
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (0, "")
+
+    def test_dataset_the_model_cannot_score(self, tmp_path, monkeypatch, capsys):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        data_path = tmp_path / "huge.csv"
+        # finite rows on which the model's logits overflow
+        data.save(data.Dataset(1.7e308 * np.tile([1.0, -1.0, 1.0], (4, 1)), np.array([0, 1, 0, 1]), k=2), data_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (2, f"adascale: error: {data_path}: non-finite class probabilities from {checkpoint}\n")
+
+    @pytest.mark.parametrize(
+        "beta, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")], ids=["0", "-1", "nan", "inf"]
+    )
+    def test_eval_beta_checked_before_loading(self, tmp_path, monkeypatch, capsys, beta, shown):
+        monkeypatch.setattr(cli, "load_params", _no_loading)
+        monkeypatch.setattr(data, "load", _no_loading)
+        args = ("eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"), f"--beta={beta}")
+        code, err = self._run(monkeypatch, capsys, *args)
+        assert (code, err) == (2, f"adascale: error: beta must be a positive real, got {shown}\n")
 
     @pytest.mark.parametrize(
         "name, text, message",

@@ -73,14 +73,29 @@ def _compare(out, **kw):
     return run_experiment(_tiny_config(out, **kw))
 
 
-def _sweep(out, betas=(0.5, 1.0), **kw):
-    arms = (Arm("adaptive", Adaptive(1.0), TINY_TRAIN),)
+def _sweep(out, betas=(0.5, 1.0), train=TINY_TRAIN, **kw):
+    arms = (Arm("adaptive", Adaptive(1.0), train),)
     return beta_sweep(_tiny_config(out, arms=arms, beta_sweep=betas, **kw))
 
 
-def _grid(out, costs=(0.2, 1.0), **kw):
-    arm = Arm("static", Static(0.5), TINY_TRAIN)
+def _grid(out, costs=(0.2, 1.0), train=TINY_TRAIN, **kw):
+    arm = Arm("static", Static(0.5), train)
     return grid_search(arm, {"negative_cost": costs}, _tiny_config(out, **kw))
+
+
+# a huge learning rate makes every run's loss non-finite in its first epoch
+DIVERGING_TRAIN = replace(TINY_TRAIN, optimizer=SGD(lr=1e12))
+
+
+def _assert_pool_matches_sequential(tmp_path, protocol) -> list[str]:
+    """Run ``protocol`` at workers=1 and at workers=2: the same files, byte for byte. Returns their names."""
+    protocol(tmp_path / "seq", workers=1)
+    protocol(tmp_path / "par", workers=2)
+    seq = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert seq == sorted(p.name for p in (tmp_path / "par").iterdir())
+    for name in seq:
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+    return seq
 
 
 class TestBestK:
@@ -193,12 +208,41 @@ class TestRunExperiment:
         ids=["run_experiment", "beta_sweep", "grid_search"],
     )
     def test_worker_pool_matches_sequential(self, tmp_path, protocol):
-        protocol(tmp_path / "seq", workers=1)
-        protocol(tmp_path / "par", workers=2)
-        seq = sorted(p.name for p in (tmp_path / "seq").iterdir())
-        assert seq == sorted(p.name for p in (tmp_path / "par").iterdir())
-        for name in seq:
-            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+        _assert_pool_matches_sequential(tmp_path, protocol)
+
+    @pytest.mark.parametrize(
+        "protocol, n_invalid",
+        [
+            (
+                functools.partial(
+                    _compare,
+                    arms=(Arm("vanilla", Vanilla(), TINY_TRAIN), Arm("diverges", Adaptive(1.0), DIVERGING_TRAIN)),
+                ),
+                2,
+            ),
+            (functools.partial(_sweep, n_seeds=1, best_k=1, train=DIVERGING_TRAIN), 2),
+            (functools.partial(_grid, train=DIVERGING_TRAIN), 4),
+        ],
+        ids=["run_experiment", "beta_sweep", "grid_search"],
+    )
+    def test_worker_pool_matches_sequential_on_invalid_runs(self, tmp_path, protocol, n_invalid):
+        names = _assert_pool_matches_sequential(tmp_path, protocol)
+        failures = [
+            json.loads((tmp_path / "par" / name).read_text())["failure"] for name in names if name.startswith("run_")
+        ]
+        assert failures.count("non-finite loss at epoch 0, step 1") == n_invalid
+        assert len(failures) - n_invalid == failures.count(None)
+
+    def test_run_file_checked_before_it_is_written(self, tmp_path, monkeypatch):
+        def overscored(*args):
+            params, report = train_run(*args)
+            report.test_f = 2.0
+            return params, report
+
+        monkeypatch.setattr(harness, "train", overscored)
+        with pytest.raises(ValueError, match=re.escape("RunReport.test_f must be <= 1, got 2.0")):
+            _compare(tmp_path / "out")
+        assert not list(tmp_path.glob("out/run_*.json"))
 
     def test_pool_tasks_carry_no_arrays(self, tmp_path, monkeypatch):
         tasks = []
@@ -292,6 +336,36 @@ class TestRunExperiment:
         assert [c.mean_dev_f for c in grid.cells] == [None, None]
         assert grid.best_index == 0 and grid.best_params == {"negative_cost": 0.2}
         _check_written(harness.GridResult, out / "grid_static.json")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverging_test_pass_flags_invalid(self, tmp_path, workers):
+        # every model but seed 2's overflows on test rows near the float64 limit; train
+        # and dev read one file
+        labels = np.array([0, 1] * 20)
+        save(Dataset(np.ones((40, 3)), labels, k=2), tmp_path / "train.csv")
+        save(Dataset(1.7e308 * np.tile([1.0, -1.0, 1.0], (40, 1)), labels, k=2), tmp_path / "test.csv")
+        source = FileSource(*(str(tmp_path / f"{split}.csv") for split in ("train", "train", "test")))
+        train = TrainConfig(optimizer=Adam(), epochs=2, batch_size=8)
+        out = tmp_path / "out"
+        config = ExperimentConfig(
+            source=source,
+            arms=(Arm("vanilla", Vanilla(), train), Arm("adaptive", Adaptive(1.0), train)),
+            n_seeds=3,
+            best_k=1,
+            output_dir=str(out),
+            workers=workers,
+        )
+        report = run_experiment(config)
+        assert [arm.invalid_seeds for arm in report.arms] == [[0, 1], [0, 1]]
+        runs = [f"run_{arm}_{seed}.json" for arm in ("adaptive", "vanilla") for seed in range(3)]
+        assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "comparison.json", *runs]
+        _check_written(harness.ComparisonReport, out / "comparison.json")
+        for arm in ("vanilla", "adaptive"):
+            for seed in range(3):
+                _check_written(RunReport, out / f"run_{arm}_{seed}.json")
+                run = json.loads((out / f"run_{arm}_{seed}.json").read_text())
+                assert run["failure"] == (None if seed == 2 else "non-finite test probabilities")
+                assert run["epochs_run"] == len(run["dev_f"]) == len(run["loss_curve"]) == 2
 
 
 class TestBetaSweep:

@@ -141,6 +141,19 @@ class TestTraining:
         assert report.failure == "non-finite dev probabilities at epoch 0"
         assert report.epochs_run == 0 and report.loss_curve == report.dev_f == []
 
+    def test_diverging_test_pass_flags_invalid(self):
+        # a finite model overflows on test rows near the float64 limit: the run ends
+        # invalid with its curves complete, instead of raising
+        labels = np.array([0, 1] * 10)
+        ds = Dataset(np.ones((20, 3)), labels, k=2)
+        huge = Dataset(1.7e308 * np.tile([1.0, -1.0, 1.0], (20, 1)), labels, k=2)
+        _, report = train(ds, ds, huge, ModelSpec(3, 2), TrainConfig(optimizer=Adam(), epochs=2))
+        assert not report.valid
+        assert report.failure == "non-finite test probabilities"
+        assert report.epochs_run == 2 and report.best_epoch == 0
+        assert len(report.loss_curve) == len(report.dev_f) == len(report.dev_precision) == 2
+        assert (report.test_precision, report.test_recall, report.test_f) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize(
         "feature_value, lr, epochs, batch_size, failure",
         [
