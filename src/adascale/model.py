@@ -104,9 +104,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
     Max subtraction keeps exp in range.  The row max is reduced from a
     transposed copy, which is exact (max ignores order, NaN still wins) and
-    much faster for narrow rows; the row sum stays ``sum(axis=1)``, whose
-    pairwise order the results depend on.
+    much faster for narrow rows.  Below 8 classes the whole softmax runs on
+    that class-major copy: numpy's pairwise row sum adds fewer than 8 terms
+    in order, as the sum over the copy's rows does, so the bytes match.
+    From 8 classes up the row sum stays ``sum(axis=1)``, whose pairwise
+    order the results depend on.
     """
+    if logits.shape[1] < 8:
+        t = np.ascontiguousarray(logits.T)
+        t -= np.maximum.reduce(t, axis=0)
+        np.exp(t, out=t)
+        np.divide(t, np.add.reduce(t, axis=0), out=logits.T)
+        return logits
     logits -= np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)

@@ -223,7 +223,7 @@ def _train_epoch(
     sizes = [idx.size for idx in epoch_batches]
     starts = np.cumsum([0] + sizes[:-1])
     order = np.concatenate(epoch_batches)
-    epoch_x, epoch_y = train_ds.features[order], train_ds.labels[order]
+    epoch_x, epoch_y = train_ds.features.take(order, axis=0), train_ds.labels[order]
     epoch_negative = epoch_y == NEGATIVE_LABEL
     epoch_positive = ~epoch_negative
     n_positive = np.add.reduceat(epoch_positive, starts, dtype=np.intp).tolist()
@@ -262,7 +262,8 @@ def train(
     dev F are retained (ties keep the earlier epoch) and final test metrics
     come from those retained parameters.  A non-finite loss, dev or test probability
     ends the run, invalid, instead of raising: its curves keep the finished epochs
-    and its test metrics stay 0."""
+    and its test metrics stay 0.  Numpy's divide, invalid and overflow errors
+    are ignored while it runs, so the caller's settings do not change the outcome."""
     _check_dims(train_ds, dev_ds, test_ds, model_spec)
     start = time.perf_counter()
 
@@ -277,8 +278,8 @@ def train(
     )
     best_params = params.copy()
     # a gold probability of 0 or a diverged model's NaN makes the loss non-finite, the
-    # signal each step checks; its divide and invalid errors are ignored for the whole run
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # signal each step checks; the divide, invalid and overflow errors behind it are ignored
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             for epoch in range(config.epochs):
                 epoch_loss = _train_epoch(train_ds, params, opt_state, config, epoch, report)

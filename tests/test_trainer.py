@@ -12,11 +12,13 @@ from adascale.data import (
     Dataset,
     GeneratorConfig,
     StratifiedSampler,
+    SyntheticSource,
     UnderSampler,
     UniformSampler,
     batches,
     generate,
 )
+from adascale.harness import load_datasets
 from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss, strategy_label
 from adascale.metrics import confusion_from_predictions, f_beta, precision, recall
 from adascale.model import ForwardResult, ModelParams, ModelSpec, backward, forward, init_params
@@ -163,7 +165,7 @@ class TestTraining:
         ],
     )
     def test_error_state_restored(self, feature_value, lr, epochs, batch_size, failure):
-        # train() ignores divide and invalid errors while it runs and leaves the
+        # train() ignores divide, invalid and overflow errors while it runs and leaves the
         # caller's settings as they were, also when a diverged run returns early
         ds = Dataset(feature_value * np.ones((20, 3)), np.array([0, 1] * 10), k=2)
         cfg = TrainConfig(
@@ -191,6 +193,23 @@ class TestTraining:
             _, report = train(ds, ds, ds, ModelSpec(3, 2), cfg)
         assert report.failure == "non-finite loss at epoch 0, step 1"
         assert report.epochs_run == 0 and len(report.w_history) == 1 and report.loss_curve == []
+
+    @pytest.mark.parametrize("strategy", [Vanilla(), Adaptive(1.0)], ids=str)
+    @pytest.mark.parametrize("caller", ["warnings-as-errors", "overflow-raises"])
+    def test_diverging_run_ignores_overflow(self, strategy, caller):
+        # overflow in the step's matmul, bias add or max subtraction is not the
+        # signal either: the run neither warns of it nor ends on numpy's error
+        splits = load_datasets(
+            SyntheticSource(GeneratorConfig(n=300, d=5, positive_rate=0.1, seed=7), n_dev=100, n_test=100)
+        )
+        cfg = TrainConfig(
+            optimizer=SGD(lr=1e308), epochs=3, batch_size=32, sampler=StratifiedSampler(1),
+            strategy=strategy, seed=0,
+        )
+        with warnings.catch_warnings(), np.errstate(over="raise" if caller == "overflow-raises" else "warn"):
+            warnings.simplefilter("error")
+            _, report = train(*splits, ModelSpec(5, 4), cfg)
+        assert not report.valid and report.failure == "non-finite loss at epoch 0, step 1"
 
     @pytest.mark.parametrize("strategy", [Vanilla(), Adaptive(1.0)], ids=str)
     def test_zero_gold_probability_gives_an_infinite_loss_without_warning(self, strategy):
@@ -470,3 +489,19 @@ class TestReferenceLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             report = self._assert_same_run((ds, ds, ds), ModelSpec(3, 2), config, tmp_path)
         assert not report.valid
+
+    @pytest.mark.parametrize("k", [7, 9, 34])
+    def test_class_counts_either_side_of_the_class_major_softmax(self, k, tmp_path):
+        pool = generate(GeneratorConfig(n=240, d=4, k=k, positive_rate=0.2, seed=4))
+        splits = tuple(
+            Dataset(pool.features[rows], pool.labels[rows], pool.k)
+            for rows in (slice(0, 128), slice(128, 184), slice(184, 240))
+        )
+        seed = 0
+        for spec in (ModelSpec(4, k), ModelSpec(4, k, 6, "tanh")):
+            for strategy in (Vanilla(), Adaptive(1.0)):
+                config = TrainConfig(
+                    optimizer=Adam(lr=0.05), epochs=3, batch_size=8, strategy=strategy, seed=seed
+                )
+                self._assert_same_run(splits, spec, config, tmp_path)
+                seed += 1
