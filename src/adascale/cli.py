@@ -79,24 +79,21 @@ def _check_writable(path: Path) -> None:
 def _cmd_train(args) -> int:
     config = _experiment(args)
     arm = _arm(config, args.arm)
-    seed = args.seed if args.seed is not None else config.base_seed
-    out = Path(args.out or harness._run_file(arm.name, seed))
+    out = Path(args.out or harness._run_file(arm.name, config.base_seed))
     # an output the run cannot write is reported before the run trains
     for path in (out, args.save_model):
         if path:
             _check_writable(Path(path))
     train_ds, dev_ds, test_ds = harness.load_datasets(config.source)
     spec = harness._build_spec(config.model, train_ds)
-    with harness._reading():
-        train_config = harness._run_config(arm, seed)
-    params, report = train(train_ds, dev_ds, test_ds, spec, train_config)
+    params, report = train(train_ds, dev_ds, test_ds, spec, harness._run_config(arm, config.base_seed))
     report.arm = arm.name
     harness._persist(report, out)
     if args.save_model:
         save_params(params, args.save_model)
     status = "ok" if report.valid else f"INVALID ({report.failure})"
     print(
-        f"{arm.name} seed={seed}: dev_f={report.best_dev_f:.4f} test_f={report.test_f:.4f} "
+        f"{arm.name} seed={config.base_seed}: dev_f={report.best_dev_f:.4f} test_f={report.test_f:.4f} "
         f"[{status}] -> {out}"
     )
     return 0 if report.valid or not args.strict else 1

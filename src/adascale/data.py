@@ -333,8 +333,10 @@ def _load_jsonl(path: Path, labels: list[int]) -> Iterator[list[int | float]]:
             if not finite:
                 raise _load_error(path, lineno, "'features' must be a list of finite reals")
             label = obj["label"]
-            if type(label) is not int or not 0 <= label <= _MAX_LABEL:
-                raise _load_error(path, lineno, f"label {label!r} out of range")
+            if type(label) is not int:
+                raise _load_error(path, lineno, "malformed label")
+            if not 0 <= label <= _MAX_LABEL:
+                raise _load_error(path, lineno, f"label {label} out of range")
             if d is None:
                 if not raw:
                     raise _load_error(path, lineno, "'features' must not be empty")

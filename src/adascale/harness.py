@@ -5,11 +5,7 @@ system, beta or grid cell.  One pipeline (:func:`_execute`) trains every arm
 once per seed (all arms share the same seed list, so comparisons are
 paired) and persists every run as JSON before any aggregate is computed.
 
-A comparison's and a grid's aggregates are recomputable from the persisted
-files alone (:func:`reaggregate` rebuilds a comparison).  A sweep's are only
-in part: its precision and recall columns, and F1 at beta = 1, equal the
-run files' values, but F1 at any other beta comes from the extra test pass
-at beta = 1 in :func:`_execute_run`, which no file holds (ROADMAP item 4).
+Every aggregate is a function of the run files alone.
 
 Reported variance follows the percentage-point convention: test F is
 expressed on a 0..100 scale, so the reported Var is 1e4 times the raw
@@ -33,6 +29,7 @@ from . import configio
 from .configio import SCORE, Config, bound
 from .data import Dataset, DatasetSource, FileSource, SyntheticSource, generate, load
 from .losses import Adaptive, LossStrategy
+from .metrics import f_beta, precision, recall
 from .model import ACTIVATIONS, ModelSpec
 from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
 
@@ -250,13 +247,12 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.+=-]", "-", name)
 
 
-def _execute_run(task, datasets) -> tuple[RunReport, tuple[float, float, float]]:
+def _execute_run(task, datasets) -> tuple[RunReport, None]:
     spec, config, arm_name = task
-    train_ds, dev_ds, test_ds = datasets
-    params, report = train(train_ds, dev_ds, test_ds, spec, config)
+    _, report = train(*datasets, spec, config)
     report.arm = arm_name
-    extras = evaluate(params, test_ds, 1.0) if report.valid else (0.0, 0.0, 0.0)
-    return report, extras
+    # a pair, and evaluate imported, because perfbench unpacks the one and wraps the other (ROADMAP item 1)
+    return report, None
 
 
 # set only inside a pool worker, by _init_worker
@@ -303,7 +299,7 @@ def _execute(config: ExperimentConfig, arms) -> tuple[list[list], Path]:
     """Train each arm at every seed of the shared seed list and persist every report.
 
     Arms whose reports would share a file are rejected before any training.
-    Returns each arm's block of ``(report, extras)`` results, in seed order.
+    Returns each arm's block of ``(report, None)`` results, in seed order.
     """
     seeds = range(config.base_seed, config.base_seed + config.n_seeds)
     files: dict[str, str] = {}
@@ -379,9 +375,9 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     """Train the adaptive strategy at each beta in ``config.beta_sweep``.
 
     Dev-set model selection uses F at the matching beta; reported test
-    metrics are precision, recall and F1 so rows are comparable across
-    betas.  Writes ``sweep.csv`` (one row per beta, means plus population
-    stddevs) and ``sweep.json``.
+    metrics are precision, recall and F1, from each run's test counts, so
+    rows are comparable across betas.  Writes ``sweep.csv`` (one row per
+    beta, means plus population stddevs) and ``sweep.json``.
     """
     if not config.beta_sweep:
         raise InputError("config.beta_sweep must be a non-empty list")
@@ -397,7 +393,8 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     stat_names = [f.name for f in fields(SweepRow)][2:]
     rows: list[SweepRow] = []
     for beta, block in zip(config.beta_sweep, blocks):
-        per_seed = [extras for report, extras in block if report.valid]
+        counts = [report.test_counts for report, _ in block if report.valid]
+        per_seed = [(precision(c), recall(c), f_beta(c, 1.0)) for c in counts]
         # SweepRow's field order: three means, then three stddevs, each over one 1-D column
         columns = [np.array(column) for column in zip(*per_seed)]
         stats = [float(np.mean(c)) for c in columns] + [float(np.std(c)) for c in columns]

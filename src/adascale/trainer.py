@@ -18,7 +18,7 @@ import numpy as np
 from .configio import SCORE, Config, bound, write_json
 from .data import NEGATIVE_LABEL, Dataset, SamplerKind, UniformSampler, batches
 from .losses import LossStrategy, Vanilla, strategy_label
-from .metrics import confusion_from_predictions, f_beta, precision, recall
+from .metrics import ConfusionStats, confusion_from_predictions, f_beta, precision, recall
 from .model import Gradients, ModelParams, ModelSpec, init_params, predict
 
 # train() checks its inputs once and each step runs the kernels, bound under
@@ -155,8 +155,8 @@ class RunReport(Config):
 
     ``wall_clock_s`` is informational only and, named in ``per_run``, left
     out of the persisted JSON so that repeated runs produce byte-identical files.
-    For invalid (aborted) runs the curves stop at the point of failure and
-    test metrics are zeroed.
+    The test metrics follow from ``test_counts``, the test split's confusion counts.
+    An invalid (aborted) run's curves stop at its failure and its test counts and metrics are 0.
     """
 
     per_run: ClassVar[tuple[str, ...]] = ("wall_clock_s",)
@@ -176,6 +176,7 @@ class RunReport(Config):
     test_precision: float = bound(0.0, **SCORE)
     test_recall: float = bound(0.0, **SCORE)
     test_f: float = bound(0.0, **SCORE)
+    test_counts: ConfusionStats = ConfusionStats(0.0, 0.0, 0.0, 0.0)
     valid: bool = True
     failure: str | None = None
     wall_clock_s: float = 0.0
@@ -262,7 +263,7 @@ def train(
     dev F are retained (ties keep the earlier epoch) and final test metrics
     come from those retained parameters.  A non-finite loss, dev or test probability
     ends the run, invalid, instead of raising: its curves keep the finished epochs
-    and its test metrics stay 0.  Numpy's divide, invalid and overflow errors
+    and its test counts and metrics stay 0.  Numpy's divide, invalid and overflow errors
     are ignored while it runs, so the caller's settings do not change the outcome."""
     _check_dims(train_ds, dev_ds, test_ds, model_spec)
     start = time.perf_counter()
@@ -302,10 +303,12 @@ def train(
                 ):
                     break
             try:
-                test_scores = evaluate(best_params, test_ds, config.eval_beta)
+                test_preds = predict(best_params, test_ds.features)
             except FloatingPointError:
                 raise FloatingPointError("non-finite test probabilities") from None
-            report.test_precision, report.test_recall, report.test_f = test_scores
+            counts = report.test_counts = confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)[0]
+            report.test_precision, report.test_recall = precision(counts), recall(counts)
+            report.test_f = f_beta(counts, config.eval_beta)
         except FloatingPointError as error:
             report.failure = str(error)
             report.valid = False
@@ -315,7 +318,8 @@ def train(
 
 def report_to_dict(report: RunReport) -> dict:
     """Canonical JSON payload for a run, without the fields ``RunReport.per_run`` names."""
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in report.per_run}
+    doc = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in report.per_run}
+    return doc | {"test_counts": dict(vars(report.test_counts))}
 
 
 def write_run_report(report: RunReport, path) -> None:

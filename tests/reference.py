@@ -325,8 +325,10 @@ def load_jsonl(path: Path) -> tuple[list[list[float]], list[int]]:
             if not finite:
                 raise _load_error(path, lineno, "'features' must be a list of finite reals")
             label = obj["label"]
-            if type(label) is not int or not 0 <= label <= _MAX_LABEL:
-                raise _load_error(path, lineno, f"label {label!r} out of range")
+            if type(label) is not int:
+                raise _load_error(path, lineno, "malformed label")
+            if not 0 <= label <= _MAX_LABEL:
+                raise _load_error(path, lineno, f"label {label} out of range")
             feats.append([float(v) for v in raw])
             labels.append(label)
     return feats, labels

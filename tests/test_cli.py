@@ -622,7 +622,7 @@ class TestColdStart:
             f"ValueError: {run_file}: not a valid run report: missing RunReport keys "
             "['seed', 'strategy', 'eval_beta', 'epochs_run', 'best_epoch', 'best_dev_f', 'dev_precision', "
             "'dev_recall', 'dev_f', 'loss_curve', 'w_history', 'skipped_steps', 'test_precision', "
-            "'test_recall', 'test_f', 'valid', 'failure']"
+            "'test_recall', 'test_f', 'test_counts', 'valid', 'failure']"
         )
 
     def test_no_command_loads_jsonschema(self, tmp_path, experiment_doc, config_path):

@@ -207,6 +207,15 @@ class TestSaveLoad:
         path.write_text(text.format(2**63 - 1))
         assert load(path).labels[1] == 2**63 - 1
 
+    @pytest.mark.parametrize("label", ["1.0", "true", '"1"'])
+    def test_jsonl_label_not_an_integer_is_malformed(self, tmp_path, label):
+        # as the CSV loader reads a label int() cannot parse
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"features": [0.5], "label": 0}\n{"features": [0.5], "label": ' + label + "}\n")
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}:2: malformed label"
+
     @pytest.mark.parametrize(
         "name, text, message",
         [

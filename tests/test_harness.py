@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from adascale import configio, harness
+from adascale import configio, harness, trainer
 from adascale.data import (
     Dataset,
     DatasetSource,
@@ -44,6 +44,7 @@ from adascale.harness import (
     run_experiment,
 )
 from adascale.losses import Adaptive, Focal, LossStrategy, Static, Vanilla
+from adascale.metrics import ConfusionStats, f_beta, precision, recall
 from adascale.model import ModelSpec
 from adascale.trainer import SGD, Adam, Optimizer, RunReport, TrainConfig, report_to_dict
 from adascale.trainer import train as train_run
@@ -194,6 +195,37 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             reaggregate(tmp_path / "out")
 
+    def test_reaggregate_rejects_a_run_file_without_test_counts(self, tmp_path):
+        # a run file written before run reports held their test counts
+        run_experiment(_tiny_config(tmp_path / "out"))
+        path = tmp_path / "out" / "run_vanilla_0.json"
+        doc = json.loads(path.read_text())
+        del doc["test_counts"]
+        configio.write_json(doc, path)
+        with pytest.raises(ValueError) as caught:
+            reaggregate(tmp_path / "out")
+        assert str(caught.value) == f"{path}: not a valid run report: missing RunReport keys ['test_counts']"
+
+    @pytest.mark.parametrize("protocol", [_compare, _sweep], ids=["run_experiment", "beta_sweep"])
+    def test_one_test_pass_per_valid_run(self, tmp_path, monkeypatch, protocol):
+        # every aggregate reads the run reports, so no protocol predicts the test split again
+        splits, test_passes = [], []
+        load, predict = harness.load_datasets, trainer.predict
+
+        def recording_load(source):
+            splits[:] = load(source)
+            return tuple(splits)
+
+        def counting_predict(params, features):
+            test_passes.append(features is splits[2].features)
+            return predict(params, features)
+
+        monkeypatch.setattr(harness, "load_datasets", recording_load)
+        monkeypatch.setattr(trainer, "predict", counting_predict)
+        protocol(tmp_path / "out")
+        runs = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("run_*.json")]
+        assert sum(test_passes) == sum(run["valid"] for run in runs) == 4
+
     @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["no directory", "no run files"])
     def test_reaggregate_rejects_a_directory_without_runs(self, tmp_path, make):
         run_dir = tmp_path / "out"
@@ -322,6 +354,8 @@ class TestRunExperiment:
             assert arm.n_valid == 0
             assert arm.invalid_seeds == [0, 1]
             assert arm.mean_test_f is None
+        for path in out.glob("run_*.json"):
+            assert json.loads(path.read_text())["test_counts"] == dict.fromkeys(("p", "n", "tp", "tn", "pe"), 0.0)
         _check_written(harness.ComparisonReport, out / "comparison.json")
         assert (out / "comparison.csv").read_bytes() == b"arm,mean,var,best3\r\ndiverges,,,\r\nadaptive,,,\r\n"
 
@@ -360,11 +394,13 @@ class TestRunExperiment:
         runs = [f"run_{arm}_{seed}.json" for arm in ("adaptive", "vanilla") for seed in range(3)]
         assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "comparison.json", *runs]
         _check_written(harness.ComparisonReport, out / "comparison.json")
+        zero = dict.fromkeys(("p", "n", "tp", "tn", "pe"), 0.0)
         for arm in ("vanilla", "adaptive"):
             for seed in range(3):
                 _check_written(RunReport, out / f"run_{arm}_{seed}.json")
                 run = json.loads((out / f"run_{arm}_{seed}.json").read_text())
                 assert run["failure"] == (None if seed == 2 else "non-finite test probabilities")
+                assert (run["test_counts"] == zero) == (seed != 2)
                 assert run["epochs_run"] == len(run["dev_f"]) == len(run["loss_curve"]) == 2
 
 
@@ -415,17 +451,16 @@ class TestBetaSweep:
         for name in python_files:
             assert (tmp_path / "python" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
 
-    def test_run_files_rebuild_precision_recall_and_f1_at_beta_1(self, tmp_path):
-        # a row's F1 comes from an extra test pass at beta = 1; a run file holds its run's
-        # precision and recall, and its F at the run's own beta, so F1 only where beta = 1
-        report = _sweep(tmp_path / "out", betas=(0.5, 1.0))
+    def test_run_files_rebuild_every_row(self, tmp_path):
+        # every column of every row, F1 at each beta too, follows from the run files' test counts
+        report = _sweep(tmp_path / "out", betas=(0.5, 1.0, 2.0))
         for row in report.rows:
             paths = (tmp_path / "out").glob(f"run_adaptive_beta{row.beta:g}_*.json")
             runs = sorted((json.loads(p.read_text()) for p in paths), key=lambda run: run["seed"])
-            assert row.n_valid == len(runs) == 2
-            rebuilt = [("precision", "test_precision"), ("recall", "test_recall")]
-            for name, key in rebuilt + ([("f1", "test_f")] if row.beta == 1.0 else []):
-                column = np.array([run[key] for run in runs])
+            counts = [ConfusionStats(**run["test_counts"]) for run in runs]
+            assert row.n_valid == len(counts) == 2
+            for name, metric in (("precision", precision), ("recall", recall), ("f1", f_beta)):
+                column = np.array([metric(c) for c in counts])
                 assert getattr(row, f"mean_{name}") == float(np.mean(column)), (row.beta, name)
                 assert getattr(row, f"std_{name}") == float(np.std(column)), (row.beta, name)
 

@@ -20,7 +20,7 @@ from adascale.data import (
 )
 from adascale.harness import load_datasets
 from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss, strategy_label
-from adascale.metrics import confusion_from_predictions, f_beta, precision, recall
+from adascale.metrics import ConfusionStats, confusion_from_predictions, f_beta, precision, recall
 from adascale.model import ForwardResult, ModelParams, ModelSpec, backward, forward, init_params
 from adascale.trainer import (
     SGD,
@@ -155,6 +155,7 @@ class TestTraining:
         assert report.epochs_run == 2 and report.best_epoch == 0
         assert len(report.loss_curve) == len(report.dev_f) == len(report.dev_precision) == 2
         assert (report.test_precision, report.test_recall, report.test_f) == (0.0, 0.0, 0.0)
+        assert report.test_counts == ConfusionStats(0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "feature_value, lr, epochs, batch_size, failure",
@@ -436,6 +437,8 @@ def _reference_train(train_ds, dev_ds, test_ds, spec, config):
     report.test_precision, report.test_recall, report.test_f = reference.evaluate(
         best_params, test_ds, config.eval_beta
     )
+    test_preds = np.argmax(reference.forward(best_params, test_ds.features).probs, axis=1)
+    report.test_counts, _ = reference.confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)
     return best_params, report
 
 
