@@ -19,7 +19,7 @@ from typing import get_type_hints
 from . import configio, data, harness
 from .metrics import _check_beta
 from .model import load_params, save_params
-from .trainer import evaluate, train
+from .trainer import evaluate
 
 
 def _experiment(args) -> harness.ExperimentConfig:
@@ -84,10 +84,9 @@ def _cmd_train(args) -> int:
     for path in (out, args.save_model):
         if path:
             _check_writable(Path(path))
-    train_ds, dev_ds, test_ds = harness.load_datasets(config.source)
-    spec = harness._build_spec(config.model, train_ds)
-    params, report = train(train_ds, dev_ds, test_ds, spec, harness._run_config(arm, config.base_seed))
-    report.arm = arm.name
+    datasets = harness.load_datasets(config.source)
+    task = (harness._build_spec(config.model, datasets[0]), harness._run_config(arm, config.base_seed), arm.name)
+    report, params = harness._execute_run(task, datasets)
     harness._persist(report, out)
     if args.save_model:
         save_params(params, args.save_model)

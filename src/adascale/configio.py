@@ -176,8 +176,6 @@ def checked(tp, value):
         if isinstance(value, dict):
             items = {k: _at(f"[{k!r}]", checked, args[1], v) for k, v in value.items()}
             return value if all(map(operator.is_, items.values(), value.values())) else items
-    elif not isinstance(tp, type):
-        return value
     elif tp is float and type(value) is int:
         try:
             return float(value)

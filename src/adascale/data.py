@@ -166,41 +166,30 @@ def _centroid_directions(rng: np.random.Generator, count: int, dim: int) -> np.n
 
 
 def generate_with_structure(config: GeneratorConfig) -> tuple[Dataset, GenerationDetails]:
-    """Generate a dataset and expose the cluster structure that produced it."""
+    """Generate a dataset and expose the cluster structure that produced it.
+
+    Rows are laid out cluster by cluster, positive classes then negative modes, from
+    one Gaussian draw scaled by ``noise_scale`` and shifted by each row's centroid.
+    """
     rng = np.random.default_rng(config.seed)
     n_pos_classes = config.k - 1
     n_pos = config.n_positive
-    n_neg = config.n - n_pos
 
     dirs = _centroid_directions(rng, n_pos_classes + config.negative_modes, config.d)
     centroids = config.class_separation * dirs
-    pos_centroids = centroids[:n_pos_classes]
-    neg_centroids = centroids[n_pos_classes:]
+    counts = _even_split(n_pos, n_pos_classes) + _even_split(config.n - n_pos, config.negative_modes)
 
-    feats = np.empty((config.n, config.d))
-    labels = np.empty(config.n, dtype=np.int64)
-    modes = np.full(config.n, -1, dtype=np.int64)
-
-    row = 0
-    for cls, count in enumerate(_even_split(n_pos, n_pos_classes), start=1):
-        feats[row : row + count] = pos_centroids[cls - 1] + config.noise_scale * rng.standard_normal(
-            (count, config.d)
-        )
-        labels[row : row + count] = cls
-        row += count
-    for mode, count in enumerate(_even_split(n_neg, config.negative_modes)):
-        feats[row : row + count] = neg_centroids[mode] + config.noise_scale * rng.standard_normal(
-            (count, config.d)
-        )
-        labels[row : row + count] = NEGATIVE_LABEL
-        modes[row : row + count] = mode
-        row += count
+    feats = rng.standard_normal((config.n, config.d))
+    feats *= config.noise_scale
+    feats += np.repeat(centroids, counts, axis=0)
+    labels = np.repeat(np.r_[1 : config.k, [NEGATIVE_LABEL] * config.negative_modes], counts)
+    modes = np.repeat(np.r_[[-1] * n_pos_classes, : config.negative_modes], counts)
 
     order = rng.permutation(config.n)
     dataset = Dataset(features=feats[order], labels=labels[order], k=config.k)
     details = GenerationDetails(
-        positive_centroids=pos_centroids,
-        negative_centroids=neg_centroids,
+        positive_centroids=centroids[:n_pos_classes],
+        negative_centroids=centroids[n_pos_classes:],
         negative_mode=modes[order],
     )
     return dataset, details

@@ -30,7 +30,7 @@ from .configio import SCORE, Config, bound
 from .data import Dataset, DatasetSource, FileSource, SyntheticSource, generate, load
 from .losses import Adaptive, LossStrategy
 from .metrics import f_beta, precision, recall
-from .model import ACTIVATIONS, ModelSpec
+from .model import ACTIVATIONS, ModelParams, ModelSpec
 from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
 
 __all__ = [
@@ -247,12 +247,14 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.+=-]", "-", name)
 
 
-def _execute_run(task, datasets) -> tuple[RunReport, None]:
+def _execute_run(task, datasets) -> tuple[RunReport, ModelParams]:
+    """The report, labelled with its arm, and the best-dev parameters of one
+    ``(spec, config, arm name)`` task: the package's one call of :func:`train`."""
     spec, config, arm_name = task
-    _, report = train(*datasets, spec, config)
+    params, report = train(*datasets, spec, config)
     report.arm = arm_name
-    # a pair, and evaluate imported, because perfbench unpacks the one and wraps the other (ROADMAP item 1)
-    return report, None
+    # evaluate stays imported because perfbench wraps it here (ROADMAP item 1)
+    return report, params
 
 
 # set only inside a pool worker, by _init_worker
@@ -269,7 +271,7 @@ def _execute_in_worker(task):
 
 
 def _run_all(tasks, workers: int, datasets):
-    """Results of ``(spec, config, arm name)`` tasks on the shared datasets, in task order.
+    """The ``(report, params)`` of each ``(spec, config, arm name)`` task on the shared datasets, in task order.
 
     A pool hands the datasets to each worker once, through its initializer,
     so a task carries only its own config.
@@ -295,11 +297,11 @@ def _run_config(arm: Arm, seed: int) -> TrainConfig:
     return replace(arm.train, strategy=arm.strategy, seed=seed)
 
 
-def _execute(config: ExperimentConfig, arms) -> tuple[list[list], Path]:
+def _execute(config: ExperimentConfig, arms) -> tuple[list[list[RunReport]], Path]:
     """Train each arm at every seed of the shared seed list and persist every report.
 
     Arms whose reports would share a file are rejected before any training.
-    Returns each arm's block of ``(report, None)`` results, in seed order.
+    Returns each arm's block of reports, in seed order.
     """
     seeds = range(config.base_seed, config.base_seed + config.n_seeds)
     files: dict[str, str] = {}
@@ -314,10 +316,10 @@ def _execute(config: ExperimentConfig, arms) -> tuple[list[list], Path]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(spec, _run_config(arm, seed), arm.name) for arm in arms for seed in seeds]
-    results = _run_all(tasks, config.workers, datasets)
-    for report, _ in results:
+    reports = [report for report, _ in _run_all(tasks, config.workers, datasets)]
+    for report in reports:
         _persist(report, out_dir / _run_file(report.arm, report.seed))
-    return [results[i : i + len(seeds)] for i in range(0, len(results), len(seeds))], out_dir
+    return [reports[i : i + len(seeds)] for i in range(0, len(reports), len(seeds))], out_dir
 
 
 def _summarize_arm(name: str, reports: list[RunReport], best_k: int) -> ArmSummary:
@@ -357,7 +359,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     arm summary.  Writes ``comparison.csv`` and ``comparison.json``.
     """
     blocks, out_dir = _execute(config, config.arms)
-    arms = [_summarize_arm(a.name, [r for r, _ in block], config.best_k) for a, block in zip(config.arms, blocks)]
+    arms = [_summarize_arm(a.name, block, config.best_k) for a, block in zip(config.arms, blocks)]
     report = ComparisonReport(config.n_seeds, config.best_k, config.base_seed, arms)
     configio.write_json(report.to_dict(), out_dir / "comparison.json")
     # table-style scale: mean/best3 as percentage points, var on the same scale
@@ -393,7 +395,7 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
     stat_names = [f.name for f in fields(SweepRow)][2:]
     rows: list[SweepRow] = []
     for beta, block in zip(config.beta_sweep, blocks):
-        counts = [report.test_counts for report, _ in block if report.valid]
+        counts = [report.test_counts for report in block if report.valid]
         per_seed = [(precision(c), recall(c), f_beta(c, 1.0)) for c in counts]
         # SweepRow's field order: three means, then three stddevs, each over one 1-D column
         columns = [np.array(column) for column in zip(*per_seed)]
@@ -448,7 +450,7 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
 
     grid_cells: list[GridCell] = []
     for cell, block in zip(cells, blocks):
-        valid = [r for r, _ in block if r.valid]
+        valid = [r for r in block if r.valid]
         mean_dev_f = float(np.mean([r.best_dev_f for r in valid])) if valid else None
         grid_cells.append(GridCell(cell, mean_dev_f, len(valid), [r.test_f for r in valid]))
 

@@ -16,15 +16,19 @@ marginal utility of one more correct prediction per class (the partial
 derivative of the metric in tp or tn), all reduce to a few arithmetic
 operations.  Counts are accepted as non-negative reals rather than just
 integers so that expected-count estimators and sensitivity analysis can
-treat them as continuous.
+treat them as continuous.  :class:`ConfusionStats`, which holds them, is a
+``configio.Config``: the codec and the shipped run-report schema check a run
+file's counts against the same bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .configio import Config, bound
 
 __all__ = [
     "ConfusionStats",
@@ -39,25 +43,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConfusionStats:
+class ConfusionStats(Config):
     """Aggregate confusion quantities for one set of predictions.
 
-    Invariants: all fields non-negative and finite, tp <= p, tn <= n, and
-    pe <= p - tp (an instance cannot be both correct and confused).
+    Each count is stored as the ``float`` of what it was given, so a numpy
+    scalar serves, and ``Config`` checks it is finite and non-negative.
+    Invariants between the counts: tp <= p, tn <= n, and pe <= p - tp (an
+    instance cannot be both correct and confused).
     """
 
-    p: float
-    n: float
-    tp: float
-    tn: float
-    pe: float = 0.0
+    p: float = bound(minimum=0)
+    n: float = bound(minimum=0)
+    tp: float = bound(minimum=0)
+    tn: float = bound(minimum=0)
+    pe: float = bound(0.0, minimum=0)
 
     def __post_init__(self) -> None:
-        for name in ("p", "n", "tp", "tn", "pe"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be a finite non-negative real, got {value!r}")
-            object.__setattr__(self, name, value)
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        super().__post_init__()
         if self.tp > self.p:
             raise ValueError(f"tp={self.tp} exceeds p={self.p}")
         if self.tn > self.n:

@@ -122,7 +122,7 @@ class TestTrainEval:
             report.test_f = 2.0
             return params, report
 
-        monkeypatch.setattr(cli, "train", overscored)
+        monkeypatch.setattr(harness, "train", overscored)
         run_path = tmp_path / "run.json"
         with pytest.raises(ValueError, match=re.escape("RunReport.test_f must be <= 1, got 2.0")):
             main(["train", "--config", config_path, "--arm", "vanilla", "--out", str(run_path)])
@@ -314,8 +314,9 @@ class TestInputErrors:
                 ("grid", "static"), {"gamma": [1.0]},
                 "grid parameter 'gamma' matches neither the strategy nor the sampler of arm 'static'",
             ),
+            (("grid", "static"), {"negative_cost": []}, "grid value lists must be non-empty"),
         ],
-        ids=["nan", "arm index", "schema", "schema minimum", "arm not an object", "grid"],
+        ids=["nan", "arm index", "schema", "schema minimum", "arm not an object", "grid", "empty grid values"],
     )
     def test_config_errors(self, tmp_path, experiment_doc, monkeypatch, capsys, path, value, message):
         _edit(experiment_doc, path, value)
@@ -406,8 +407,17 @@ class TestInputErrors:
             (lambda text: _with(text, input_dim="3"), "ModelSpec.input_dim: expected int, got '3'"),
             (lambda text: _with(text, n_classes=True), "ModelSpec.n_classes: expected int, got True"),
             (lambda text: _with(text, input_dim=3.5), "ModelSpec.input_dim: expected int, got 3.5"),
+            (lambda text: _with(text, version=2), "unsupported checkpoint version 2"),
+            (lambda text: _with(text, layers=json.loads(text)["layers"] * 2), "expected 1 layers, got 2"),
+            (
+                lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": [[math.nan, 0.0]] * 3}]),
+                "non-finite parameter values",
+            ),
         ],
-        ids=["missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim"],
+        ids=[
+            "missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim",
+            "version", "extra layer", "nan weight",
+        ],
     )
     def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):
         from adascale.model import ModelSpec, init_params, save_params
@@ -451,7 +461,7 @@ class TestInputErrors:
         assert main(["generate", "--out", str(paths["data"]), "--n", "40", "--d", "3", "--k", "2",
                      "--positive-rate", "0.2"]) == 0
         written = set(tmp_path.iterdir())
-        monkeypatch.setattr(cli, "train", _no_training)
+        monkeypatch.setattr(harness, "train", _no_training)
         monkeypatch.setattr(data, "load", _no_loading)  # as eval loads its dataset
         code, err = self._run(monkeypatch, capsys, *(arg.format(**paths) for arg in args))
         assert (code, err) == (2, f"adascale: error: {expected.format(**paths)}\n")

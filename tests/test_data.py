@@ -15,6 +15,8 @@ from adascale.data import (
     StratifiedSampler,
     UnderSampler,
     UniformSampler,
+    _centroid_directions,
+    _even_split,
     batches,
     generate,
     generate_with_structure,
@@ -40,6 +42,24 @@ class TestDatasetValidation:
         # no model takes zero inputs, and a CSV could not hold such a dataset
         with pytest.raises(ValueError, match="features must have at least one column"):
             Dataset(np.zeros((2, 0)), np.array([0, 1]), k=2)
+
+    @pytest.mark.parametrize(
+        "features, labels, k, message",
+        [
+            (np.zeros(2), [0, 1], 2, "features must be a 2-D matrix"),
+            (np.zeros((2, 2)), [0, 1, 0], 2, "labels must be one per feature row"),
+            (np.zeros((2, 2)), [0.0, 0.5], 2, "labels must be integers"),
+            (np.zeros((2, 2)), [0, 0], 1, "k must be >= 2"),
+        ],
+        ids=["1-D features", "extra label", "fractional label", "one class"],
+    )
+    def test_rejections(self, features, labels, k, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, np.array(labels), k=k)
+
+    def test_integral_float_labels_stored_as_int64(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([0.0, 1.0]), k=2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
 
     def test_immutability(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), k=2)
@@ -93,6 +113,34 @@ class TestGenerator:
             GeneratorConfig(positive_rate=0.0)
         with pytest.raises(ValueError):
             GeneratorConfig(n=100, k=4, positive_rate=0.02)  # rounds to 2 < k-1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GeneratorConfig(n=400, d=5, k=2, positive_rate=0.1, negative_modes=1, seed=1),
+            GeneratorConfig(n=1001, d=3, k=5, positive_rate=0.37, negative_modes=4, seed=7),
+            GeneratorConfig(n=13, d=2, k=3, positive_rate=0.9, negative_modes=2, noise_scale=0.3, seed=2),
+            GeneratorConfig(n=1, d=1, k=2, positive_rate=0.6, seed=5),
+        ],
+        ids=["k=2, one mode", "uneven counts", "more clusters than dimensions", "no negatives"],
+    )
+    def test_one_draw_equals_a_draw_per_cluster(self, config):
+        # the rows of each cluster, drawn one cluster after another from the seed's stream
+        rng = np.random.default_rng(config.seed)
+        centroids = config.class_separation * _centroid_directions(rng, config.k - 1 + config.negative_modes, config.d)
+        n_pos = config.n_positive
+        counts = _even_split(n_pos, config.k - 1) + _even_split(config.n - n_pos, config.negative_modes)
+        labels = [*range(1, config.k), *[0] * config.negative_modes]
+        modes = [*[-1] * (config.k - 1), *range(config.negative_modes)]
+        feats = np.concatenate(
+            [c + config.noise_scale * rng.standard_normal((count, config.d)) for c, count in zip(centroids, counts)]
+        )
+        order = rng.permutation(config.n)
+        ds, details = generate_with_structure(config)
+        assert ds.features.tobytes() == feats[order].tobytes()
+        assert ds.labels.tolist() == np.repeat(labels, counts)[order].tolist()
+        assert details.negative_mode.dtype == np.int64
+        assert details.negative_mode.tolist() == np.repeat(modes, counts)[order].tolist()
 
     def test_more_clusters_than_dimensions(self):
         cfg = GeneratorConfig(n=200, d=2, k=3, positive_rate=0.1, negative_modes=4, seed=1)

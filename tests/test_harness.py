@@ -544,6 +544,12 @@ class TestGridSearch:
         assert len(result.cells) == 1
         assert result.best_params == {}
 
+    def test_empty_value_list(self, tmp_path):
+        config = _tiny_config(tmp_path / "out")
+        with pytest.raises(InputError, match="grid value lists must be non-empty"):
+            grid_search(Arm("adaptive", Adaptive(1.0), TINY_TRAIN), {"beta": []}, config)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["nope", "kind"])
     def test_unknown_parameter(self, tmp_path, key):
         # a union member's "kind" tag is a class variable, not a field a grid can set
@@ -584,6 +590,18 @@ class TestTaggedUnions:
         ]
         assert modules and not [m for m in modules if m.startswith((".", "adascale"))]
 
+    def test_execute_run_is_the_one_caller_of_train(self):
+        # a protocol's runs and the train command's one run all train through harness._execute_run
+        callers = []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "train"
+                    for call in ast.walk(node)
+                ):
+                    callers.append(f"{path.stem}.{node.name}")
+        assert callers == ["harness._execute_run"]
+
 
 def _int_float_configs() -> list:
     """One value of every config and report class, built with an int wherever a
@@ -595,6 +613,7 @@ def _int_float_configs() -> list:
     arm_summary = harness.ArmSummary("a", 2, 1, 1, 0, 0, 1, [4], [summary])
     row = harness.SweepRow(2, 1, 1, 0, 1, 0, 0, 0)
     cell = harness.GridCell({"negative_cost": 1, "min_positives_per_batch": 2}, 1, 2, [1, 0])
+    counts = ConfusionStats(3, 5, 1, 2, 1)
     return [
         generator, source, FileSource("a.csv", "b.csv", "c.csv"),
         UniformSampler(), StratifiedSampler(2), UnderSampler(3),
@@ -602,7 +621,7 @@ def _int_float_configs() -> list:
         Vanilla(), Adaptive(2), Static(1), Focal(2), SGD(1, 0), Adam(1, 0, 0, 1), train,
         Arm("a", Static(1), train),
         ExperimentConfig(source, (Arm("a", Adaptive(1)),), beta_sweep=(1, 2), grid={"a": {"beta": (1, 2)}}),
-        RunReport(0, "a", "adaptive(beta=2)", 2, 1, 0, 1, [1], [0], [1], [2], [0, 1], 0, 1, 0, 1),
+        counts, RunReport(0, "a", "adaptive(beta=2)", 2, 1, 0, 1, [1], [0], [1], [2], [0, 1], 0, 1, 0, 1, counts),
         summary, arm_summary, harness.ComparisonReport(2, 1, 0, [arm_summary]),
         row, harness.SweepReport(1, 0, [row]),
         cell, harness.GridResult("a", 0, {"negative_cost": 1}, [cell]),
@@ -1197,12 +1216,14 @@ class TestValidatorOracle:
     reports, on each written document and mutant, of its own kind or not."""
 
     SCHEMAS = SHIPPED_SCHEMAS
-    # mutants that only the codec rejects: JSON Schema cannot say "finite", and
-    # an integer beyond the float range reads as no finite float
+    # mutants that only the codec rejects: JSON Schema cannot say "finite", an
+    # integer beyond the float range reads as no finite float, and no schema
+    # keyword compares two fields, as the invariant tp <= p does
     CODEC_ONLY = {
         "run w_history[2] = nan",
         "run w_history[-1] = " + repr(10**400),
         "run loss_curve[0] = inf",
+        "run test_counts tp > p",
     }
     # the codec's message on each rejected mutant, read as its own kind
     MESSAGES = {
@@ -1226,6 +1247,8 @@ class TestValidatorOracle:
         "run not an object": "expected RunReport object, got an array",
         "run valid 1": "RunReport.valid: expected bool, got 1",
         "run skipped_steps missing": "missing RunReport keys ['skipped_steps']",
+        "run test_counts n = -1": "RunReport.test_counts: ConfusionStats.n must be >= 0, got -1.0",
+        "run test_counts tp > p": "RunReport.test_counts: tp=9.0 exceeds p=8.0",
         "experiment_config beta_sweep 0": "ExperimentConfig.beta_sweep[0] must be > 0, got 0.0",
         "experiment_config grid string": "ExperimentConfig.grid['focal']['gamma'][0]: expected float, got 'x'",
         "grid test_f above 1": "GridResult.cells[0]: GridCell.test_f[1] must be <= 1, got 1.2",
@@ -1296,6 +1319,11 @@ class TestValidatorOracle:
         yield "run not an object", [run]
         yield "run valid 1", dict(run, valid=1)
         yield "run skipped_steps missing", {k: v for k, v in run.items() if k != "skipped_steps"}
+        counts = run["test_counts"]
+        yield "run test_counts n = -1", dict(run, test_counts=dict(counts, n=-1))
+        yield "run test_counts tp > p", dict(run, test_counts=dict(counts, p=8.0, tp=9.0, pe=0.0))
+        # known, kept: pe is optional in both, so a file without it is read with pe = 0
+        yield "run test_counts without pe", dict(run, test_counts={k: v for k, v in counts.items() if k != "pe"})
         config = docs["experiment_config"]
         yield "experiment_config beta_sweep 0", dict(config, beta_sweep=[0, 1.0])
         yield "experiment_config grid string", dict(config, grid={"focal": {"gamma": ["x", 1]}})
@@ -1357,6 +1385,11 @@ class TestValidatorOracle:
                 assert (error is None) == accepted, (schema_name, label, error)
         # every listed exception is one: its own schema accepts what the codec rejects
         assert codec_only == self.CODEC_ONLY
+
+    def test_counts_without_pe_read_as_zero(self, documents):
+        label, doc = next((label, doc) for label, doc in self._mutants(documents) if label.endswith("without pe"))
+        assert _plain(self._kind(label)).is_valid(doc)
+        assert _codec(self._kind(label), doc).test_counts.pe == 0.0
 
     def test_codec_messages(self, documents):
         messages = {}

@@ -16,6 +16,10 @@ class TestBatchPrediction:
         with pytest.raises(ValueError, match="at least one"):
             BatchPrediction([], [])
 
+    def test_two_dimensional_probs_rejected(self):
+        with pytest.raises(ValueError, match="gold_probs and is_positive must be one-dimensional"):
+            BatchPrediction([[0.5], [0.5]], [True, False])
+
     def test_out_of_range_probs(self):
         with pytest.raises(ValueError):
             BatchPrediction([1.5], [True])

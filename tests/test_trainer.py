@@ -232,6 +232,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="input_dim"):
             train(*toy, ModelSpec(4, 2), _toy_config(strategy=Vanilla()))
 
+    def test_class_count_mismatch(self, toy):
+        train_ds, dev_ds, test_ds = toy
+        dev_ds = Dataset(dev_ds.features, dev_ds.labels, k=3)
+        with pytest.raises(ValueError, match="dev dataset k 3 != model n_classes 2"):
+            train(train_ds, dev_ds, test_ds, TOY_SPEC, _toy_config(strategy=Vanilla()))
+
     @pytest.mark.parametrize("split", ["train", "dev", "test"])
     def test_splits_must_be_datasets(self, toy, split):
         # each step relies on Dataset's invariants, so train() takes nothing else
