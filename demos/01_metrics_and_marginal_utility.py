@@ -26,7 +26,7 @@ from adascale import (
 gold = [1, 0, 0, 2, 0, 2, 0, 0, 1, 0]
 pred = [1, 0, 1, 1, 0, 2, 0, 0, 0, 0]
 
-stats, per_class = confusion_from_predictions(gold, pred, negative_label=0)
+stats, per_class = confusion_from_predictions(gold, pred)
 print("gold:", gold)
 print("pred:", pred)
 print(f"counts: p={stats.p:g} n={stats.n:g} tp={stats.tp:g} tn={stats.tn:g} pe={stats.pe:g}")

@@ -88,8 +88,11 @@ def _cmd_train(args) -> int:
     task = (harness._build_spec(config.model, datasets[0]), harness._run_config(arm, config.base_seed), arm.name)
     report, params = harness._execute_run(task, datasets)
     harness._persist(report, out)
-    if args.save_model:
+    # an invalid run's parameters may be the untrained initial ones, so they are not saved
+    if args.save_model and report.valid:
         save_params(params, args.save_model)
+    elif args.save_model:
+        print(f"no checkpoint for an invalid run: {args.save_model}", file=sys.stderr)
     status = "ok" if report.valid else f"INVALID ({report.failure})"
     print(
         f"{arm.name} seed={config.base_seed}: dev_f={report.best_dev_f:.4f} test_f={report.test_f:.4f} "

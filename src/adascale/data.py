@@ -3,8 +3,8 @@
 The generator, source and sampler configs are ``configio.Config``
 dataclasses: ``configio`` decides what a valid value of each is.
 
-Label convention throughout the package: 0 is the background (negative)
-class, labels 1..k-1 are the positive classes.
+Label convention throughout the package: ``metrics.NEGATIVE_LABEL`` (0) is
+the background (negative) class, labels 1..k-1 are the positive classes.
 
 The generator builds Gaussian clusters: one per positive class and a
 configurable number of modes for the negative class, so the background has
@@ -28,6 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import Config, bound
+from .metrics import NEGATIVE_LABEL
 
 __all__ = [
     "Dataset",
@@ -49,7 +50,6 @@ __all__ = [
     "FORMATS",
 ]
 
-NEGATIVE_LABEL = 0
 # dataset file formats, each named as its file suffix
 FORMATS = ("csv", "jsonl")
 
@@ -67,7 +67,7 @@ class Dataset:
     k: int
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.array(self.features, dtype=np.float64)  # a copy, made read-only below
         labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -89,8 +89,6 @@ class Dataset:
             raise ValueError("k must be >= 2")
         if labels.min() < 0 or labels.max() >= int(self.k):
             raise ValueError(f"labels must lie in [0, {int(self.k) - 1}]")
-        feats = feats.copy()
-        labels = labels.copy()
         feats.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "features", feats)

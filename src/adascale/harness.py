@@ -218,12 +218,8 @@ def load_datasets(source: DatasetSource) -> tuple[Dataset, Dataset, Dataset]:
     if isinstance(source, SyntheticSource):
         gen = source.generator
         pool = generate(replace(gen, n=gen.n + source.n_dev + source.n_test))
-        bounds = (gen.n, gen.n + source.n_dev, pool.n)
-        return (
-            Dataset(pool.features[: bounds[0]], pool.labels[: bounds[0]], pool.k),
-            Dataset(pool.features[bounds[0] : bounds[1]], pool.labels[bounds[0] : bounds[1]], pool.k),
-            Dataset(pool.features[bounds[1] :], pool.labels[bounds[1] :], pool.k),
-        )
+        cuts = (0, gen.n, gen.n + source.n_dev, pool.n)
+        return tuple(Dataset(pool.features[a:b], pool.labels[a:b], pool.k) for a, b in itertools.pairwise(cuts))
     with _reading():
         splits = [load(path, source.format) for path in (source.train, source.dev, source.test)]
     for path, ds in ((source.dev, splits[1]), (source.test, splits[2])):
@@ -267,14 +263,15 @@ def _init_worker(datasets) -> None:
 
 
 def _execute_in_worker(task):
-    return _execute_run(task, _worker_datasets)
+    return _execute_run(task, _worker_datasets)[0], None
 
 
 def _run_all(tasks, workers: int, datasets):
     """The ``(report, params)`` of each ``(spec, config, arm name)`` task on the shared datasets, in task order.
 
     A pool hands the datasets to each worker once, through its initializer,
-    so a task carries only its own config.
+    so a task carries only its own config.  A protocol keeps only the reports,
+    so a worker returns ``(report, None)`` and pickles no parameters back.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [_execute_run(t, datasets) for t in tasks]

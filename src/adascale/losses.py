@@ -31,6 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import Config, bound
+from .metrics import NEGATIVE_LABEL
 from .model import ForwardResult, _check_gold
 
 # the kernel, under the name the benchmark in perfbench/ traces as scaling.w_batch
@@ -106,10 +107,8 @@ class LossOutput:
     w_used: float | None = None
 
 
-def compute_loss(
-    strategy: LossStrategy, fwd: ForwardResult, gold, negative_label: int = 0
-) -> LossOutput:
-    """Evaluate a strategy on one batch.
+def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput:
+    """Evaluate a strategy on one batch, whose negatives are the rows of gold ``metrics.NEGATIVE_LABEL``.
 
     The loss is the mean over the batch of weight[i] * (-log p_i) with p_i
     the gold-class probability of row i.  Weights are treated as constants
@@ -125,7 +124,7 @@ def compute_loss(
     if probs.shape[0] == 0:
         raise ValueError("batch must contain at least one instance")
     gold, gold_index = _check_gold(gold, probs, "gold labels out of range")
-    is_negative = gold == negative_label
+    is_negative = gold == NEGATIVE_LABEL
     is_positive = ~is_negative
     n_positive = int(np.count_nonzero(is_positive))
     if getattr(strategy, "sums_gold_probs", False) and n_positive:

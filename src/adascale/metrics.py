@@ -1,9 +1,9 @@
 """Confusion bookkeeping and micro-averaged detection metrics.
 
 Detection-style evaluation pools k-1 positive classes against a single
-background (negative) class and scores only how well the positives are
-found.  Every formula in this module is a closed-form function of five
-aggregate quantities:
+background (negative) class, the package's one :data:`NEGATIVE_LABEL`, and
+scores only how well the positives are found.  Every formula in this module
+is a closed-form function of five aggregate quantities:
 
     p   gold-positive instances
     n   gold-negative instances
@@ -29,6 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .configio import Config, bound
+
+NEGATIVE_LABEL = 0  # the background class, read by data, losses and trainer
 
 __all__ = [
     "ConfusionStats",
@@ -86,25 +88,21 @@ def _as_label_array(x, *, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size == 0:
-        return arr.astype(np.int64)
     if arr.dtype.kind not in "iu":
         as_int = arr.astype(np.int64)
         if not np.array_equal(as_int, arr):
             raise ValueError(f"{name} must contain integer labels")
         arr = as_int
-    if arr.min() < 0:
+    if arr.size and arr.min() < 0:
         raise ValueError(f"{name} must contain non-negative labels")
     return arr.astype(np.int64, copy=False)
 
 
-def confusion_from_predictions(
-    gold, pred, negative_label: int
-) -> tuple[ConfusionStats, dict[int, int]]:
+def confusion_from_predictions(gold, pred) -> tuple[ConfusionStats, dict[int, int]]:
     """Tally confusion counts from aligned gold/predicted label sequences.
 
-    ``negative_label`` marks the background class; every other label is a
-    positive class.  Returns the aggregate counts plus a per-class map of
+    :data:`NEGATIVE_LABEL` marks the background class; every other label is
+    a positive class.  Returns the aggregate counts plus a per-class map of
     correctly predicted positives (keyed by the positive labels that occur
     in ``gold``).  Empty inputs yield all-zero counts.
     """
@@ -114,10 +112,7 @@ def confusion_from_predictions(
         raise ValueError(
             f"gold and pred must have equal length, got {gold_arr.size} and {pred_arr.size}"
         )
-    if gold_arr.size == 0:
-        return ConfusionStats(0.0, 0.0, 0.0, 0.0, 0.0), {}
-
-    is_pos = gold_arr != negative_label
+    is_pos = gold_arr != NEGATIVE_LABEL
     hit = gold_arr == pred_arr
     tp_mask = hit & is_pos
     p = np.count_nonzero(is_pos)
@@ -125,7 +120,7 @@ def confusion_from_predictions(
     # a hit on a positive row predicts a positive, so those rows are the tp
     # ones: tn and pe follow from masks counted once
     tn = np.count_nonzero(hit) - tp
-    pe = np.count_nonzero(is_pos & (pred_arr != negative_label)) - tp
+    pe = np.count_nonzero(is_pos & (pred_arr != NEGATIVE_LABEL)) - tp
 
     per_class = dict.fromkeys(np.unique(gold_arr[is_pos]).tolist(), 0)
     classes, counts = np.unique(gold_arr[tp_mask], return_counts=True)

@@ -283,17 +283,23 @@ def load_params(path) -> ModelParams:
             raise ValueError(f"{path}: {error}") from None
         weights, biases = [], []
         layers = doc["layers"]
+        if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
+            raise ValueError(f"{path}: layers must be a list of objects")
         if len(layers) != len(spec.layer_dims):
             raise ValueError(f"{path}: expected {len(spec.layer_dims)} layers, got {len(layers)}")
         for layer, (fan_in, fan_out) in zip(layers, spec.layer_dims):
-            w = np.asarray(layer["weight"], dtype=np.float64)
-            b = np.asarray(layer["bias"], dtype=np.float64)
+            try:  # numpy refuses a ragged nesting
+                w, b = np.asarray(layer["weight"]), np.asarray(layer["bias"])
+            except ValueError:
+                raise ValueError(f"{path}: layer shape mismatch") from None
+            if w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
+                raise ValueError(f"{path}: non-numeric parameter values")
             if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                 raise ValueError(f"{path}: layer shape mismatch")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"{path}: non-finite parameter values")
-            weights.append(w)
-            biases.append(b)
+            weights.append(w.astype(np.float64, copy=False))
+            biases.append(b.astype(np.float64, copy=False))
     except KeyError as error:
         raise ValueError(f"{path}: missing key {error}") from None
     return ModelParams(spec=spec, weights=weights, biases=biases)

@@ -16,9 +16,9 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import SCORE, Config, bound, write_json
-from .data import NEGATIVE_LABEL, Dataset, SamplerKind, UniformSampler, batches
+from .data import Dataset, SamplerKind, UniformSampler, batches
 from .losses import LossStrategy, Vanilla, strategy_label
-from .metrics import ConfusionStats, confusion_from_predictions, f_beta, precision, recall
+from .metrics import NEGATIVE_LABEL, ConfusionStats, confusion_from_predictions, f_beta, precision, recall
 from .model import Gradients, ModelParams, ModelSpec, init_params, predict
 
 # train() checks its inputs once and each step runs the kernels, bound under
@@ -183,7 +183,7 @@ class RunReport(Config):
 
 
 def evaluate(params: ModelParams, dataset: Dataset, beta: float = 1.0) -> tuple[float, float, float]:
-    """Micro precision/recall/F-beta of hard predictions, negative label 0.
+    """Micro precision/recall/F-beta of hard predictions against ``metrics.NEGATIVE_LABEL``.
 
     The dataset may lack the model's top classes, but not hold a label the
     model cannot predict.
@@ -191,7 +191,7 @@ def evaluate(params: ModelParams, dataset: Dataset, beta: float = 1.0) -> tuple[
     if dataset.k > params.spec.n_classes:
         raise ValueError(f"dataset k {dataset.k} exceeds model n_classes {params.spec.n_classes}")
     preds = predict(params, dataset.features)
-    stats, _ = confusion_from_predictions(dataset.labels, preds, NEGATIVE_LABEL)
+    stats, _ = confusion_from_predictions(dataset.labels, preds)
     return precision(stats), recall(stats), f_beta(stats, beta)
 
 
@@ -306,7 +306,7 @@ def train(
                 test_preds = predict(best_params, test_ds.features)
             except FloatingPointError:
                 raise FloatingPointError("non-finite test probabilities") from None
-            counts = report.test_counts = confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)[0]
+            counts = report.test_counts = confusion_from_predictions(test_ds.labels, test_preds)[0]
             report.test_precision, report.test_recall = precision(counts), recall(counts)
             report.test_f = f_beta(counts, config.eval_beta)
         except FloatingPointError as error:

@@ -168,12 +168,8 @@ def test_weight_property_suite():
         a = int(rng.integers(0, TP + 1))
         b = int(rng.integers(0, TP + 1))
         beta = float(rng.uniform(0.3, 4.0))
-        stats_a, per_a = confusion_from_predictions(
-            *_redistribution_labels((a, TP - a), P, TP, PE, N, TN), 0
-        )
-        stats_b, per_b = confusion_from_predictions(
-            *_redistribution_labels((b, TP - b), P, TP, PE, N, TN), 0
-        )
+        stats_a, per_a = confusion_from_predictions(*_redistribution_labels((a, TP - a), P, TP, PE, N, TN))
+        stats_b, per_b = confusion_from_predictions(*_redistribution_labels((b, TP - b), P, TP, PE, N, TN))
         assert stats_a == stats_b
         assert sum(per_a.values()) == sum(per_b.values()) == stats_a.tp
         assert f_beta(stats_a, beta) == f_beta(stats_b, beta)
@@ -253,7 +249,7 @@ def test_gradient_checks_all_strategies():
             if isinstance(strategy, Adaptive) and not np.any(gold != 0):
                 gold[0] = 1
             fwd = forward(params, x)
-            out = compute_loss(strategy, fwd, gold, negative_label=0)
+            out = compute_loss(strategy, fwd, gold)
             weights = out.instance_weights  # frozen at the evaluation point
             analytic = backward(params, fwd, gold, weights)
 

@@ -265,15 +265,16 @@ CONFUSION_CASES = [
 
 
 @pytest.mark.parametrize("case", CONFUSION_CASES, ids=str)
-@pytest.mark.parametrize("negative_label", [0, 2])
-def test_confusion(case, negative_label):
+@pytest.mark.parametrize("fill_label", [0, 2])
+def test_confusion(case, fill_label):
+    # fill_label fills the gold entries not drawn; both sides score against label 0
     n, k, positive_rate, hit_rate = case
     rng = np.random.default_rng(n + k)
-    gold = np.where(rng.random(n) < positive_rate, rng.integers(0, k, size=n), negative_label)
+    gold = np.where(rng.random(n) < positive_rate, rng.integers(0, k, size=n), fill_label)
     pred = np.where(rng.random(n) < hit_rate, gold, rng.integers(0, k, size=n))
     for g, p in ((gold, pred), (gold.astype(np.int32), pred.astype(np.uint8)), (gold.astype(float), pred.tolist())):
-        stats, per_class = metrics.confusion_from_predictions(g, p, negative_label)
-        ref_stats, ref_per_class = reference.confusion_from_predictions(g, p, negative_label)
+        stats, per_class = metrics.confusion_from_predictions(g, p)
+        ref_stats, ref_per_class = reference.confusion_from_predictions(g, p, 0)
         assert stats == ref_stats
         assert list(per_class.items()) == list(ref_per_class.items())
         assert all(type(key) is int and type(value) is int for key, value in per_class.items())
@@ -290,7 +291,7 @@ def test_confusion(case, negative_label):
     ],
 )
 def test_confusion_rejections(gold, pred):
-    got = _outcome(lambda: metrics.confusion_from_predictions(gold, pred, 0))
+    got = _outcome(lambda: metrics.confusion_from_predictions(gold, pred))
     assert got[0] is ValueError
     assert got == _outcome(lambda: reference.confusion_from_predictions(gold, pred, 0))
 
@@ -299,7 +300,7 @@ def test_confusion_memory_does_not_grow_with_label_values():
     # huge label values count like small ones
     gold = np.array([0, 2**62, 2**62, 5, 0])
     pred = np.array([0, 2**62, 0, 5, 5])
-    stats, per_class = metrics.confusion_from_predictions(gold, pred, 0)
+    stats, per_class = metrics.confusion_from_predictions(gold, pred)
     assert (stats.p, stats.n, stats.tp, stats.tn, stats.pe) == (3, 2, 2, 1, 0)
     assert per_class == {5: 1, 2**62: 1}
 

@@ -128,6 +128,22 @@ class TestTrainEval:
             main(["train", "--config", config_path, "--arm", "vanilla", "--out", str(run_path)])
         assert not run_path.exists()
 
+    def test_invalid_run_saves_no_checkpoint(self, tmp_path, experiment_doc, capsys):
+        # a run that diverges in its first epoch would otherwise save its untrained initial parameters
+        train = {"optimizer": {"kind": "sgd", "lr": 1e308}, "epochs": 2, "batch_size": 32}
+        experiment_doc["arms"].append({"name": "diverging", "strategy": {"kind": "vanilla"}, "train": train})
+        config = tmp_path / "diverging.json"
+        config.write_text(json.dumps(experiment_doc))
+        run_path, model_path = tmp_path / "run.json", tmp_path / "model.json"
+        code = main(["train", "--config", str(config), "--arm", "diverging",
+                     "--out", str(run_path), "--save-model", str(model_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(run_path.read_text())["valid"] is False
+        assert "[INVALID (" in captured.out
+        assert captured.err == f"no checkpoint for an invalid run: {model_path}\n"
+        assert not model_path.exists()
+
     def test_eval_prints_metrics(self, tmp_path, config_path, capsys):
         model_path = tmp_path / "model.json"
         data_path = tmp_path / "data.csv"
@@ -413,10 +429,27 @@ class TestInputErrors:
                 lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": [[math.nan, 0.0]] * 3}]),
                 "non-finite parameter values",
             ),
+            (lambda text: _with(text, layers=5), "layers must be a list of objects"),
+            (lambda text: _with(text, layers=None), "layers must be a list of objects"),
+            (lambda text: _with(text, layers="x"), "layers must be a list of objects"),
+            (lambda text: _with(text, layers=[[1]]), "layers must be a list of objects"),
+            (
+                lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "bias": {"a": 1.0}}]),
+                "non-numeric parameter values",
+            ),
+            (
+                lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": "x"}]),
+                "non-numeric parameter values",
+            ),
+            (
+                lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": [[0.0, 0.0], [0.0]]}]),
+                "layer shape mismatch",
+            ),
         ],
         ids=[
             "missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim",
-            "version", "extra layer", "nan weight",
+            "version", "extra layer", "nan weight", "int layers", "null layers", "string layers", "list layer",
+            "object bias", "string weight", "ragged weight",
         ],
     )
     def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):

@@ -276,6 +276,19 @@ class TestRunExperiment:
             _compare(tmp_path / "out")
         assert not list(tmp_path.glob("out/run_*.json"))
 
+    def test_pool_worker_returns_no_parameters(self):
+        # a protocol keeps only the report, so a worker sends no parameters back
+        datasets = load_datasets(TINY_SOURCE)
+        config = harness._run_config(Arm("a", Vanilla(), TINY_TRAIN), 3)
+        task = (harness._build_spec(ModelConfig(), datasets[0]), config, "a")
+        try:
+            harness._init_worker(datasets)
+            report, params = harness._execute_in_worker(task)
+        finally:
+            harness._init_worker(None)
+        assert params is None
+        assert report_to_dict(report) == report_to_dict(harness._execute_run(task, datasets)[0])
+
     def test_pool_tasks_carry_no_arrays(self, tmp_path, monkeypatch):
         tasks = []
         run_all = harness._run_all
@@ -601,6 +614,17 @@ class TestTaggedUnions:
                 ):
                     callers.append(f"{path.stem}.{node.name}")
         assert callers == ["harness._execute_run"]
+
+    def test_metrics_owns_the_negative_label(self):
+        # the background label is assigned once, in metrics, and no function takes it as a parameter
+        assigned, parameters = [], []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and node.id == "NEGATIVE_LABEL" and isinstance(node.ctx, ast.Store):
+                    assigned.append(path.stem)
+                elif isinstance(node, ast.arg) and node.arg == "negative_label":
+                    parameters.append(path.stem)
+        assert (assigned, parameters) == (["metrics"], [])
 
 
 def _int_float_configs() -> list:

@@ -43,7 +43,7 @@ class TestWorkedExamples:
         expected = (-math.log(0.5) - math.log(0.25)) / 2
         assert expected == pytest.approx(1.0397207708399179, abs=1e-15)
         fwd = _fwd([[0.5, 0.5], [0.25, 0.75]])
-        out = compute_loss(Vanilla(), fwd, np.array([0, 0]), negative_label=1)
+        out = compute_loss(Vanilla(), fwd, np.array([0, 0]))
         assert out.loss == pytest.approx(expected, abs=1e-12)
         npt.assert_array_equal(out.instance_weights, np.ones(2))
         assert out.w_used is None
@@ -55,7 +55,7 @@ class TestWorkedExamples:
         expected = (-math.log(0.5) + w * (-math.log(0.8) - math.log(0.9))) / 3
         assert expected == pytest.approx(0.27316496620870434, abs=1e-15)
         fwd = _fwd([[0.2, 0.5, 0.3], [0.8, 0.1, 0.1], [0.9, 0.05, 0.05]])
-        out = compute_loss(Adaptive(1.0), fwd, np.array([1, 0, 0]), negative_label=0)
+        out = compute_loss(Adaptive(1.0), fwd, np.array([1, 0, 0]))
         assert out.loss == pytest.approx(expected, rel=1e-12)
         assert out.w_used == pytest.approx(w, rel=1e-12)
         npt.assert_allclose(out.instance_weights, [1.0, out.w_used, out.w_used])
@@ -63,7 +63,7 @@ class TestWorkedExamples:
     def test_focal_gamma_two(self):
         expected = 0.25 * -math.log(0.5)
         fwd = _fwd([[0.5, 0.5]])
-        out = compute_loss(Focal(2.0), fwd, np.array([0]), negative_label=1)
+        out = compute_loss(Focal(2.0), fwd, np.array([0]))
         assert out.loss == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.17328679513998632, abs=1e-15)
 
@@ -96,7 +96,7 @@ class TestDegenerations:
 class TestStrategySemantics:
     def test_static_weights(self):
         fwd = _fwd([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])
-        out = compute_loss(Static(0.2), fwd, np.array([0, 1, 0]), negative_label=0)
+        out = compute_loss(Static(0.2), fwd, np.array([0, 1, 0]))
         npt.assert_allclose(out.instance_weights, [0.2, 1.0, 0.2])
 
     def test_adaptive_weights_match_batch_estimate(self):
@@ -104,7 +104,7 @@ class TestStrategySemantics:
         probs = rng.dirichlet(np.ones(3), size=10)
         gold = np.array([0, 1, 2, 0, 0, 1, 0, 2, 0, 0])
         fwd = _fwd(probs)
-        out = compute_loss(Adaptive(1.5), fwd, gold, negative_label=0)
+        out = compute_loss(Adaptive(1.5), fwd, gold)
         gold_probs = probs[np.arange(10), gold]
         expected_w = w_batch(BatchPrediction(gold_probs, gold != 0), 1.5)
         assert out.w_used == expected_w
@@ -115,14 +115,14 @@ class TestStrategySemantics:
         probs = rng.dirichlet(np.ones(3), size=6)
         gold = rng.integers(1, 3, size=6)
         fwd = _fwd(probs)
-        a = compute_loss(Adaptive(1.0), fwd, gold, negative_label=0)
-        b = compute_loss(Vanilla(), fwd, gold, negative_label=0)
+        a = compute_loss(Adaptive(1.0), fwd, gold)
+        b = compute_loss(Vanilla(), fwd, gold)
         assert a.loss == b.loss
         npt.assert_array_equal(a.instance_weights, b.instance_weights)
 
     def test_adaptive_no_positive_batch(self):
         fwd = _fwd([[0.8, 0.1, 0.1], [0.6, 0.2, 0.2]])
-        out = compute_loss(Adaptive(1.0), fwd, np.array([0, 0]), negative_label=0)
+        out = compute_loss(Adaptive(1.0), fwd, np.array([0, 0]))
         assert out.w_used == 0.0
         assert out.loss == 0.0
         npt.assert_array_equal(out.instance_weights, np.zeros(2))
@@ -130,7 +130,7 @@ class TestStrategySemantics:
     def test_focal_weight_decreasing_in_confidence(self):
         probs = np.linspace(0.05, 0.95, 10)
         fwd = _fwd(np.column_stack([probs, 1.0 - probs]))
-        out = compute_loss(Focal(2.0), fwd, np.zeros(10, dtype=int), negative_label=1)
+        out = compute_loss(Focal(2.0), fwd, np.zeros(10, dtype=int))
         assert np.all(np.diff(out.instance_weights) < 0.0)
 
     def test_loss_non_negative_and_finite(self):
@@ -175,7 +175,7 @@ class TestGradientScalingIdentity:
         x = rng.normal(size=(8, 6))
         gold = np.array([0, 1, 0, 2, 0, 0, 1, 0])
         fwd = forward(params, x)
-        out = compute_loss(Adaptive(1.0), fwd, gold, negative_label=0)
+        out = compute_loss(Adaptive(1.0), fwd, gold)
         w = out.w_used
         assert w is not None and w > 0.0
         for i in np.flatnonzero(gold == 0):

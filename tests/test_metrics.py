@@ -40,38 +40,36 @@ def _oracle_counts(gold, pred, negative_label):
 
 class TestConfusionCounting:
     def test_worked_example(self):
-        stats, per_class = confusion_from_predictions(
-            [1, 0, 0, 2, 0], [1, 0, 1, 1, 0], negative_label=0
-        )
+        stats, per_class = confusion_from_predictions([1, 0, 0, 2, 0], [1, 0, 1, 1, 0])
         assert (stats.p, stats.n, stats.tp, stats.tn, stats.pe) == (2, 3, 1, 2, 1)
         assert per_class == {1: 1, 2: 0}
         # predicted-positive identity: n - tn + pe + tp counts positive predictions
         assert stats.predicted_positive == 3
 
     def test_perfect_prediction(self):
-        stats, _ = confusion_from_predictions([1, 0, 2, 0], [1, 0, 2, 0], 0)
+        stats, _ = confusion_from_predictions([1, 0, 2, 0], [1, 0, 2, 0])
         assert (stats.p, stats.n, stats.tp, stats.tn, stats.pe) == (2, 2, 2, 2, 0)
 
     def test_all_negative_prediction(self):
-        stats, _ = confusion_from_predictions([1, 2, 0], [0, 0, 0], 0)
+        stats, _ = confusion_from_predictions([1, 2, 0], [0, 0, 0])
         assert (stats.p, stats.n, stats.tp, stats.tn, stats.pe) == (2, 1, 0, 1, 0)
 
     def test_empty_input(self):
-        stats, per_class = confusion_from_predictions([], [], 0)
+        stats, per_class = confusion_from_predictions([], [])
         assert (stats.p, stats.n, stats.tp, stats.tn, stats.pe) == (0, 0, 0, 0, 0)
         assert per_class == {}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            confusion_from_predictions([1, 0], [1], 0)
+            confusion_from_predictions([1, 0], [1])
 
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            confusion_from_predictions([-1, 0], [0, 0], 0)
+            confusion_from_predictions([-1, 0], [0, 0])
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            confusion_from_predictions([0.5, 0.0], [0, 0], 0)
+            confusion_from_predictions([0.5, 0.0], [0, 0])
 
     def test_agrees_with_tally_oracle(self):
         rng = np.random.default_rng(42)
@@ -80,7 +78,7 @@ class TestConfusionCounting:
             length = int(rng.integers(1, 51))
             gold = random_labels(rng, length, k)
             pred = random_labels(rng, length, k)
-            stats, per_class = confusion_from_predictions(gold, pred, 0)
+            stats, per_class = confusion_from_predictions(gold, pred)
             ostats, oper = _oracle_counts(gold.tolist(), pred.tolist(), 0)
             assert stats == ostats
             assert per_class == oper
@@ -92,7 +90,7 @@ class TestConfusionCounting:
         for _ in range(200):
             gold = random_labels(rng, 40, 4)
             pred = random_labels(rng, 40, 4)
-            stats, per_class = confusion_from_predictions(gold, pred, 0)
+            stats, per_class = confusion_from_predictions(gold, pred)
             assert sum(per_class.values()) == stats.tp
 
 
@@ -250,8 +248,8 @@ class TestMicroFInvariance:
         pred_a = [1] * 3 + [0] + [2] * 2 + [0] * 2 + [0] * 9 + [1]
         gold_b = [1] * 5 + [2] * 3 + [0] * 10
         pred_b = [1] * 5 + [0] * 3 + [0] * 9 + [1]
-        stats_a, per_a = confusion_from_predictions(gold_a, pred_a, 0)
-        stats_b, per_b = confusion_from_predictions(gold_b, pred_b, 0)
+        stats_a, per_a = confusion_from_predictions(gold_a, pred_a)
+        stats_b, per_b = confusion_from_predictions(gold_b, pred_b)
         assert stats_a.tp == stats_b.tp == 5
         assert per_a != per_b
         assert sum(per_a.values()) == sum(per_b.values()) == 5

@@ -349,7 +349,7 @@ class TestEvaluate:
         ds = Dataset(feats, gold, k=3)
         echo = ModelParams(ModelSpec(3, 3), [np.eye(3)], [np.zeros(3)])
         p, r, f = evaluate(echo, ds, 1.0)
-        stats, _ = confusion_from_predictions(gold, pred, 0)
+        stats, _ = confusion_from_predictions(gold, pred)
         assert (p, r, f) == (precision(stats), recall(stats), f_beta(stats, 1.0))
 
 
