@@ -61,8 +61,9 @@ def _cmd_generate(args) -> int:
             if value is not None:
                 doc[f.name] = value
         config = configio.from_json(data.GeneratorConfig, doc)
+        fmt = data._infer_format(Path(args.out), args.format)
     dataset = data.generate(config)
-    data.save(dataset, args.out, args.format)
+    data.save(dataset, args.out, fmt)
     print(f"wrote {dataset.n} instances ({dataset.d} features, k={dataset.k}) to {args.out}")
     return 0
 

@@ -4,10 +4,11 @@ must reproduce byte for byte.
 Each function is the straightforward form of its library counterpart:
 ``model._softmax``, ``model.forward``, ``model.backward``,
 ``losses.compute_loss``, ``data.batches`` with its stratified sampler,
-``metrics.confusion_from_predictions``, ``data.save`` and ``data.load``.
-They allocate freely, gather each batch's rows separately, count with
-``np.sum``, write rows through ``csv.writer`` and ``json.dumps`` and read a
-file as a list of per-row float lists before making one array of it.
+``metrics.confusion_from_predictions``, ``data.save``, ``data.load`` and
+``trainer.train``.  They allocate freely, gather each batch's rows
+separately, count with ``np.sum``, write rows through ``csv.writer`` and
+``json.dumps``, read a file as a list of per-row float lists before making
+one array of it and keep one optimizer state per parameter array.
 Nothing here may be optimised: the oracle tests and ``TestReferenceLoop``
 compare the library against these copies.
 """
@@ -34,14 +35,16 @@ from adascale.data import (
     _infer_format,
     _load_error,
 )
-from adascale.losses import Adaptive, Focal, LossOutput, Static, Vanilla
+from adascale.losses import Adaptive, Focal, LossOutput, Static, Vanilla, strategy_label
 from adascale.metrics import ConfusionStats, f_beta, precision, recall
 from adascale.model import (
     ForwardResult,
     Gradients,
     _activate,
     _check_features,
+    init_params,
 )
+from adascale.trainer import SGD, RunReport
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -351,3 +354,75 @@ def load(path, format: str | None = None) -> Dataset:
         raise ValueError(f"{path}: inconsistent feature widths {sorted(widths)}")
     k = max(labels) + 1
     return Dataset(features=np.asarray(feats), labels=np.asarray(labels), k=max(k, 2))
+
+
+def train(train_ds, dev_ds, test_ds, spec, config):
+    """``trainer.train`` as a plain step loop: the formulas above, one row
+    gather per batch, and per-array Adam and SGD with momentum, written out
+    without the trainer's flat optimizer state."""
+    init_seed = int(np.random.SeedSequence((config.seed, 1)).generate_state(1)[0])
+    params = init_params(spec, init_seed)
+    arrays = params.weights + params.biases
+    opt = config.optimizer
+    velocity = [np.zeros_like(a) for a in arrays]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    t = 0
+    adaptive = isinstance(config.strategy, Adaptive)
+    report = RunReport(
+        seed=config.seed, strategy=strategy_label(config.strategy), eval_beta=config.eval_beta
+    )
+    best_params = params.copy()
+    for epoch in range(config.epochs):
+        step_losses = []
+        epoch_seed = int(np.random.SeedSequence((config.seed, 2, epoch)).generate_state(1)[0])
+        for idx in batches(train_ds, config.sampler, config.batch_size, epoch_seed):
+            x = train_ds.features[idx]
+            y = train_ds.labels[idx]
+            fwd = forward(params, x)
+            out = compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
+            if not np.isfinite(out.loss):
+                report.failure = f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
+                report.valid = False
+                report.epochs_run = epoch
+                return best_params, report
+            step_losses.append(out.loss)
+            if adaptive:
+                report.w_history.append(float(out.w_used))
+                if not np.any(y != NEGATIVE_LABEL):
+                    report.skipped_steps += 1
+            grads = backward(params, fwd, y, out.instance_weights)
+            g_arrays = grads.weights + grads.biases
+            if isinstance(opt, SGD):
+                for i, (a, g) in enumerate(zip(arrays, g_arrays)):
+                    velocity[i] = opt.momentum * velocity[i] + g
+                    a -= opt.lr * velocity[i]
+            else:
+                t += 1
+                bc1 = 1.0 - opt.b1**t
+                bc2 = 1.0 - opt.b2**t
+                for i, (a, g) in enumerate(zip(arrays, g_arrays)):
+                    m[i] = opt.b1 * m[i] + (1.0 - opt.b1) * g
+                    v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
+                    a -= opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
+        report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
+        dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+        report.dev_precision.append(dev_p)
+        report.dev_recall.append(dev_r)
+        report.dev_f.append(dev_f)
+        report.epochs_run = epoch + 1
+        if dev_f > report.best_dev_f or report.best_epoch < 0:
+            report.best_dev_f = dev_f
+            report.best_epoch = epoch
+            best_params = params.copy()
+        elif (
+            config.early_stop_patience is not None
+            and epoch - report.best_epoch >= config.early_stop_patience
+        ):
+            break
+    report.test_precision, report.test_recall, report.test_f = evaluate(
+        best_params, test_ds, config.eval_beta
+    )
+    test_preds = np.argmax(forward(best_params, test_ds.features).probs, axis=1)
+    report.test_counts, _ = confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)
+    return best_params, report

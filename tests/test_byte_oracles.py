@@ -394,6 +394,21 @@ LOAD_CASES = [
     ("csv bad feature then bad label", "a.csv", "f0,label\n0.5,0\nx,0\n0.5,-1\n"),
     ("csv bad label then short row", "a.csv", "f0,label\n0.5,-1\n0.5\nx,0\n"),
     ("csv width then nan", "a.csv", "f0,f1,label\n0.5,0.5,0\n0.5,0\nnan,0.5,0\n"),
+    # where numpy's C tokenizer and csv.reader with float() and int() could part
+    ("csv whitespace-only line", "a.csv", "f0,label\n0.5,0\n  \n0.5,1\n"),
+    ("csv trailing blank line", "a.csv", "f0,label\n0.5,0\n\n"),
+    ("csv bare cr line ends", "a.csv", "f0,label\r0.5,0\r-1.5,1\r"),
+    ("csv text after closing quote", "a.csv", 'f0,label\n"1.5"5,0\n'),
+    ("csv doubled quotes", "a.csv", 'f0,label\n"1""5",0\n'),
+    ("csv comment line", "a.csv", "f0,label\n0.5,0\n# a comment\n"),
+    ("csv tab padding", "a.csv", "f0,f1,label\n\t1.5,2.5\t,\t1\t\n"),
+    ("csv arabic-indic digits", "a.csv", "f0,label\n\u0661.\u0665,\u0662\n0.5,0\n"),
+    ("csv float label", "a.csv", "f0,label\n0.5,0\n0.5,7.0\n"),
+    ("csv signed labels", "a.csv", "f0,label\n0.5,+7\n1.5,-0\n"),
+    ("csv quoted label", "a.csv", 'f0,label\n0.5,"1"\n'),
+    ("csv empty feature cell", "a.csv", "f0,f1,label\n0.5,0.5,0\n0.5,,0\n"),
+    ("csv quoted header", "a.csv", '"f0","label"\n0.5,1\n'),
+    ("csv no trailing newline", "a.csv", "f0,label\n0.5,0\n1.5,1"),
     ("jsonl good", "a.jsonl", '{"features": [0.5, 1], "label": 1}\n\n{"label": 0, "features": [-0.0, 1e-05]}\n'),
     ("jsonl integers and exponents", "a.jsonl", '{"features": [' + str(10**20) + ', 3, 5e-324, 1E2], "label": 2}\n'),
     ("jsonl no trailing newline", "a.jsonl", '{"features": [0.5], "label": 0}'),

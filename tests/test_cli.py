@@ -302,6 +302,10 @@ def _no_loading(*args, **kwargs):
     raise AssertionError("loaded a dataset before the output paths were checked")
 
 
+def _no_generating(*args, **kwargs):
+    raise AssertionError("generated a dataset before its output format was known")
+
+
 class TestInputErrors:
     """The ``adascale`` command reports an unusable input in one line, with status 2."""
 
@@ -508,6 +512,14 @@ class TestInputErrors:
         out = tmp_path / "d.csv"
         code, err = self._run(monkeypatch, capsys, "generate", "--config", str(config), "--out", str(out), "--n", "50")
         assert (code, err) == (2, f"adascale: error: {config}: not a JSON object\n")
+        assert not out.exists()
+
+    def test_generate_format_not_inferable(self, tmp_path, monkeypatch, capsys):
+        # the output's format is settled before the dataset is generated
+        monkeypatch.setattr(data, "generate", _no_generating)
+        out = tmp_path / "data.txt"
+        code, err = self._run(monkeypatch, capsys, "generate", "--out", str(out))
+        assert (code, err) == (2, "adascale: error: cannot infer format from 'data.txt'; pass format=\n")
         assert not out.exists()
 
     def test_data_is_a_directory(self, tmp_path, monkeypatch, capsys):

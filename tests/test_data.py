@@ -1,11 +1,14 @@
 import codecs
+import random
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adascale import data
 from adascale.data import (
     FORMATS,
     Dataset,
@@ -211,8 +214,11 @@ class TestSaveLoad:
     def test_header_only(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n")
-        with pytest.raises(ValueError, match="no data rows"):
+        # numpy's "input contained no data" warning stays inside the load
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="no data rows"):
+            warnings.simplefilter("always")
             load(path)
+        assert caught == []
 
     def test_jsonl_errors_name_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -309,12 +315,18 @@ class TestSaveLoad:
             load(path)
         assert str(caught.value) == f"{path}:4: malformed feature value"
 
-    @pytest.mark.parametrize("lineno", [1, 3])
+    @pytest.mark.parametrize("lineno", [1, 2, 3])
     def test_csv_field_over_the_size_limit(self, tmp_path, lineno):
         # the csv module refuses a field over 131,072 characters with its own csv.Error
         path = tmp_path / "wide.csv"
         wide = "1" + "0" * 200_000
-        path.write_text(f"f{wide},label\n" if lineno == 1 else f"f0,label\n0.5,0\n{wide},1\n")
+        texts = {
+            1: f"f{wide},label\n",
+            # finite, and numpy's tokenizer reads it as 0.0
+            2: f"f0,label\n0.{'0' * 200_000}1,0\n0.5,1\n",
+            3: f"f0,label\n0.5,0\n{wide},1\n",
+        }
+        path.write_text(texts[lineno])
         with pytest.raises(ValueError) as caught:
             load(path)
         assert str(caught.value) == f"{path}:{lineno}: field larger than field limit (131072)"
@@ -351,6 +363,43 @@ class TestSaveLoad:
             tracemalloc.stop()
         assert ds.features.shape == (10_000, 20)
         assert peak <= 3 * ds.features.nbytes
+
+    def test_saved_csv_loads_without_the_row_loop(self, tmp_path, monkeypatch):
+        # numpy's tokenizer reads what save writes; the row loop is only for
+        # lenient values and for naming the first bad line
+        ds = generate(GeneratorConfig(n=500, seed=5))
+        path = tmp_path / "d.csv"
+        save(ds, path)
+        monkeypatch.setattr(data, "_load_csv", _no_row_loop)
+        back = load(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert back.k == ds.k
+
+    def test_tokenizer_agrees_with_the_row_loop(self, tmp_path, monkeypatch):
+        # seeded CSV texts, mostly valid rows with one edit in some: whatever
+        # numpy's tokenizer accepts, the row loop reads to the same bytes
+        rnd = random.Random(26)
+        edits = ["", " ", "\t", '"', '""', ",", "\r", "\n", "#", "_", "-", "e", "nan", "\xa0", "\u0661", "7.0", "x"]
+        path = tmp_path / "t.csv"
+        accepted = 0
+        for _ in range(300):
+            rows = []
+            for _ in range(rnd.randint(1, 4)):
+                features = [rnd.choice(["0.5", "-1e-3", " 2 ", '"4"']) for _ in range(2)]
+                row = ",".join([*features, rnd.choice(["0", "+1", "-0", '"3"'])])
+                if rnd.random() < 0.3:
+                    at = rnd.randrange(len(row) + 1)
+                    row = row[:at] + rnd.choice(edits) + row[at + rnd.randint(0, 2) :]
+                rows.append(row + rnd.choice(["\n", "\r\n", "\r"]))
+            path.write_text(rnd.choice(["f0,f1,label", '"f0",f1,"label"']) + "\r\n" + "".join(rows))
+            accepted += data._load_csv_table(path) is not None
+            with monkeypatch.context() as m:
+                m.setattr(data, "_load_csv_table", lambda path: None)
+                by_rows = _loaded(path)
+            assert _loaded(path) == by_rows, path.read_text()
+        # both paths read a share of the texts
+        assert 100 < accepted < 290
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_save_memory_bounded_by_a_block(self, tmp_path, fmt):
@@ -399,6 +448,19 @@ class TestSaveLoad:
         assert fields(FileSource)[-1].metadata["enum"] == (*FORMATS, None)
         with pytest.raises(ValueError, match="format must be 'csv' or 'jsonl', got 'xml'"):
             load(tmp_path / "d.txt", "xml")
+
+
+def _no_row_loop(*args, **kwargs):
+    raise AssertionError("a saved CSV file went through the row loop")
+
+
+def _loaded(path):
+    """The loaded arrays and k as bytes, or the ValueError's message."""
+    try:
+        ds = load(path)
+    except ValueError as error:
+        return str(error)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.k
 
 
 def _toy_dataset(n, n_pos, d=3, seed=0):

@@ -8,7 +8,6 @@ import pytest
 import reference
 
 from adascale.data import (
-    NEGATIVE_LABEL,
     Dataset,
     GeneratorConfig,
     StratifiedSampler,
@@ -19,13 +18,12 @@ from adascale.data import (
     generate,
 )
 from adascale.harness import load_datasets
-from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss, strategy_label
+from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss
 from adascale.metrics import ConfusionStats, confusion_from_predictions, f_beta, precision, recall
 from adascale.model import ForwardResult, ModelParams, ModelSpec, backward, forward, init_params
 from adascale.trainer import (
     SGD,
     Adam,
-    RunReport,
     TrainConfig,
     _OptimizerState,
     evaluate,
@@ -375,79 +373,6 @@ class TestReportSerialization:
         assert doc["seed"] == report.seed
 
 
-def _reference_train(train_ds, dev_ds, test_ds, spec, config):
-    """Reference step loop: the plain formulas of ``reference``, one row
-    gather per batch, and per-array Adam and SGD with momentum, written out
-    without the trainer's flat optimizer state.  ``train`` must reproduce it
-    bit for bit."""
-    init_seed = int(np.random.SeedSequence((config.seed, 1)).generate_state(1)[0])
-    params = init_params(spec, init_seed)
-    arrays = params.weights + params.biases
-    opt = config.optimizer
-    velocity = [np.zeros_like(a) for a in arrays]
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
-    t = 0
-    adaptive = isinstance(config.strategy, Adaptive)
-    report = RunReport(
-        seed=config.seed, strategy=strategy_label(config.strategy), eval_beta=config.eval_beta
-    )
-    best_params = params.copy()
-    for epoch in range(config.epochs):
-        step_losses = []
-        epoch_seed = int(np.random.SeedSequence((config.seed, 2, epoch)).generate_state(1)[0])
-        for idx in reference.batches(train_ds, config.sampler, config.batch_size, epoch_seed):
-            x = train_ds.features[idx]
-            y = train_ds.labels[idx]
-            fwd = reference.forward(params, x)
-            out = reference.compute_loss(config.strategy, fwd, y, NEGATIVE_LABEL)
-            if not np.isfinite(out.loss):
-                report.failure = f"non-finite loss at epoch {epoch}, step {len(step_losses)}"
-                report.valid = False
-                report.epochs_run = epoch
-                return best_params, report
-            step_losses.append(out.loss)
-            if adaptive:
-                report.w_history.append(float(out.w_used))
-                if not np.any(y != NEGATIVE_LABEL):
-                    report.skipped_steps += 1
-            grads = reference.backward(params, fwd, y, out.instance_weights)
-            g_arrays = grads.weights + grads.biases
-            if isinstance(opt, SGD):
-                for i, (a, g) in enumerate(zip(arrays, g_arrays)):
-                    velocity[i] = opt.momentum * velocity[i] + g
-                    a -= opt.lr * velocity[i]
-            else:
-                t += 1
-                bc1 = 1.0 - opt.b1**t
-                bc2 = 1.0 - opt.b2**t
-                for i, (a, g) in enumerate(zip(arrays, g_arrays)):
-                    m[i] = opt.b1 * m[i] + (1.0 - opt.b1) * g
-                    v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
-                    a -= opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
-        report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
-        dev_p, dev_r, dev_f = reference.evaluate(params, dev_ds, config.eval_beta)
-        report.dev_precision.append(dev_p)
-        report.dev_recall.append(dev_r)
-        report.dev_f.append(dev_f)
-        report.epochs_run = epoch + 1
-        if dev_f > report.best_dev_f or report.best_epoch < 0:
-            report.best_dev_f = dev_f
-            report.best_epoch = epoch
-            best_params = params.copy()
-        elif (
-            config.early_stop_patience is not None
-            and epoch - report.best_epoch >= config.early_stop_patience
-        ):
-            break
-    report.test_precision, report.test_recall, report.test_f = reference.evaluate(
-        best_params, test_ds, config.eval_beta
-    )
-    test_preds = np.argmax(reference.forward(best_params, test_ds.features).probs, axis=1)
-    report.test_counts, _ = reference.confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)
-    return best_params, report
-
-
 class TestReferenceLoop:
     @pytest.fixture(scope="class")
     def splits(self):
@@ -459,7 +384,7 @@ class TestReferenceLoop:
 
     def _assert_same_run(self, splits, spec, config, tmp_path):
         params, report = train(*splits, spec, config)
-        ref_params, ref_report = _reference_train(*splits, spec, config)
+        ref_params, ref_report = reference.train(*splits, spec, config)
         write_run_report(report, tmp_path / "train.json")
         write_run_report(ref_report, tmp_path / "reference.json")
         assert (tmp_path / "train.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
