@@ -127,7 +127,7 @@ class GeneratorConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if int(round(self.positive_rate * self.n)) < self.k - 1:
+        if self.n_positive < self.k - 1:
             raise ValueError(f"GeneratorConfig.positive_rate * n must round to >= k - 1, got {self.n_positive}")
 
     @property
@@ -206,7 +206,7 @@ def _infer_format(path: Path, format: str | None) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in FORMATS:
         return suffix
-    raise ValueError(f"cannot infer format from {path.name!r}; pass format=")
+    raise ValueError(f"cannot infer format from {path.name!r}: expected a {' or '.join(f'.{f}' for f in FORMATS)} suffix")
 
 
 def save(dataset: Dataset, path, format: str | None = None) -> None:

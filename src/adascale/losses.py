@@ -60,8 +60,6 @@ class Vanilla(Config):
 @dataclass(frozen=True)
 class Adaptive(Config):
     kind: ClassVar[str] = "adaptive"
-    # its weight sums gold probabilities as expected counts, so compute_loss checks their range
-    sums_gold_probs: ClassVar[bool] = True
     beta: float = bound(1.0, exclusiveMinimum=0)
 
     def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
@@ -111,7 +109,9 @@ def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput
     """Evaluate a strategy on one batch, whose negatives are the rows of gold ``metrics.NEGATIVE_LABEL``.
 
     The loss is the mean over the batch of weight[i] * (-log p_i) with p_i
-    the gold-class probability of row i.  Weights are treated as constants
+    the gold-class probability of row i, which must lie in [0, 1] whatever
+    the strategy; NaN passes, so that a diverged model's loss comes out
+    non-finite, the trainer's signal.  Weights are treated as constants
     of the model parameters: for Focal the modulating factor and for
     Adaptive the scaling weight are both frozen at their current-step
     values, so gradients flow only through the log-probabilities.
@@ -124,16 +124,12 @@ def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput
     if probs.shape[0] == 0:
         raise ValueError("batch must contain at least one instance")
     gold, gold_index = _check_gold(gold, probs, "gold labels out of range")
+    gold_probs = probs.take(gold_index)
+    if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
+        raise ValueError("gold_probs must lie in [0, 1]")
     is_negative = gold == NEGATIVE_LABEL
     is_positive = ~is_negative
     n_positive = int(np.count_nonzero(is_positive))
-    if getattr(strategy, "sums_gold_probs", False) and n_positive:
-        gold_probs = probs.take(gold_index)
-        # NaN passes this range test on purpose: a diverged model's NaN
-        # probabilities reach the loss, which the trainer flags as
-        # non-finite instead of failing the run here
-        if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
-            raise ValueError("gold_probs must lie in [0, 1]")
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -12,13 +12,11 @@ tricks.  ``backward`` shares its gold-label check with ``losses.compute_loss``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .configio import Config, bound, from_json, read_json
+from .configio import Config, bound, from_json, read_json, write_json
 
 __all__ = [
     "ModelSpec",
@@ -242,8 +240,12 @@ def predict(params: ModelParams, features) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
+def _arch(spec: ModelSpec) -> str:
+    return "linear" if spec.hidden_dim is None else "mlp"
+
+
 def save_params(params: ModelParams, path) -> None:
-    """Write a checkpoint as self-describing JSON.
+    """Write a checkpoint as self-describing JSON through ``configio.write_json``, keys sorted.
 
     Layout (stable): ``format``, ``version``, ``arch`` ("linear" or "mlp"),
     ``input_dim``, ``n_classes``, ``hidden_dim``, ``activation``, and
@@ -253,7 +255,7 @@ def save_params(params: ModelParams, path) -> None:
     doc = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
-        "arch": "linear" if spec.hidden_dim is None else "mlp",
+        "arch": _arch(spec),
         "input_dim": spec.input_dim,
         "n_classes": spec.n_classes,
         "hidden_dim": spec.hidden_dim,
@@ -263,11 +265,11 @@ def save_params(params: ModelParams, path) -> None:
             for w, b in zip(params.weights, params.biases)
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    write_json(doc, path)
 
 
 def load_params(path) -> ModelParams:
-    """Read a checkpoint written by :func:`save_params`, validating shapes."""
+    """Read a checkpoint written by :func:`save_params`, validating shapes and that ``arch`` fits ``hidden_dim``."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
@@ -281,6 +283,8 @@ def load_params(path) -> ModelParams:
             spec = from_json(ModelSpec, dims)
         except ValueError as error:
             raise ValueError(f"{path}: {error}") from None
+        if doc["arch"] != _arch(spec):
+            raise ValueError(f"{path}: arch {doc['arch']!r} does not match hidden_dim {spec.hidden_dim!r}")
         weights, biases = [], []
         layers = doc["layers"]
         if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .configio import SCORE, Config, bound, write_json
+from .configio import SCORE, Config, _encode, bound, write_json
 from .data import Dataset, SamplerKind, UniformSampler, batches
 from .losses import LossStrategy, Vanilla, strategy_label
 from .metrics import NEGATIVE_LABEL, ConfusionStats, confusion_from_predictions, f_beta, precision, recall
@@ -318,8 +318,7 @@ def train(
 
 def report_to_dict(report: RunReport) -> dict:
     """Canonical JSON payload for a run, without the fields ``RunReport.per_run`` names."""
-    doc = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in report.per_run}
-    return doc | {"test_counts": dict(vars(report.test_counts))}
+    return _encode(report) | {"test_counts": _encode(report.test_counts)}
 
 
 def write_run_report(report: RunReport, path) -> None:

@@ -170,6 +170,26 @@ class TestTrainEval:
         assert json.loads((tmp_path / "run_adam-lr_3.json").read_text())["arm"] == "adam/lr"
 
 
+def test_every_written_json_file_is_canonical(tmp_path, config_path):
+    # one JSON writer: sorted keys, 2-space indent, no NaN, a trailing newline
+    out = tmp_path / "written"
+    for command in ("compare", "sweep"):
+        assert main([command, "--config", config_path, "--out", str(out / command)]) == 0
+    assert main(["grid", "--config", config_path, "--arm", "static", "--out", str(out / "grid")]) == 0
+    assert main(["train", "--config", config_path, "--arm", "adaptive", "--out", str(out / "run.json"),
+                 "--save-model", str(out / "model.json")]) == 0
+    data_path = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(data_path), "--n", "80", "--d", "4", "--k", "3",
+                 "--positive-rate", "0.1"]) == 0
+    assert main(["eval", "--model", str(out / "model.json"), "--data", str(data_path),
+                 "--out", str(out / "eval.json")]) == 0
+    written = sorted(out.rglob("*.json"))
+    assert {"model.json", "eval.json", "comparison.json", "sweep.json", "grid_static.json"} <= {p.name for p in written}
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n", path
+
+
 class TestCompareSweepGrid:
     def test_compare(self, tmp_path, config_path, capsys):
         code = main(["compare", "--config", config_path])
@@ -449,11 +469,14 @@ class TestInputErrors:
                 lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": [[0.0, 0.0], [0.0]]}]),
                 "layer shape mismatch",
             ),
+            (lambda text: _with(text, arch="mlp"), "arch 'mlp' does not match hidden_dim None"),
+            (lambda text: _with(text, arch="resnet"), "arch 'resnet' does not match hidden_dim None"),
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "arch"}), "missing key 'arch'"),
         ],
         ids=[
             "missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim",
             "version", "extra layer", "nan weight", "int layers", "null layers", "string layers", "list layer",
-            "object bias", "string weight", "ragged weight",
+            "object bias", "string weight", "ragged weight", "mlp arch", "unknown arch", "no arch",
         ],
     )
     def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):
@@ -519,8 +542,21 @@ class TestInputErrors:
         monkeypatch.setattr(data, "generate", _no_generating)
         out = tmp_path / "data.txt"
         code, err = self._run(monkeypatch, capsys, "generate", "--out", str(out))
-        assert (code, err) == (2, "adascale: error: cannot infer format from 'data.txt'; pass format=\n")
+        assert (code, err) == (
+            2, "adascale: error: cannot infer format from 'data.txt': expected a .csv or .jsonl suffix\n"
+        )
         assert not out.exists()
+
+    def test_eval_format_not_inferable(self, tmp_path, monkeypatch, capsys):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint, data_path = tmp_path / "model.json", tmp_path / "x.txt"
+        save_params(init_params(ModelSpec(3, 2), 0), checkpoint)
+        data_path.write_text("f0,f1,f2,label\r\n0.0,0.0,0.0,1\r\n")
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (
+            2, "adascale: error: cannot infer format from 'x.txt': expected a .csv or .jsonl suffix\n"
+        )
 
     def test_data_is_a_directory(self, tmp_path, monkeypatch, capsys):
         from adascale.model import ModelSpec, init_params, save_params

@@ -185,6 +185,16 @@ class TestBackward:
             backward(params, fwd, np.array([0, 5]), np.ones(2))
 
 
+# a gold probability outside [0, 1], in an all-negative batch, under every strategy
+GOLD_PROB_CASES = {
+    f"gold prob {prob} {name}": (strategy, prob)
+    for prob in (1.5, -0.5)
+    for name, strategy in [
+        ("vanilla", Vanilla()), ("static", Static(0.3)), ("focal", Focal(0.5)), ("adaptive no positives", Adaptive(1.0))
+    ]
+}
+
+
 class TestPublicStepFunctions:
     """The public forward, compute_loss and backward check every call and leave
     their inputs as they were; only the kernels a training step calls write in place."""
@@ -227,7 +237,16 @@ class TestPublicStepFunctions:
             probs=np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]]), inputs=np.zeros((2, 3))
         )
         empty = ForwardResult(probs=np.zeros((0, 4)), inputs=np.zeros((0, 3)))
+
+        def out_of_range(strategy, prob):
+            probs = np.array([[0.5, 0.5, 0.0, 0.0], [prob, 1.0 - prob, 0.0, 0.0]])
+            return compute_loss(strategy, ForwardResult(probs=probs, inputs=np.zeros((2, 3))), np.array([0, 0]))
+
         return {
+            **{
+                case: (lambda args=args: out_of_range(*args), "gold_probs must lie in [0, 1]")
+                for case, args in GOLD_PROB_CASES.items()
+            },
             "2-D features": (lambda: forward(params, np.zeros(3)), "features must be a 2-D matrix"),
             "feature width": (
                 lambda: forward(params, np.zeros((2, 2))), "feature width 2 does not match model input_dim 3"
@@ -263,6 +282,7 @@ class TestPublicStepFunctions:
             "2-D features", "feature width", "finite features", "empty batch", "loss gold rows",
             "loss gold ints", "loss gold range", "gold probs range", "backward gold rows",
             "backward gold ints", "backward gold range", "weight rows", "negative weight", "nan weight",
+            *GOLD_PROB_CASES,
         ],
     )
     def test_every_check_raises_its_message(self, case):
@@ -320,3 +340,13 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="shape"):
             load_params(path)
+
+    def test_rejects_arch_that_disagrees_with_hidden_dim(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2, hidden_dim=4), 0), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "arch": "linear"}))
+        with pytest.raises(ValueError) as caught:
+            load_params(path)
+        assert str(caught.value) == f"{path}: arch 'linear' does not match hidden_dim 4"
