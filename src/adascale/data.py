@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import Config, bound
-from .metrics import NEGATIVE_LABEL
+from .metrics import NEGATIVE_LABEL, _as_int64
 
 __all__ = [
     "Dataset",
@@ -80,10 +80,9 @@ class Dataset:
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
         if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(np.int64)
-            if not np.array_equal(as_int, labels):
+            labels = _as_int64(labels)
+            if labels is None:
                 raise ValueError("labels must be integers")
-            labels = as_int
         labels = labels.astype(np.int64)
         if int(self.k) < 2:
             raise ValueError("k must be >= 2")

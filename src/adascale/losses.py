@@ -17,7 +17,9 @@ Strategies:
 Each strategy declares its JSON tag as ``kind``; ``instance_weights(gold_probs,
 is_negative, is_positive, n_positive)`` returns its weights and the step's
 adaptive weight (else None), given the batch's complementary label masks and
-its positive count.
+its positive count.  Weights that are all 1 come back as None, so the step's
+kernels skip the multiply by them; :func:`compute_loss` still reports a ones
+vector.
 
 :func:`compute_loss` is its checks (the gold-label one shared with
 ``model.backward``) and its kernel, no speed tricks: no training step calls it.
@@ -54,7 +56,7 @@ class Vanilla(Config):
     kind: ClassVar[str] = "vanilla"
 
     def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
-        return np.ones(gold_probs.size), None
+        return None, None
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class LossOutput:
     adaptive weight applied this step (None for non-adaptive strategies)."""
 
     loss: float
-    instance_weights: np.ndarray
+    instance_weights: np.ndarray | None
     w_used: float | None = None
 
 
@@ -133,7 +135,10 @@ def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput
     # a gold probability can underflow to exactly 0 under extreme parameters;
     # the resulting non-finite loss is the divergence signal the trainer checks
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _compute_loss(strategy, probs, gold_index, is_negative, is_positive, n_positive)
+        out = _compute_loss(strategy, probs, gold_index, is_negative, is_positive, n_positive)
+    if out.instance_weights is None:
+        out.instance_weights = np.ones(probs.shape[0])
+    return out
 
 
 def _compute_loss(
@@ -149,14 +154,16 @@ def _compute_loss(
     gold entry in it, ``is_negative`` and ``is_positive`` the complementary
     bool masks of the rows' labels and ``n_positive`` the count of positive
     rows.  Its caller ignores divide and invalid floating-point errors, which
-    a gold probability of 0 or NaN raises."""
+    a gold probability of 0 or NaN raises.  Weights of None, all ones, skip the
+    product (``1.0 * x`` is ``x``, NaN too) and come back None for ``model._backward``."""
     batch = probs.shape[0]
     gold_probs = probs.take(gold_index)
     weights, w_used = strategy.instance_weights(gold_probs, is_negative, is_positive, n_positive)
     nll = np.log(gold_probs)
     np.negative(nll, out=nll)
-    # weights first: of two NaN operands the product keeps the first
-    np.multiply(weights, nll, out=nll)
+    if weights is not None:
+        # weights first: of two NaN operands the product keeps the first
+        np.multiply(weights, nll, out=nll)
     # what ndarray.mean computes: numpy's pairwise sum, then one division
     loss = float(np.add.reduce(nll)) / batch
     return LossOutput(loss=loss, instance_weights=weights, w_used=w_used)

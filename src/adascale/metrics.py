@@ -84,15 +84,22 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _as_int64(labels: np.ndarray) -> np.ndarray | None:
+    """Non-integer-typed labels as int64, or None if one is no integer; floats are range-checked before the cast."""
+    if labels.dtype.kind == "f" and labels.size and not (labels.min() >= -(2.0**63) and labels.max() < 2.0**63):
+        return None
+    as_int = labels.astype(np.int64)
+    return as_int if np.array_equal(as_int, labels) else None
+
+
 def _as_label_array(x, *, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.dtype.kind not in "iu":
-        as_int = arr.astype(np.int64)
-        if not np.array_equal(as_int, arr):
+        arr = _as_int64(arr)
+        if arr is None:
             raise ValueError(f"{name} must contain integer labels")
-        arr = as_int
     if arr.size and arr.min() < 0:
         raise ValueError(f"{name} must contain non-negative labels")
     return arr.astype(np.int64, copy=False)

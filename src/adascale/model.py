@@ -97,23 +97,24 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     return ModelParams(spec=spec, weights=weights, biases=biases)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax computed in place: ``logits`` must be a fresh temporary.
+def _softmax(logits: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Row softmax of ``logits + bias`` in place: ``logits`` must be a fresh temporary.
 
     Max subtraction keeps exp in range.  The row max is reduced from a
     transposed copy, which is exact (max ignores order, NaN still wins) and
-    much faster for narrow rows.  Below 8 classes the whole softmax runs on
-    that class-major copy: numpy's pairwise row sum adds fewer than 8 terms
-    in order, as the sum over the copy's rows does, so the bytes match.
-    From 8 classes up the row sum stays ``sum(axis=1)``, whose pairwise
-    order the results depend on.
+    much faster for narrow rows.  Below 8 classes that copy is ``logits.T +
+    bias[:, None]``, and the whole softmax runs on it: numpy's pairwise row sum
+    adds fewer than 8 terms in order, as the sum over the copy's rows does, so
+    the bytes match.  From 8 classes up the bias is added in place and the row
+    sum stays ``sum(axis=1)``, whose pairwise order the results depend on.
     """
     if logits.shape[1] < 8:
-        t = np.ascontiguousarray(logits.T)
+        t = np.add(logits.T, bias[:, None], order="C")
         t -= np.maximum.reduce(t, axis=0)
         np.exp(t, out=t)
         np.divide(t, np.add.reduce(t, axis=0), out=logits.T)
         return logits
+    logits += bias
     logits -= np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
@@ -168,14 +169,13 @@ def forward(params: ModelParams, features) -> ForwardResult:
 
 def _forward(params: ModelParams, x: np.ndarray) -> ForwardResult:
     """:func:`forward`'s kernel: ``x`` is a finite float64 matrix of the model's width."""
+    if params.spec.hidden_dim is None:
+        return ForwardResult(probs=_softmax(x @ params.weights[0], params.biases[0]), inputs=x)
     pre = x @ params.weights[0]
     pre += params.biases[0]
-    if params.spec.hidden_dim is None:
-        return ForwardResult(probs=_softmax(pre), inputs=x)
     act = _activate(params.spec.activation, pre)
     logits = act @ params.weights[1]
-    logits += params.biases[1]
-    return ForwardResult(probs=_softmax(logits), inputs=x, hidden_pre=pre, hidden=act)
+    return ForwardResult(probs=_softmax(logits, params.biases[1]), inputs=x, hidden_pre=pre, hidden=act)
 
 
 def backward(
@@ -205,16 +205,20 @@ def backward(
 
 
 def _backward(
-    params: ModelParams, fwd: ForwardResult, gold_index: np.ndarray, w: np.ndarray, grads: Gradients
+    params: ModelParams, fwd: ForwardResult, gold_index: np.ndarray, w: np.ndarray | None, grads: Gradients
 ) -> Gradients:
     """:func:`backward`'s kernel, for a training step's own arrays: it turns
     ``fwd.probs``, a C-ordered softmax output, into the logit gradient in place,
     subtracting 1 at the flat ``gold_index`` of each row's gold entry, and
-    writes the gradients into ``grads``, which it returns."""
+    writes the gradients into ``grads``, which it returns.  Weights ``w`` of None
+    stand for all ones, and scale by ``1.0 / batch``, as ``(ones / batch)[:, None]`` does."""
     dlogits = fwd.probs
     batch = dlogits.shape[0]
     dlogits.reshape(-1)[gold_index] -= 1.0
-    dlogits *= (w / batch)[:, None]
+    if w is None:
+        dlogits *= 1.0 / batch
+    else:
+        dlogits *= (w / batch)[:, None]
 
     if params.spec.hidden_dim is None:
         np.matmul(fwd.inputs.T, dlogits, out=grads.weights[0])
@@ -269,7 +273,7 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    """Read a checkpoint written by :func:`save_params`, validating shapes and that ``arch`` fits ``hidden_dim``."""
+    """Read a :func:`save_params` checkpoint, validating shapes and that ``arch`` and ``activation`` fit ``hidden_dim``."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
@@ -277,14 +281,17 @@ def load_params(path) -> ModelParams:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     try:
         dims = {name: doc[name] for name in ("input_dim", "n_classes", "hidden_dim")}
+        activation = doc["activation"]
         if dims["hidden_dim"] is not None:
-            dims["activation"] = doc["activation"]
+            dims["activation"] = activation
         try:
             spec = from_json(ModelSpec, dims)
         except ValueError as error:
             raise ValueError(f"{path}: {error}") from None
         if doc["arch"] != _arch(spec):
             raise ValueError(f"{path}: arch {doc['arch']!r} does not match hidden_dim {spec.hidden_dim!r}")
+        if spec.hidden_dim is None and activation is not None:
+            raise ValueError(f"{path}: activation {activation!r} does not match hidden_dim {spec.hidden_dim!r}")
         weights, biases = [], []
         layers = doc["layers"]
         if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):

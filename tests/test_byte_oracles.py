@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from adascale import data, losses, metrics, model
 from adascale.data import FORMATS, Dataset, StratifiedSampler, UnderSampler, UniformSampler
 from adascale.losses import Adaptive, Focal, Static, Vanilla
-from adascale.model import ForwardResult, ModelParams, ModelSpec
+from adascale.model import ForwardResult, Gradients, ModelParams, ModelSpec
 
 ROWS = (1, 7, 64, 2000)
 CLASSES = (2, 4, 8, 34)
@@ -55,19 +55,38 @@ def _outcome(call):
         return type(error), str(error)
 
 
+def _non_finite_bias(rng, k):
+    """A Gaussian bias with -0.0, +inf, -inf and NaN planted, as many as ``k`` holds."""
+    bias = rng.normal(size=k)
+    planted = [-0.0, np.inf, -np.inf, np.nan][:k]
+    bias[rng.permutation(k)[: len(planted)]] = planted
+    return bias
+
+
 @pytest.mark.parametrize("rows", ROWS)
 # either side of 8 classes, where the softmax switches between its class-major and row-major forms
 @pytest.mark.parametrize("k", CLASSES + (3, 5, 6, 7, 9, 16, 130))
 def test_softmax(rows, k):
-    logits = _logits(np.random.default_rng(rows * 100 + k), rows, k)
-    given = logits.copy()
-    with np.errstate(invalid="ignore", over="ignore"):
-        expected = reference.softmax(logits)
-        got = model._softmax(given)
-    # the step's probabilities are the array it was given, still C-contiguous:
-    # _backward reshapes them in place and the loss takes from them
-    assert got is given and got.flags.c_contiguous
-    _same(got, expected)
+    rng = np.random.default_rng(rows * 100 + k)
+    logits = _logits(rng, rows, k)
+    # -0.0 adds nothing to any float, so the first bias gives the softmax of the logits alone
+    for bias in (np.full(k, -0.0), rng.normal(size=k) * 30.0, _non_finite_bias(rng, k)):
+        given = logits.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            biased = logits + bias
+            expected = reference.softmax(biased)
+            got = model._softmax(given, bias)
+        # the step's probabilities are the array it was given, still C-contiguous:
+        # _backward reshapes them in place and the loss takes from them
+        assert got is given and got.flags.c_contiguous
+        # a row holding a NaN of sign bit 1, here -inf + inf, comes out all NaN on both
+        # sides, but numpy's row max and its class-major max may give NaNs of either sign
+        negative_nan = (np.isnan(biased) & np.signbit(biased)).any(axis=1)
+        _same(got[~negative_nan], expected[~negative_nan])
+        assert np.isnan(got[negative_nan]).all() and np.isnan(expected[negative_nan]).all()
+        # adding the bias in the softmax keeps every byte of adding it first, those rows included
+        with np.errstate(invalid="ignore", over="ignore"):
+            _same(got, model._softmax(biased, np.full(k, -0.0)))
 
 
 def _params(spec, seed):
@@ -108,6 +127,70 @@ def test_forward_backward(spec, rows):
         ref_grads = reference.backward(params, expected, gold, ref.instance_weights)
         for a, b in zip(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases):
             _same(a, b)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # below 8 classes the output bias is added in the class-major copy, from 8 up in place
+    [ModelSpec(3, k) for k in (3, 4, 7, 8, 9)] + [ModelSpec(3, 4, 5, "tanh"), ModelSpec(3, 9, 5, "relu")],
+    ids=str,
+)
+@pytest.mark.parametrize("rows", ROWS)
+def test_forward_with_non_finite_bias(spec, rows):
+    rng = np.random.default_rng(rows)
+    params = model.init_params(spec, rows)
+    params = ModelParams(spec, params.weights, [_non_finite_bias(rng, b.size) for b in params.biases])
+    x = rng.normal(size=(rows, spec.input_dim)) * 3.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, expected = model.forward(params, x), reference.forward(params, x)
+    for name in ("probs", "inputs", "hidden_pre", "hidden"):
+        if getattr(expected, name) is None:
+            assert getattr(got, name) is None
+        else:
+            _same(getattr(got, name), getattr(expected, name))
+
+
+class _Ones:
+    """Vanilla's weights spelled out as ones, as the step's kernels once took them; not a
+    ``configio.Config``, which would add it to the codec's table of config classes."""
+
+    def instance_weights(self, gold_probs, is_negative, is_positive, n_positive):
+        return np.ones(gold_probs.size), None
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(3, 4), ModelSpec(3, 9), ModelSpec(3, 4, 5, "tanh")], ids=str)
+@pytest.mark.parametrize("rows", ROWS)
+def test_implicit_vanilla_weights(spec, rows):
+    # the step's kernels skip Vanilla's weights, which come back None; the loss, the
+    # logit gradient it leaves in the probabilities and the gradients keep every byte
+    # of the kernels given explicit ones, NaN sign bits included
+    rng = np.random.default_rng(rows)
+    params = _params(spec, rows)
+    probs = _logits(rng, rows, spec.n_classes)
+    with np.errstate(invalid="ignore", over="ignore"):
+        probs = reference.softmax(probs)
+    gold = rng.integers(0, spec.n_classes, size=rows)
+    gold_index = np.arange(rows) * spec.n_classes + gold
+    is_negative = gold == metrics.NEGATIVE_LABEL
+    n_positive = int(np.count_nonzero(~is_negative))
+    x = rng.normal(size=(rows, spec.input_dim))
+    hidden = reference.forward(params, x)
+    outs = []
+    for strategy in (Vanilla(), _Ones()):
+        fwd = ForwardResult(probs.copy(), x, hidden.hidden_pre, hidden.hidden)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = losses._compute_loss(strategy, fwd.probs, gold_index, is_negative, ~is_negative, n_positive)
+        grads = Gradients([np.empty_like(a) for a in params.weights], [np.empty_like(a) for a in params.biases])
+        model._backward(params, fwd, gold_index, out.instance_weights, grads)
+        outs.append((out, fwd.probs, grads))
+    (implicit, dlogits, grads), (explicit, ref_dlogits, ref_grads) = outs
+    assert implicit.instance_weights is None and implicit.w_used is None
+    assert np.float64(implicit.loss).tobytes() == np.float64(explicit.loss).tobytes()
+    if rows >= 7:
+        assert np.isnan(implicit.loss)
+    _same(dlogits, ref_dlogits)
+    for a, b in zip(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases):
+        _same(a, b)
 
 
 def _probs(rng, rows, k):

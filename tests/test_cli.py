@@ -472,11 +472,17 @@ class TestInputErrors:
             (lambda text: _with(text, arch="mlp"), "arch 'mlp' does not match hidden_dim None"),
             (lambda text: _with(text, arch="resnet"), "arch 'resnet' does not match hidden_dim None"),
             (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "arch"}), "missing key 'arch'"),
+            (lambda text: _with(text, activation="bogus"), "activation 'bogus' does not match hidden_dim None"),
+            (
+                lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "activation"}),
+                "missing key 'activation'",
+            ),
         ],
         ids=[
             "missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim",
             "version", "extra layer", "nan weight", "int layers", "null layers", "string layers", "list layer",
             "object bias", "string weight", "ragged weight", "mlp arch", "unknown arch", "no arch",
+            "linear activation", "no activation",
         ],
     )
     def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):

@@ -48,6 +48,17 @@ class TestWorkedExamples:
         npt.assert_array_equal(out.instance_weights, np.ones(2))
         assert out.w_used is None
 
+    def test_vanilla_reports_fresh_ones(self):
+        # the step's kernel leaves Vanilla's weights implicit; the public call still reports them
+        fwd = _fwd([[0.5, 0.5], [0.25, 0.75], [0.1, 0.9]])
+        first, second = (compute_loss(Vanilla(), fwd, np.array([0, 1, 0])) for _ in range(2))
+        for out in (first, second):
+            assert out.instance_weights.dtype == np.float64 and out.instance_weights.flags.writeable
+            assert out.instance_weights.tolist() == [1.0, 1.0, 1.0]
+        assert not np.shares_memory(first.instance_weights, second.instance_weights)
+        first.instance_weights[0] = 5.0
+        assert compute_loss(Vanilla(), fwd, np.array([0, 1, 0])).instance_weights.tolist() == [1.0, 1.0, 1.0]
+
     def test_adaptive(self):
         # hand evaluation: w = 0.5 / (1 + 2 - 1.7); loss =
         # (-ln 0.5 + w * (-ln 0.8 - ln 0.9)) / 3

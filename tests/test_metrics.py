@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,25 @@ class TestConfusionCounting:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             confusion_from_predictions([0.5, 0.0], [0, 0])
+
+    @pytest.mark.parametrize(
+        "gold, pred, message",
+        [
+            ([np.nan, 1.0], [0, 1], "gold must contain integer labels"),
+            ([np.inf, 1.0], [0, 1], "gold must contain integer labels"),
+            ([0, 1], [0.0, -np.inf], "pred must contain integer labels"),
+            ([1e30, 1.0], [0, 1], "gold must contain integer labels"),
+            ([0, 1], [0.0, 2.0**63], "pred must contain integer labels"),
+        ],
+        ids=["nan", "inf", "-inf pred", "1e30", "2**63 pred"],
+    )
+    def test_non_finite_or_huge_labels_rejected_without_warning(self, gold, pred, message):
+        # the integer check comes before the cast to int64, which would warn on these
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                confusion_from_predictions(gold, pred)
+        assert [str(w.message) for w in caught] == []
 
     def test_agrees_with_tally_oracle(self):
         rng = np.random.default_rng(42)

@@ -350,3 +350,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as caught:
             load_params(path)
         assert str(caught.value) == f"{path}: arch 'linear' does not match hidden_dim 4"
+
+    @pytest.mark.parametrize(
+        "activation, message",
+        [
+            ("bogus", "activation 'bogus' does not match hidden_dim None"),
+            ("tanh", "activation 'tanh' does not match hidden_dim None"),
+            (None, "missing key 'activation'"),
+        ],
+        ids=["bogus", "tanh", "missing"],
+    )
+    def test_rejects_activation_on_a_linear_model(self, tmp_path, activation, message):
+        # a linear checkpoint is saved with "activation": null, and must be read back with it
+        import json
+
+        path = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2), 0), path)
+        doc = json.loads(path.read_text())
+        assert doc["activation"] is None
+        if activation is None:
+            del doc["activation"]
+        else:
+            doc["activation"] = activation
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as caught:
+            load_params(path)
+        assert str(caught.value) == f"{path}: {message}"
