@@ -3,11 +3,12 @@ config and report dataclass, plus the JSON Schema of what it reads.
 
 ``Config``, the base of the config and report dataclasses, checks each field
 with :func:`checked`, the package's one type walker, and the keywords of its
-:func:`bound`.  All on-disk documents use tagged objects ({"kind": ...}) for
-the union types, each tagged with its class's ``kind``; a ``per_run`` class
-variable names fields JSON never holds.  No other module of the package is
-imported here.  Schemas ship inside the package under ``adascale/schemas``
-as the contract for external tooling; the package runs none of them.
+:func:`bound`.  A class constant "kind", "format" or "version" that is no field
+is a tag the codec writes, states and checks; a report, a class with a format,
+holds every field, and a ``per_run`` class variable names fields JSON never
+holds.  No other module of the package is imported here.  Schemas ship inside
+the package under ``adascale/schemas`` as the contract for external tooling;
+the package runs none of them.
 """
 
 from __future__ import annotations
@@ -59,17 +60,26 @@ def _fields(cls) -> tuple:
     return tuple(f for f in fields(cls) if f.name not in getattr(cls, "per_run", ()))
 
 
+@functools.lru_cache(maxsize=None)
+def _tags(cls) -> dict:
+    names = {f.name for f in fields(cls)}  # a field's default is a class attribute too, as FileSource's format is
+    return {key: getattr(cls, key) for key in ("kind", "format", "version") if key not in names and hasattr(cls, key)}
+
+
+def _required(cls) -> list:
+    """The fields a document must hold: all of a report's, else those without a default, plain or from a factory."""
+    return [f.name for f in _fields(cls) if "format" in _tags(cls) or f.default is f.default_factory is MISSING]
+
+
 _hints = functools.lru_cache(maxsize=None)(get_type_hints)
 
 
 def _encode(obj) -> dict:
-    doc = {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
-    kind = getattr(obj, "kind", None)
-    return doc if kind is None else {"kind": kind, **doc}
+    return {**_tags(type(obj)), **{f.name: getattr(obj, f.name) for f in _fields(type(obj))}}
 
 
 def to_json(obj):
-    """JSON form of a config or report dataclass, tagged with its "kind" if it has one."""
+    """JSON form of a config or report dataclass, with its tags."""
     # json walks the containers (tuples become lists) and hands each dataclass to _encode
     return json.loads(json.dumps(obj, default=_encode))
 
@@ -96,10 +106,10 @@ def from_json(tp, doc):
     the document's "kind"), or a field annotation.  A dataclass, union or
     dict takes an object and a tuple or list an array; an integral number
     where an ``int`` goes is read as one, and each value read is then
-    :func:`checked`.  Absent keys take their field's default.  Any other
-    value, an absent key without one, or a key that is neither a field nor
-    "kind", raises ``ValueError`` naming the class and the field, the
-    fields in declaration order.
+    :func:`checked`.  Absent keys take their field's default, but a report
+    holds every field and its tags.  Any other value, an absent key without a
+    default, a key neither a field nor a tag, or a tag's other value raises
+    ``ValueError`` naming the class and the field, in field order.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -130,11 +140,13 @@ def from_json(tp, doc):
         return checked(tp, int(doc) if tp is int and type(doc) is float and doc.is_integer() else doc)
     if not isinstance(doc, dict):
         raise ValueError(f"expected {tp.__name__} object, got {_shown(doc)}")
-    # a field without a default, plain or from a factory, must be present; a renamed key reads as missing
-    missing = [f.name for f in _fields(tp) if f.default is f.default_factory is MISSING and f.name not in doc]
-    if missing:
-        raise ValueError(f"missing {tp.__name__} keys {missing}")
-    unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - {"kind"})
+    # the tags precede the fields, and as a "const", 1 is not true; kind, the union's choice, may be left out
+    tags = _tags(tp)
+    if wrong := [key for key, value in tags.items() if key in doc and (doc[key] != value or type(doc[key]) is bool)]:
+        raise ValueError(f"{tp.__name__}.{wrong[0]} must be {tags[wrong[0]]!r}, got {_shown(doc[wrong[0]])}")
+    if missing := [k for k in tags if k != "kind" and k not in doc] or [n for n in _required(tp) if n not in doc]:
+        raise ValueError(f"missing {tp.__name__} keys {missing}")  # a renamed key reads as missing
+    unknown = sorted(set(doc) - {f.name for f in _fields(tp)} - tags.keys())
     if unknown:
         raise ValueError(f"unknown {tp.__name__} keys {unknown}")
     hints, present = _hints(tp), [f.name for f in _fields(tp) if f.name in doc]
@@ -246,12 +258,7 @@ class Config:
                 raise ValueError(f"{where}{broken}")
 
 
-def validate_run_report(cls, doc):
-    """The run report ``cls`` decoded from ``doc``, a run file's JSON, which holds every field."""
-    missing = [f.name for f in _fields(cls) if f.name not in doc] if isinstance(doc, dict) else []
-    if missing:
-        raise ValueError(f"missing {cls.__name__} keys {missing}")
-    return from_json(cls, doc)
+validate_run_report = from_json  # a run file's reader, under the name the benchmark in perfbench/ traces
 
 
 _JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
@@ -259,7 +266,7 @@ _JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
 
 def schema(tp, keywords=None) -> dict:
     """JSON Schema of what ``from_json(tp, doc)`` reads, walking types as it does, a list as
-    a tuple; a field adds the keywords of its ``bound()`` and a tagged dataclass its "kind"."""
+    a tuple; a field adds the keywords of its ``bound()`` and a dataclass its tags, as constants."""
     keywords = dict(keywords or {})
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -280,9 +287,8 @@ def schema(tp, keywords=None) -> dict:
         return {"type": "object", "additionalProperties": schema(args[1])}
     if not is_dataclass(tp):
         return {"type": _JSON_TYPES[tp], **keywords}
-    hints = _hints(tp)
-    kind = {"kind": {"const": tp.kind}} if hasattr(tp, "kind") else {}
-    properties = {**kind, **{f.name: schema(hints[f.name], f.metadata) for f in _fields(tp)}}
-    required = [*kind, *(f.name for f in _fields(tp) if f.default is f.default_factory is MISSING)]
+    hints, tags = _hints(tp), {key: {"const": value} for key, value in _tags(tp).items()}
+    properties = {**tags, **{f.name: schema(hints[f.name], f.metadata) for f in _fields(tp)}}
+    required = [*tags, *_required(tp)]
     doc = {"type": "object", "properties": properties, "additionalProperties": False}
     return {**doc, "required": required} if required else doc

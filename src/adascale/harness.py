@@ -57,7 +57,6 @@ __all__ = [
     "experiment_from_json",
     "experiment_to_json",
     "experiment_schema",
-    "report_schema",
     "write_schemas",
 ]
 
@@ -123,14 +122,6 @@ class ExperimentConfig(Config):
                 raise ValueError(f"ExperimentConfig.grid: no arm named {name!r}")
 
 
-class _Aggregate(Config):
-    """An aggregate report: JSON tagged with its class's ``format`` and ``version``."""
-
-    version: ClassVar[int] = 1
-    def to_dict(self) -> dict:
-        return {"format": self.format, "version": self.version, **configio.to_json(self)}
-
-
 @dataclass
 class RunSummary(Config):
     seed: int
@@ -155,8 +146,9 @@ class ArmSummary(Config):
 
 
 @dataclass
-class ComparisonReport(_Aggregate):
+class ComparisonReport(Config):
     format: ClassVar[str] = "comparison-report"
+    version: ClassVar[int] = 1
     n_seeds: int = bound(minimum=1)
     best_k: int = bound(minimum=1)
     base_seed: int
@@ -176,8 +168,9 @@ class SweepRow(Config):
 
 
 @dataclass
-class SweepReport(_Aggregate):
+class SweepReport(Config):
     format: ClassVar[str] = "sweep-report"
+    version: ClassVar[int] = 1
     n_seeds: int = bound(minimum=1)
     base_seed: int
     rows: list[SweepRow]
@@ -192,8 +185,9 @@ class GridCell(Config):
 
 
 @dataclass
-class GridResult(_Aggregate):
+class GridResult(Config):
     format: ClassVar[str] = "grid-report"
+    version: ClassVar[int] = 1
     arm: str
     best_index: int = bound(minimum=0)
     best_params: dict[str, float]
@@ -277,7 +271,7 @@ def _run_all(tasks, workers: int, datasets):
         return [_execute_run(t, datasets) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(datasets,)) as pool:
+    with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_init_worker, initargs=(datasets,)) as pool:
         return list(pool.map(_execute_in_worker, tasks))
 
 
@@ -358,7 +352,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     blocks, out_dir = _execute(config, config.arms)
     arms = [_summarize_arm(a.name, block, config.best_k) for a, block in zip(config.arms, blocks)]
     report = ComparisonReport(config.n_seeds, config.best_k, config.base_seed, arms)
-    configio.write_json(report.to_dict(), out_dir / "comparison.json")
+    configio.write_json(configio.to_json(report), out_dir / "comparison.json")
     # table-style scale: mean/best3 as percentage points, var on the same scale
     rows = [
         [arm.name, None, None, None]
@@ -400,7 +394,7 @@ def beta_sweep(config: ExperimentConfig) -> SweepReport:
         rows.append(SweepRow(float(beta), len(per_seed), *(stats or [None] * len(stat_names))))
 
     report = SweepReport(n_seeds=config.n_seeds, base_seed=config.base_seed, rows=rows)
-    configio.write_json(report.to_dict(), out_dir / "sweep.json")
+    configio.write_json(configio.to_json(report), out_dir / "sweep.json")
     _write_csv(
         out_dir / "sweep.csv",
         ["beta", *stat_names],
@@ -456,7 +450,7 @@ def grid_search(arm: Arm, grid: dict, config: ExperimentConfig) -> GridResult:
     best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
 
     grid_result = GridResult(arm.name, best_index, grid_cells[best_index].params, grid_cells)
-    configio.write_json(grid_result.to_dict(), out_dir / f"grid_{_safe_name(arm.name)}.json")
+    configio.write_json(configio.to_json(grid_result), out_dir / f"grid_{_safe_name(arm.name)}.json")
     return grid_result
 
 
@@ -467,8 +461,8 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     ``run_dir``, groups by the embedded arm name and recomputes
     mean/var/best-k exactly as :func:`run_experiment` does, with the config's
     ``best_k`` to reproduce ``comparison.json``.  Every file must decode as a
-    complete :class:`RunReport`; one that fails raises a ``ValueError`` naming
-    it, and so does a ``run_dir`` that holds no run file, or no such directory.
+    complete :class:`RunReport` of its format and version; one that fails raises
+    a ``ValueError`` naming it, and so does a ``run_dir`` with no run file, or no such directory.
     """
     run_dir = Path(run_dir)
     paths = sorted(run_dir.glob("run_*.json"))
@@ -534,23 +528,14 @@ def experiment_schema() -> dict:
     return doc
 
 
-def report_schema(cls) -> dict:
-    """``configio.schema(cls)`` of a report as it is written: every field is
-    present, so required, and an aggregate also holds its ``format`` and version."""
-    doc = configio.schema(cls)
-    if issubclass(cls, _Aggregate):
-        doc["properties"] = {"format": {"const": cls.format}, "version": {"const": cls.version}, **doc["properties"]}
-    return {**doc, "required": list(doc["properties"])}
-
-
 def write_schemas(directory) -> None:
     """Write every schema the package ships, ``schemas/<name>.schema.json``, into ``directory``."""
     for name, title, doc in (
         ("experiment_config", "Experiment configuration", experiment_schema()),
-        ("run_report", "Single training run report", report_schema(RunReport)),
-        ("comparison_report", "Multi-arm comparison report", report_schema(ComparisonReport)),
-        ("sweep_report", "Beta sweep report", report_schema(SweepReport)),
-        ("grid_report", "Grid search report", report_schema(GridResult)),
+        ("run_report", "Single training run report", configio.schema(RunReport)),
+        ("comparison_report", "Multi-arm comparison report", configio.schema(ComparisonReport)),
+        ("sweep_report", "Beta sweep report", configio.schema(SweepReport)),
+        ("grid_report", "Grid search report", configio.schema(GridResult)),
     ):
         head = {"$schema": "https://json-schema.org/draft/2020-12/schema", "$id": f"adascale/{name}"}
         configio.write_json({**head, "title": title, **doc}, Path(directory) / f"{name}.schema.json")

@@ -24,6 +24,7 @@ file's counts against the same bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,8 +86,14 @@ def _check_beta(beta: float) -> float:
 
 
 def _as_int64(labels: np.ndarray) -> np.ndarray | None:
-    """Non-integer-typed labels as int64, or None if one is no integer; floats are range-checked before the cast."""
-    if labels.dtype.kind == "f" and labels.size and not (labels.min() >= -(2.0**63) and labels.max() < 2.0**63):
+    """Bool, float or object labels as int64, or None if one is no integer int64 holds; each value is
+    checked before the cast, which would warn or raise on it, and complex or text labels are none."""
+    kind = labels.dtype.kind
+    if kind not in "bfO":
+        return None
+    if kind == "O" and not all(isinstance(v, numbers.Real) and -(2**63) <= v < 2**63 for v in labels.tolist()):
+        return None
+    if kind == "f" and labels.size and not (labels.min() >= -(2.0**63) and labels.max() < 2.0**63):
         return None
     as_int = labels.astype(np.int64)
     return as_int if np.array_equal(as_int, labels) else None

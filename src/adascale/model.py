@@ -100,13 +100,13 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
 def _softmax(logits: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Row softmax of ``logits + bias`` in place: ``logits`` must be a fresh temporary.
 
-    Max subtraction keeps exp in range.  The row max is reduced from a
-    transposed copy, which is exact (max ignores order, NaN still wins) and
-    much faster for narrow rows.  Below 8 classes that copy is ``logits.T +
-    bias[:, None]``, and the whole softmax runs on it: numpy's pairwise row sum
-    adds fewer than 8 terms in order, as the sum over the copy's rows does, so
-    the bytes match.  From 8 classes up the bias is added in place and the row
-    sum stays ``sum(axis=1)``, whose pairwise order the results depend on.
+    Max subtraction keeps exp in range.  The row max is reduced from a transposed
+    copy, much faster for narrow rows and exact (max ignores order, NaN still wins)
+    but for the sign bit of a NaN, on a row that is NaN anyway.  Below 8 classes that
+    copy is ``logits.T + bias[:, None]``, and the whole softmax runs on it: numpy's
+    pairwise row sum adds fewer than 8 terms in order, as the sum over the copy's rows
+    does, so the bytes match.  From 8 classes up the bias is added in place and the
+    row sum stays ``sum(axis=1)``, whose pairwise order the results depend on.
     """
     if logits.shape[1] < 8:
         t = np.add(logits.T, bias[:, None], order="C")

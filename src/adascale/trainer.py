@@ -159,6 +159,8 @@ class RunReport(Config):
     An invalid (aborted) run's curves stop at its failure and its test counts and metrics are 0.
     """
 
+    format: ClassVar[str] = "run-report"
+    version: ClassVar[int] = 1
     per_run: ClassVar[tuple[str, ...]] = ("wall_clock_s",)
     seed: int
     arm: str = ""

@@ -712,7 +712,7 @@ class TestColdStart:
         assert (proc.returncode, proc.stderr) == (2, "adascale: error: ExperimentConfig.n_seeds must be >= 1, got 0\n")
 
         run_file = tmp_path / "run_x_0.json"
-        run_file.write_text('{"arm": "x"}')
+        run_file.write_text('{"format": "run-report", "version": 1, "arm": "x"}')
         proc = _run_python("-c", "import sys, adascale.harness; adascale.harness.reaggregate(sys.argv[1])", str(tmp_path))
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1] == (

@@ -60,7 +60,7 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match=message):
             Dataset(features, np.array(labels), k=k)
 
-    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf, 1e30, 2.0**63], ids=str)
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf, 1e30, 2.0**63, 2**70, None, 1 + 0j], ids=str)
     def test_non_finite_or_huge_float_label_rejected_without_warning(self, label):
         # the integer check comes before the cast to int64, which would warn on these
         with warnings.catch_warnings(record=True) as caught:
@@ -72,6 +72,11 @@ class TestDatasetValidation:
     def test_integral_float_labels_stored_as_int64(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0.0, 1.0]), k=2)
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+
+    def test_object_and_bool_labels_stored_as_int64(self):
+        for labels in (np.array([1, 0], dtype=object), np.array([True, False])):
+            ds = Dataset(np.zeros((2, 2)), labels, k=2)
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
 
     def test_immutability(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), k=2)

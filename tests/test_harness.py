@@ -8,13 +8,16 @@ import math
 import pickle
 import re
 from collections import Counter
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from adascale import configio, harness, trainer
 from adascale.data import (
@@ -170,7 +173,7 @@ class TestRunExperiment:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes()
-        assert r1.to_dict() == r2.to_dict()
+        assert configio.to_json(r1) == configio.to_json(r2)
 
     def test_reaggregation_reproduces_report(self, tmp_path):
         config = _tiny_config(tmp_path / "out")
@@ -205,6 +208,35 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as caught:
             reaggregate(tmp_path / "out")
         assert str(caught.value) == f"{path}: not a valid run report: missing RunReport keys ['test_counts']"
+
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            ({"format": None, "version": None}, "missing RunReport keys ['format', 'version']"),
+            ({"format": None, "version": None, "test_counts": None}, "missing RunReport keys ['format', 'version']"),
+            ({"version": 2}, "RunReport.version must be 1, got 2"),
+            ({"version": True}, "RunReport.version must be 1, got True"),
+            ({"format": "comparison-report"}, "RunReport.format must be 'run-report', got 'comparison-report'"),
+        ],
+        ids=["untagged", "untagged without test_counts", "version 2", "version true", "another format"],
+    )
+    def test_reaggregate_refuses_a_run_file_of_another_format_or_version(self, tmp_path, tags, message):
+        # a key set to None here is dropped from the file; the tags are checked before any field
+        run_experiment(_tiny_config(tmp_path / "out"))
+        path = tmp_path / "out" / "run_vanilla_0.json"
+        doc = {**json.loads(path.read_text()), **tags}
+        configio.write_json({key: value for key, value in doc.items() if value is not None}, path)
+        with pytest.raises(ValueError) as caught:
+            reaggregate(tmp_path / "out")
+        assert str(caught.value) == f"{path}: not a valid run report: {message}"
+
+    @pytest.mark.parametrize("protocol", [_compare, _sweep, _grid], ids=["run_experiment", "beta_sweep", "grid_search"])
+    def test_every_run_file_carries_its_tags(self, tmp_path, protocol):
+        protocol(tmp_path / "out")
+        paths = sorted((tmp_path / "out").glob("run_*.json"))
+        assert len(paths) == 4
+        for path in paths:
+            _check_written(RunReport, path)
 
     @pytest.mark.parametrize("protocol", [_compare, _sweep], ids=["run_experiment", "beta_sweep"])
     def test_one_test_pass_per_valid_run(self, tmp_path, monkeypatch, protocol):
@@ -288,6 +320,34 @@ class TestRunExperiment:
             harness._init_worker(None)
         assert params is None
         assert report_to_dict(report) == report_to_dict(harness._execute_run(task, datasets)[0])
+
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
+        # a fake pool that records its size and runs in this process: a real one would fork every worker it is given
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                harness._init_worker(None)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        datasets = load_datasets(TINY_SOURCE)
+        spec = harness._build_spec(ModelConfig(), datasets[0])
+        tasks = [(spec, harness._run_config(Arm("a", Vanilla(), TINY_TRAIN), seed), "a") for seed in (0, 1)]
+        reports = [report for report, _ in harness._run_all(tasks, 64, datasets)]
+        assert sizes == [2]
+        assert [report_to_dict(r) for r in reports] == [report_to_dict(r) for r, _ in harness._run_all(tasks, 1, datasets)]
 
     def test_pool_tasks_carry_no_arrays(self, tmp_path, monkeypatch):
         tasks = []
@@ -626,6 +686,18 @@ class TestTaggedUnions:
                     parameters.append(path.stem)
         assert (assigned, parameters) == (["metrics"], [])
 
+    def test_configio_owns_the_document_tags(self):
+        # a report's format and version are written by the codec alone; the
+        # checkpoint, which is no Config, keeps its own in model
+        builders = []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value == "version" for key in node.keys
+                ):
+                    builders.append(path.stem)
+        assert builders == ["model"]
+
 
 def _int_float_configs() -> list:
     """One value of every config and report class, built with an int wherever a
@@ -656,6 +728,120 @@ def _subclasses(cls) -> set:
     return {sub for child in cls.__subclasses__() for sub in (child, *_subclasses(child))}
 
 
+def _drawn(tp, keywords=None):
+    """A strategy for values of the annotation ``tp`` that meet the ``bound()`` ``keywords``."""
+    keywords = keywords or {}
+    origin, args = get_origin(tp), get_args(tp)
+    if "enum" in keywords:
+        return st.sampled_from(keywords["enum"])
+    if origin is UnionType:
+        members = [a for a in args if a is not type(None)]
+        options = [_drawn(m, keywords if len(members) == 1 else None) for m in members]
+        return st.one_of(*options, *([st.none()] if len(members) < len(args) else []))
+    if origin in (tuple, list):
+        items = st.lists(_drawn(args[0], keywords.get("items")), min_size=keywords.get("minItems", 0), max_size=3)
+        return items.map(origin)
+    if origin is dict:
+        return st.dictionaries(st.text(max_size=3), _drawn(args[1]), max_size=2)
+    if is_dataclass(tp):
+        return _instances(tp)
+    if tp is float:
+        low = keywords.get("minimum", keywords.get("exclusiveMinimum"))
+        high = keywords.get("maximum", keywords.get("exclusiveMaximum"))
+        exclusive = {"exclude_min": "exclusiveMinimum" in keywords, "exclude_max": "exclusiveMaximum" in keywords}
+        return st.floats(low, high, allow_nan=False, allow_infinity=False, **exclusive)
+    return {
+        int: st.integers(min_value=keywords.get("minimum")),
+        str: st.text(min_size=keywords.get("minLength", 0), max_size=5),
+        bool: st.booleans(),
+    }[tp]
+
+
+@st.composite
+def _instance(draw, cls):
+    hints = get_type_hints(cls)
+    kw = {f.name: draw(_drawn(hints[f.name], f.metadata)) for f in fields(cls)}
+    # the rules between fields, met by moving one field's value within its bound
+    if cls is ExperimentConfig:
+        kw["arms"] = tuple({arm.name: arm for arm in kw["arms"]}.values())
+        kw["best_k"] = min(kw["best_k"], kw["n_seeds"])
+        kw["grid"] = dict(zip((arm.name for arm in kw["arms"]), kw["grid"].values()))
+    elif cls is ConfusionStats:
+        kw["tp"], kw["tn"] = min(kw["tp"], kw["p"]), min(kw["tn"], kw["n"])
+        kw["pe"] = min(kw["pe"], kw["p"] - kw["tp"])
+    elif cls is GeneratorConfig:
+        kw["k"] = max(2, min(kw["k"], round(kw["positive_rate"] * kw["n"]) + 1))
+    try:
+        return cls(**kw)
+    except ValueError:
+        reject()
+
+
+@functools.lru_cache(maxsize=None)
+def _instances(cls):
+    return _instance(cls)
+
+
+CONFIG_CLASSES = sorted({type(value) for value in _int_float_configs()}, key=lambda cls: cls.__name__)
+
+
+def _past_edges(tp, keywords):
+    """``(keyword, value)`` for each bound in ``keywords`` of a field of type ``tp``: the
+    value one step past the bound, and NaN for a bounded float."""
+    members = [a for a in get_args(tp) if a is not type(None)] if get_origin(tp) is UnionType else [tp]
+    tp = members[0]
+    for key, limit in keywords.items():
+        if key in ("minimum", "maximum"):
+            down = key == "minimum"
+            if tp is int:
+                yield key, limit - 1 if down else limit + 1
+            else:
+                yield key, float(np.nextafter(limit, -math.inf if down else math.inf))
+        elif key in ("exclusiveMinimum", "exclusiveMaximum"):
+            yield key, limit if tp is int else float(limit)
+        elif key == "minLength":
+            yield key, "x" * (limit - 1)
+        elif key == "minItems":
+            yield key, get_origin(tp)([])
+        elif key == "enum":
+            yield key, "bogus"
+        elif key == "items":
+            for item_key, past in _past_edges(get_args(tp)[0], limit):
+                yield f"items {item_key}", get_origin(tp)([past])
+    if tp is float or get_args(tp)[:1] == (float,):
+        yield "nan", math.nan if tp is float else get_origin(tp)([math.nan])
+
+
+BOUND_CASES = [
+    (cls, f.name, key, past)
+    for cls in CONFIG_CLASSES
+    for f in fields(cls)
+    if f.metadata
+    for key, past in _past_edges(get_type_hints(cls)[f.name], f.metadata)
+]
+
+
+class TestCodecProperties:
+    """Drawn values of every config and report class: the codec's round trip and the bounds."""
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_keeps_the_bytes(self, cls, data):
+        value = data.draw(_instances(cls))
+        text = json.dumps(configio.to_json(value))
+        assert json.dumps(configio.to_json(configio.from_json(cls, configio.to_json(value)))) == text
+
+    @pytest.mark.parametrize(
+        "cls, name, key, past", BOUND_CASES, ids=[f"{c.__name__}.{n} {k}" for c, n, k, _ in BOUND_CASES]
+    )
+    def test_one_step_past_a_bound_names_the_class_and_field(self, cls, name, key, past):
+        base = next(value for value in _int_float_configs() if type(value) is cls)
+        with pytest.raises(ValueError) as caught:
+            replace(base, **{name: past})
+        assert str(caught.value).startswith(f"{cls.__name__}.{name}")
+
+
 class TestConfigCodec:
     def test_int_floats_write_the_json_they_read_back(self):
         # JSON text compares 1 and 1.0 as different, so each float field, item and value must be a float
@@ -665,6 +851,26 @@ class TestConfigCodec:
             text = json.dumps(configio.to_json(value), sort_keys=True)
             read = configio.from_json(type(value), configio.to_json(value))
             assert json.dumps(configio.to_json(read), sort_keys=True) == text, type(value).__name__
+
+    def test_a_format_field_is_no_tag(self):
+        # FileSource's format is a field with a default, so no tag and not required
+        source = FileSource("a.csv", "b.csv", "c.csv", format="csv")
+        doc = configio.to_json(source)
+        assert doc == {"kind": "files", "train": "a.csv", "dev": "b.csv", "test": "c.csv", "format": "csv"}
+        assert configio.from_json(FileSource, doc) == source
+        assert configio.from_json(FileSource, dict(doc, format=None)).format is None
+        schema = configio.schema(FileSource)
+        assert schema["required"] == ["kind", "train", "dev", "test"]
+        assert schema["properties"]["format"] == {"enum": ["csv", "jsonl", None]}
+
+    def test_tags_are_checked_on_read(self):
+        # a kind may be left out where the caller names the class, but not contradict it,
+        # and a class without a kind has no such key
+        assert configio.from_json(Adam, {"lr": 0.5}) == configio.from_json(Adam, {"kind": "adam", "lr": 0.5})
+        with pytest.raises(ValueError, match=r"^Adam\.kind must be 'adam', got 'sgd'$"):
+            configio.from_json(Adam, {"kind": "sgd", "lr": 0.5})
+        with pytest.raises(ValueError, match=re.escape("unknown TrainConfig keys ['kind']")):
+            configio.from_json(TrainConfig, {"kind": "adam"})
 
     def test_int_grid_values_write_the_json_of_floats(self):
         # a grid value is stored as a float, so the experiment document does not depend on how it was typed
@@ -1120,7 +1326,8 @@ class TestRunReportSchema:
         doc = {k: v for k, v in report_doc.items() if k != "skipped_steps"}
         with pytest.raises(ValueError, match=re.escape("missing RunReport keys ['skipped_steps']")):
             configio.validate_run_report(RunReport, doc)
-        assert configio.from_json(RunReport, doc).skipped_steps == 0
+        with pytest.raises(ValueError, match=re.escape("missing RunReport keys ['skipped_steps']")):
+            configio.from_json(RunReport, doc)
 
 
 class TestLoadDatasets:
@@ -1193,30 +1400,20 @@ def _plain(schema_name):
     return jsonschema.validators.validator_for(schema)(schema)
 
 
-def _read_report(cls, doc):
-    """A written report as the codec reads it: every field present, and an
-    aggregate tagged with its class's format and version."""
-    if isinstance(doc, dict) and issubclass(cls, harness._Aggregate):
-        tag = {key: doc.get(key) for key in ("format", "version")}
-        if tag != {"format": cls.format, "version": cls.version}:
-            raise ValueError(f"{cls.__name__}: expected format {cls.format!r}, version {cls.version}, got {tag}")
-        doc = {key: value for key, value in doc.items() if key not in tag}
-    return configio.validate_run_report(cls, doc)
-
-
 def _codec(schema_name, doc):
     """What the codec reads a document of the schema's kind with."""
     if schema_name == EXPERIMENT_SCHEMA:
         return experiment_from_json(doc)
-    return _read_report(REPORTS[schema_name], doc)
+    return configio.from_json(REPORTS[schema_name], doc)
 
 
 def _check_written(cls, path):
-    """A written report meets its shipped schema, and the codec reads it back as the same document."""
+    """A written report carries its class's format and version, meets its shipped
+    schema, and the codec reads it back as the same document."""
     doc = json.loads(Path(path).read_text())
+    assert (doc["format"], doc["version"]) == (cls.format, cls.version)
     assert _plain(next(name for name, c in REPORTS.items() if c is cls)).is_valid(doc)
-    report = _read_report(cls, doc)
-    assert (report_to_dict(report) if cls is RunReport else report.to_dict()) == doc
+    assert configio.to_json(configio.from_json(cls, doc)) == doc
 
 
 @pytest.fixture(scope="module")
@@ -1271,6 +1468,9 @@ class TestValidatorOracle:
         "run not an object": "expected RunReport object, got an array",
         "run valid 1": "RunReport.valid: expected bool, got 1",
         "run skipped_steps missing": "missing RunReport keys ['skipped_steps']",
+        "run untagged": "missing RunReport keys ['format', 'version']",
+        "run version 2": "RunReport.version must be 1, got 2",
+        "run version True": "RunReport.version must be 1, got True",
         "run test_counts n = -1": "RunReport.test_counts: ConfusionStats.n must be >= 0, got -1.0",
         "run test_counts tp > p": "RunReport.test_counts: tp=9.0 exceeds p=8.0",
         "experiment_config beta_sweep 0": "ExperimentConfig.beta_sweep[0] must be > 0, got 0.0",
@@ -1287,12 +1487,12 @@ class TestValidatorOracle:
         "comparison two errors":
             "ComparisonReport.arms[0]: ArmSummary.runs[0]: RunSummary.test_f: expected float, got '0.5'",
         "comparison best3_test_f renamed": "ComparisonReport.arms[0]: missing ArmSummary keys ['best3_test_f']",
+        "comparison without version": "missing ComparisonReport keys ['version']",
         "sweep mean_f1 above 1": "SweepReport.rows[0]: SweepRow.mean_f1 must be <= 1, got 1.5",
         "sweep fractional n_valid": "SweepReport.rows[0]: SweepRow.n_valid: expected int, got 1.5",
         "sweep extra row key": "SweepReport.rows[0]: unknown SweepRow keys ['n_runs']",
         "sweep negative std_f1": "SweepReport.rows[0]: SweepRow.std_f1 must be >= 0, got -0.1",
-        "sweep two errors":
-            "SweepReport: expected format 'sweep-report', version 1, got {'format': 'comparison-report', 'version': 1}",
+        "sweep two errors": "SweepReport.format must be 'sweep-report', got 'comparison-report'",
     }
 
     @pytest.fixture(scope="class")
@@ -1344,6 +1544,10 @@ class TestValidatorOracle:
         yield "run valid 1", dict(run, valid=1)
         yield "run skipped_steps missing", {k: v for k, v in run.items() if k != "skipped_steps"}
         counts = run["test_counts"]
+        # a run file of another format or version, or of none
+        yield "run untagged", {k: v for k, v in run.items() if k not in ("format", "version")}
+        for version in (2, True, 1.0):
+            yield f"run version {version!r}", dict(run, version=version)
         yield "run test_counts n = -1", dict(run, test_counts=dict(counts, n=-1))
         yield "run test_counts tp > p", dict(run, test_counts=dict(counts, p=8.0, tp=9.0, pe=0.0))
         # known, kept: pe is optional in both, so a file without it is read with pe = 0
@@ -1369,6 +1573,7 @@ class TestValidatorOracle:
             for (*parents, last), value in edits:
                 functools.reduce(lambda node, key: node[key], parents, comparison)[last] = value
             yield f"comparison {label}", comparison
+        yield "comparison without version", {k: v for k, v in docs["compare/comparison.json"].items() if k != "version"}
         renamed = copy.deepcopy(docs["compare/comparison.json"])
         renamed["arms"][0]["best_k_test_f"] = renamed["arms"][0].pop("best3_test_f")
         yield "comparison best3_test_f renamed", renamed

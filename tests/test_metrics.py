@@ -81,8 +81,11 @@ class TestConfusionCounting:
             ([0, 1], [0.0, -np.inf], "pred must contain integer labels"),
             ([1e30, 1.0], [0, 1], "gold must contain integer labels"),
             ([0, 1], [0.0, 2.0**63], "pred must contain integer labels"),
+            ([2**70, 1], [0, 1], "gold must contain integer labels"),
+            ([None, 1], [0, 1], "gold must contain integer labels"),
+            ([0, 1], [1 + 0j, 1], "pred must contain integer labels"),
         ],
-        ids=["nan", "inf", "-inf pred", "1e30", "2**63 pred"],
+        ids=["nan", "inf", "-inf pred", "1e30", "2**63 pred", "2**70 object", "None object", "complex pred"],
     )
     def test_non_finite_or_huge_labels_rejected_without_warning(self, gold, pred, message):
         # the integer check comes before the cast to int64, which would warn on these
