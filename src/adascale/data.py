@@ -19,6 +19,8 @@ import csv
 import itertools
 import json
 import math
+import reprlib
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -126,6 +128,8 @@ class GeneratorConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.n > sys.float_info.max:  # n_positive takes n as a float
+            raise ValueError(f"GeneratorConfig.n must be <= {sys.float_info.max!r}, got {reprlib.repr(self.n)}")
         if self.n_positive < self.k - 1:
             raise ValueError(f"GeneratorConfig.positive_rate * n must round to >= k - 1, got {self.n_positive}")
 

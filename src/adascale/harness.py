@@ -194,17 +194,23 @@ class GridResult(Config):
     cells: list[GridCell] = bound(minItems=1)
 
 
+def _check_best_k(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"best_k must be an int >= 1, got {k!r}")
+
+
 def best_k_test_score(dev_scores, test_scores, k: int) -> float:
     """Best test score among the k runs with the highest dev scores.
 
-    Ranking ties keep the earlier run.  k is capped at the number of runs.
+    Ranking ties keep the earlier run.  k, an int >= 1, is capped at the number of runs.
     """
+    _check_best_k(k)
     dev = list(dev_scores)
     test = list(test_scores)
     if len(dev) != len(test) or not dev:
         raise ValueError("dev and test score lists must be non-empty and equal length")
     order = sorted(range(len(dev)), key=lambda i: (-dev[i], i))
-    top = order[: max(1, min(k, len(order)))]
+    top = order[:k]
     return max(test[i] for i in top)
 
 
@@ -464,6 +470,7 @@ def reaggregate(run_dir, best_k: int = 3) -> dict[str, ArmSummary]:
     complete :class:`RunReport` of its format and version; one that fails raises
     a ``ValueError`` naming it, and so does a ``run_dir`` with no run file, or no such directory.
     """
+    _check_best_k(best_k)
     run_dir = Path(run_dir)
     paths = sorted(run_dir.glob("run_*.json"))
     if not paths:

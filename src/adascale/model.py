@@ -8,15 +8,18 @@ can express itself as instance weighting plugs in unchanged.
 The public :func:`forward` and :func:`backward` check each call, then run the
 kernel a training step calls; no step calls them, so they carry no speed
 tricks.  ``backward`` shares its gold-label check with ``losses.compute_loss``.
+A checkpoint file is a :class:`Checkpoint`, which ``configio`` writes, reads
+and checks as it does every tagged document; this module adds only its rules across fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .configio import Config, bound, from_json, read_json, write_json
+from .configio import Config, bound, from_json, read_json, to_json, write_json
 
 __all__ = [
     "ModelSpec",
@@ -32,8 +35,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("tanh", "relu")
-_CHECKPOINT_FORMAT = "softmax-classifier"
-_CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,54 @@ class ModelSpec(Config):
         return [(self.input_dim, self.hidden_dim), (self.hidden_dim, self.n_classes)]
 
 
+@dataclass(frozen=True)
+class CheckpointLayer(Config):
+    """One layer of a :class:`Checkpoint`: a row-major (fan_in, fan_out) ``weight`` and its ``bias``."""
+
+    weight: list[list[float]]
+    bias: list[float]
+
+
+@dataclass(frozen=True)
+class Checkpoint(Config):
+    """The document :func:`save_params` writes: ``arch`` is "linear" and ``activation`` None exactly when
+    there is no ``hidden_dim``, and ``layers`` hold one finite layer of each shape in ``spec.layer_dims``."""
+
+    format: ClassVar[str] = "softmax-classifier"
+    version: ClassVar[int] = 1
+    arch: str = bound(enum=("linear", "mlp"))
+    input_dim: int = bound(minimum=1)
+    n_classes: int = bound(minimum=2)
+    hidden_dim: int | None = bound(minimum=1)
+    activation: str | None = bound(enum=(*ACTIVATIONS, None))
+    layers: list[CheckpointLayer]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        linear = self.hidden_dim is None
+        if (self.arch == "linear") != linear:
+            raise ValueError(f"Checkpoint.arch {self.arch!r} does not match hidden_dim {self.hidden_dim!r}")
+        if (self.activation is None) != linear:
+            raise ValueError(
+                f"Checkpoint.activation {self.activation!r} does not match hidden_dim {self.hidden_dim!r}"
+            )
+        dims = self.spec.layer_dims
+        if len(self.layers) != len(dims):
+            raise ValueError(f"Checkpoint.layers: expected {len(dims)} layers, got {len(self.layers)}")
+        for i, (layer, (fan_in, fan_out)) in enumerate(zip(self.layers, dims)):
+            where = f"Checkpoint.layers[{i}]"
+            # lengths are compared: a declared dimension may be too large to build anything of
+            if len(layer.weight) != fan_in or any(len(row) != fan_out for row in [*layer.weight, layer.bias]):
+                raise ValueError(f"{where}: expected weight shape ({fan_in}, {fan_out}), bias ({fan_out},)")
+            # the codec checks no float nested in a list, and JSON's NaN and 1e400 read as non-finite ones
+            if not (np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()):
+                raise ValueError(f"{where}: non-finite parameter values")
+
+    @property
+    def spec(self) -> ModelSpec:
+        return ModelSpec(self.input_dim, self.n_classes, self.hidden_dim, self.activation or ModelSpec.activation)
+
+
 @dataclass
 class ModelParams:
     """Weights and biases per layer; weights[i] has shape (fan_in, fan_out)."""
@@ -61,11 +110,7 @@ class ModelParams:
     biases: list[np.ndarray]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return ModelParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 @dataclass
@@ -197,10 +242,7 @@ def backward(
     # NaN fails both comparisons
     if not (w.min() >= 0.0 and w.max() < np.inf):
         raise ValueError("instance_weights must be finite and non-negative")
-    grads = Gradients(
-        weights=[np.empty_like(a) for a in params.weights],
-        biases=[np.empty_like(a) for a in params.biases],
-    )
+    grads = Gradients([np.empty_like(a) for a in params.weights], [np.empty_like(a) for a in params.biases])
     return _backward(params, replace(fwd, probs=probs.copy()), gold_index, w, grads)
 
 
@@ -244,73 +286,19 @@ def predict(params: ModelParams, features) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
-def _arch(spec: ModelSpec) -> str:
-    return "linear" if spec.hidden_dim is None else "mlp"
-
-
 def save_params(params: ModelParams, path) -> None:
-    """Write a checkpoint as self-describing JSON through ``configio.write_json``, keys sorted.
-
-    Layout (stable): ``format``, ``version``, ``arch`` ("linear" or "mlp"),
-    ``input_dim``, ``n_classes``, ``hidden_dim``, ``activation``, and
-    ``layers``, a list of {"weight": nested row-major lists, "bias": list}.
-    """
-    spec = params.spec
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "arch": _arch(spec),
-        "input_dim": spec.input_dim,
-        "n_classes": spec.n_classes,
-        "hidden_dim": spec.hidden_dim,
-        "activation": None if spec.hidden_dim is None else spec.activation,
-        "layers": [
-            {"weight": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(params.weights, params.biases)
-        ],
-    }
-    write_json(doc, path)
+    """Write ``params`` as a :class:`Checkpoint` through ``configio``, keys sorted."""
+    spec, layers = params.spec, [CheckpointLayer(w.tolist(), b.tolist()) for w, b in zip(params.weights, params.biases)]
+    arch, activation = ("linear", None) if spec.hidden_dim is None else ("mlp", spec.activation)
+    write_json(to_json(Checkpoint(arch, spec.input_dim, spec.n_classes, spec.hidden_dim, activation, layers)), path)
 
 
 def load_params(path) -> ModelParams:
-    """Read a :func:`save_params` checkpoint, validating shapes and that ``arch`` and ``activation`` fit ``hidden_dim``."""
+    """Read a :func:`save_params` checkpoint; any other file raises ``ValueError("<path>: <reason>")``."""
     doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a model checkpoint")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     try:
-        dims = {name: doc[name] for name in ("input_dim", "n_classes", "hidden_dim")}
-        activation = doc["activation"]
-        if dims["hidden_dim"] is not None:
-            dims["activation"] = activation
-        try:
-            spec = from_json(ModelSpec, dims)
-        except ValueError as error:
-            raise ValueError(f"{path}: {error}") from None
-        if doc["arch"] != _arch(spec):
-            raise ValueError(f"{path}: arch {doc['arch']!r} does not match hidden_dim {spec.hidden_dim!r}")
-        if spec.hidden_dim is None and activation is not None:
-            raise ValueError(f"{path}: activation {activation!r} does not match hidden_dim {spec.hidden_dim!r}")
-        weights, biases = [], []
-        layers = doc["layers"]
-        if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
-            raise ValueError(f"{path}: layers must be a list of objects")
-        if len(layers) != len(spec.layer_dims):
-            raise ValueError(f"{path}: expected {len(spec.layer_dims)} layers, got {len(layers)}")
-        for layer, (fan_in, fan_out) in zip(layers, spec.layer_dims):
-            try:  # numpy refuses a ragged nesting
-                w, b = np.asarray(layer["weight"]), np.asarray(layer["bias"])
-            except ValueError:
-                raise ValueError(f"{path}: layer shape mismatch") from None
-            if w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
-                raise ValueError(f"{path}: non-numeric parameter values")
-            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise ValueError(f"{path}: layer shape mismatch")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"{path}: non-finite parameter values")
-            weights.append(w.astype(np.float64, copy=False))
-            biases.append(b.astype(np.float64, copy=False))
-    except KeyError as error:
-        raise ValueError(f"{path}: missing key {error}") from None
-    return ModelParams(spec=spec, weights=weights, biases=biases)
+        checkpoint = from_json(Checkpoint, doc)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+    layers = checkpoint.layers
+    return ModelParams(checkpoint.spec, [np.array(x.weight) for x in layers], [np.array(x.bias) for x in layers])

@@ -1,5 +1,8 @@
+import copy
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import adascale
 from adascale import cli, data, harness
@@ -314,6 +319,48 @@ def _with(text, **changes):
     return json.dumps({**json.loads(text), **changes})
 
 
+def _json_paths(doc, path=()):
+    """The path of every value nested in a JSON document, as keys and indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _json_paths(value, (*path, key))
+
+
+@st.composite
+def _malformed(draw, doc):
+    """The text of the checkpoint ``doc`` after one drawn mutation at one drawn path."""
+    doc = copy.deepcopy(doc)
+    layers = doc["layers"]
+    mutation = draw(st.sampled_from(["drop", "retype", "non-finite", "add key", "row", "layer", "dimension"]))
+    if mutation == "add key":
+        draw(st.sampled_from([doc, *layers]))["note"] = 0
+    elif mutation == "row":
+        weight = draw(st.sampled_from(layers))["weight"]
+        i = draw(st.integers(0, len(weight) - 1))
+        if draw(st.booleans()):
+            weight.pop(i)
+        else:
+            weight[i].append(0.0)
+    elif mutation == "layer":
+        if draw(st.booleans()):
+            layers.pop()
+        else:
+            layers.append(copy.deepcopy(layers[-1]))
+    elif mutation == "dimension":
+        # sizes no machine could allocate, so code that builds anything of a declared one fails at once
+        doc[draw(st.sampled_from(["input_dim", "n_classes", "hidden_dim"]))] = draw(st.sampled_from([10**400, 2**62]))
+    else:
+        paths = [p for p in _json_paths(doc) if mutation != "drop" or type(p[-1]) is str]  # only a key is dropped
+        *parents, last = draw(st.sampled_from(paths))
+        node = functools.reduce(operator.getitem, parents, doc)
+        if mutation == "drop":
+            del node[last]
+        else:
+            node[last] = draw(st.sampled_from([None, True, 0, 1.5, "x", [], {}])) if mutation == "retype" else "<nf>"
+    return json.dumps(doc).replace('"<nf>"', draw(st.sampled_from(["NaN", "1e400"])))
+
+
 def _no_training(*args, **kwargs):
     raise AssertionError("trained before the output paths were checked")
 
@@ -355,8 +402,16 @@ class TestInputErrors:
                 "grid parameter 'gamma' matches neither the strategy nor the sampler of arm 'static'",
             ),
             (("grid", "static"), {"negative_cost": []}, "grid value lists must be non-empty"),
+            (
+                ("dataset", "generator", "n"), 10**400,
+                "ExperimentConfig.dataset: SyntheticSource.generator: "
+                f"GeneratorConfig.n must be <= {sys.float_info.max!r}, got 100000000000000000...0000000000000000000",
+            ),
         ],
-        ids=["nan", "arm index", "schema", "schema minimum", "arm not an object", "grid", "empty grid values"],
+        ids=[
+            "nan", "arm index", "schema", "schema minimum", "arm not an object", "grid", "empty grid values",
+            "n beyond a float",
+        ],
     )
     def test_config_errors(self, tmp_path, experiment_doc, monkeypatch, capsys, path, value, message):
         _edit(experiment_doc, path, value)
@@ -435,54 +490,75 @@ class TestInputErrors:
         assert main(["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2",
                      "--positive-rate", "0.2"]) == 0
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
-        assert (code, err) == (2, f"adascale: error: {checkpoint}: not a model checkpoint\n")
+        assert (code, err) == (2, f"adascale: error: {checkpoint}: missing Checkpoint keys ['format', 'version']\n")
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (None, "No such file or directory"),
             (lambda text: text[:10], "Unterminated string starting at: line 2 column 3 (char 4)"),
-            (lambda text: text.replace('"input_dim"', '"width"'), "missing key 'input_dim'"),
-            (lambda text: "[]", "not a model checkpoint"),
-            (lambda text: _with(text, input_dim="3"), "ModelSpec.input_dim: expected int, got '3'"),
-            (lambda text: _with(text, n_classes=True), "ModelSpec.n_classes: expected int, got True"),
-            (lambda text: _with(text, input_dim=3.5), "ModelSpec.input_dim: expected int, got 3.5"),
-            (lambda text: _with(text, version=2), "unsupported checkpoint version 2"),
-            (lambda text: _with(text, layers=json.loads(text)["layers"] * 2), "expected 1 layers, got 2"),
+            (lambda text: text.replace('"input_dim"', '"width"'), "missing Checkpoint keys ['input_dim']"),
+            (lambda text: "[]", "expected Checkpoint object, got an array"),
+            (lambda text: _with(text, input_dim="3"), "Checkpoint.input_dim: expected int, got '3'"),
+            (lambda text: _with(text, n_classes=True), "Checkpoint.n_classes: expected int, got True"),
+            (lambda text: _with(text, input_dim=3.5), "Checkpoint.input_dim: expected int, got 3.5"),
+            (lambda text: _with(text, version=2), "Checkpoint.version must be 1, got 2"),
+            (
+                lambda text: _with(text, layers=json.loads(text)["layers"] * 2),
+                "Checkpoint.layers: expected 1 layers, got 2",
+            ),
             (
                 lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": [[math.nan, 0.0]] * 3}]),
-                "non-finite parameter values",
+                "Checkpoint.layers[0]: non-finite parameter values",
             ),
-            (lambda text: _with(text, layers=5), "layers must be a list of objects"),
-            (lambda text: _with(text, layers=None), "layers must be a list of objects"),
-            (lambda text: _with(text, layers="x"), "layers must be a list of objects"),
-            (lambda text: _with(text, layers=[[1]]), "layers must be a list of objects"),
+            (lambda text: _with(text, layers=5), "Checkpoint.layers: expected array, got 5"),
+            (lambda text: _with(text, layers=None), "Checkpoint.layers: expected array, got None"),
+            (lambda text: _with(text, layers="x"), "Checkpoint.layers: expected array, got 'x'"),
+            (
+                lambda text: _with(text, layers=[[1]]),
+                "Checkpoint.layers[0]: expected CheckpointLayer object, got an array",
+            ),
             (
                 lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "bias": {"a": 1.0}}]),
-                "non-numeric parameter values",
+                "Checkpoint.layers[0]: CheckpointLayer.bias: expected array, got an object",
             ),
             (
                 lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": "x"}]),
-                "non-numeric parameter values",
+                "Checkpoint.layers[0]: CheckpointLayer.weight: expected array, got 'x'",
             ),
             (
                 lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "weight": [[0.0, 0.0], [0.0]]}]),
-                "layer shape mismatch",
+                "Checkpoint.layers[0]: expected weight shape (3, 2), bias (2,)",
             ),
-            (lambda text: _with(text, arch="mlp"), "arch 'mlp' does not match hidden_dim None"),
-            (lambda text: _with(text, arch="resnet"), "arch 'resnet' does not match hidden_dim None"),
-            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "arch"}), "missing key 'arch'"),
-            (lambda text: _with(text, activation="bogus"), "activation 'bogus' does not match hidden_dim None"),
+            (lambda text: _with(text, arch="mlp"), "Checkpoint.arch 'mlp' does not match hidden_dim None"),
+            (lambda text: _with(text, arch="resnet"), "Checkpoint.arch must be one of ('linear', 'mlp'), got 'resnet'"),
+            (
+                lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "arch"}),
+                "missing Checkpoint keys ['arch']",
+            ),
+            (
+                lambda text: _with(text, activation="bogus"),
+                "Checkpoint.activation must be one of ('tanh', 'relu', None), got 'bogus'",
+            ),
             (
                 lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "activation"}),
-                "missing key 'activation'",
+                "missing Checkpoint keys ['activation']",
+            ),
+            (lambda text: _with(text, note="x"), "unknown Checkpoint keys ['note']"),
+            (
+                lambda text: _with(text, layers=[{**json.loads(text)["layers"][0], "note": "x"}]),
+                "Checkpoint.layers[0]: unknown CheckpointLayer keys ['note']",
+            ),
+            (
+                lambda text: _with(text, input_dim=10**400),
+                f"Checkpoint.layers[0]: expected weight shape ({10**400}, 2), bias (2,)",
             ),
         ],
         ids=[
             "missing", "truncated", "missing key", "not an object", "string dim", "bool dim", "float dim",
             "version", "extra layer", "nan weight", "int layers", "null layers", "string layers", "list layer",
             "object bias", "string weight", "ragged weight", "mlp arch", "unknown arch", "no arch",
-            "linear activation", "no activation",
+            "linear activation", "no activation", "unknown key", "unknown layer key", "huge input_dim",
         ],
     )
     def test_checkpoint_errors(self, tmp_path, monkeypatch, capsys, edit, message):
@@ -499,6 +575,24 @@ class TestInputErrors:
                      "--positive-rate", "0.2"]) == 0
         code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
         assert (code, err) == (2, f"adascale: error: {checkpoint}: {message}\n")
+
+    @settings(
+        max_examples=100, derandomize=True, deadline=None, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_malformed_checkpoint_gives_one_line(self, tmp_path, monkeypatch, capsys, data):
+        from adascale.model import ModelSpec, init_params, save_params
+
+        checkpoint, data_path = tmp_path / "model.json", tmp_path / "data.csv"
+        if not data_path.exists():
+            assert main(["generate", "--out", str(data_path), "--n", "40", "--d", "3", "--k", "2",
+                         "--positive-rate", "0.2"]) == 0
+        save_params(init_params(data.draw(st.sampled_from([ModelSpec(3, 2), ModelSpec(3, 2, 4)])), 0), checkpoint)
+        checkpoint.write_text(data.draw(_malformed(json.loads(checkpoint.read_text()))))
+        code, err = self._run(monkeypatch, capsys, "eval", "--model", str(checkpoint), "--data", str(data_path))
+        assert (code, err) == (0, "") or (code, err.count("\n")) == (2, 1), err
+        assert code == 0 or err.startswith(f"adascale: error: {checkpoint}: ")
 
     @pytest.mark.parametrize(
         "args, expected",
@@ -541,6 +635,17 @@ class TestInputErrors:
         out = tmp_path / "d.csv"
         code, err = self._run(monkeypatch, capsys, "generate", "--config", str(config), "--out", str(out), "--n", "50")
         assert (code, err) == (2, f"adascale: error: {config}: not a JSON object\n")
+        assert not out.exists()
+
+    def test_generator_n_beyond_a_float(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(data, "generate", _no_generating)
+        out = tmp_path / "data.csv"
+        code, err = self._run(monkeypatch, capsys, "generate", "--n", str(10**400), "--out", str(out))
+        assert (code, err) == (
+            2,
+            f"adascale: error: GeneratorConfig.n must be <= {sys.float_info.max!r}, "
+            "got 100000000000000000...0000000000000000000\n",
+        )
         assert not out.exists()
 
     def test_generate_format_not_inferable(self, tmp_path, monkeypatch, capsys):

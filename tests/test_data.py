@@ -1,5 +1,6 @@
 import codecs
 import random
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -8,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adascale import data
+from adascale import configio, data
 from adascale.data import (
     FORMATS,
     Dataset,
@@ -130,6 +131,14 @@ class TestGenerator:
             GeneratorConfig(positive_rate=0.0)
         with pytest.raises(ValueError):
             GeneratorConfig(n=100, k=4, positive_rate=0.02)  # rounds to 2 < k-1
+
+    def test_n_beyond_a_float(self):
+        # n_positive takes n as a float; no n of this size could ever be generated
+        with pytest.raises(ValueError) as caught:
+            configio.from_json(GeneratorConfig, {"n": 10**400})
+        assert str(caught.value) == (
+            f"GeneratorConfig.n must be <= {sys.float_info.max!r}, got 100000000000000000...0000000000000000000"
+        )
 
     @pytest.mark.parametrize(
         "config",

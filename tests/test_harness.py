@@ -48,7 +48,7 @@ from adascale.harness import (
 )
 from adascale.losses import Adaptive, Focal, LossStrategy, Static, Vanilla
 from adascale.metrics import ConfusionStats, f_beta, precision, recall
-from adascale.model import ModelSpec
+from adascale.model import Checkpoint, CheckpointLayer, ModelSpec
 from adascale.trainer import SGD, Adam, Optimizer, RunReport, TrainConfig, report_to_dict
 from adascale.trainer import train as train_run
 
@@ -119,6 +119,15 @@ class TestBestK:
             best_k_test_score([], [], 3)
         with pytest.raises(ValueError):
             best_k_test_score([0.1], [0.1, 0.2], 1)
+
+    @pytest.mark.parametrize("k", [0, -3, True, 2.5, None])
+    def test_rejects_a_k_that_is_no_positive_int(self, tmp_path, k):
+        # a bool is no int, as in the codec; reaggregate refuses before it reads a file
+        message = re.escape(f"best_k must be an int >= 1, got {k!r}")
+        with pytest.raises(ValueError, match=message):
+            best_k_test_score([0.9, 0.5, 0.7], [0.1, 0.9, 0.3], k)
+        with pytest.raises(ValueError, match=message):
+            reaggregate(tmp_path / "missing", best_k=k)
 
 
 class TestRunExperiment:
@@ -687,16 +696,24 @@ class TestTaggedUnions:
         assert (assigned, parameters) == (["metrics"], [])
 
     def test_configio_owns_the_document_tags(self):
-        # a report's format and version are written by the codec alone; the
-        # checkpoint, which is no Config, keeps its own in model
-        builders = []
+        # a document's format and version are written, read and checked by the codec alone: no
+        # other module has a dict literal, a subscript or a .get() call keyed by either name
+        def keys(node):
+            if isinstance(node, ast.Dict):
+                return node.keys
+            if isinstance(node, ast.Subscript):
+                return [node.slice]
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                return node.args[:1]
+            return []
+
+        users = []
         for path in sorted(Path(harness.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Dict) and any(
-                    isinstance(key, ast.Constant) and key.value == "version" for key in node.keys
-                ):
-                    builders.append(path.stem)
-        assert builders == ["model"]
+            if path.stem != "configio":
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if any(isinstance(key, ast.Constant) and key.value in ("format", "version") for key in keys(node)):
+                        users.append(f"{path.stem}:{node.lineno}")
+        assert users == []
 
 
 def _int_float_configs() -> list:
@@ -714,6 +731,7 @@ def _int_float_configs() -> list:
         generator, source, FileSource("a.csv", "b.csv", "c.csv"),
         UniformSampler(), StratifiedSampler(2), UnderSampler(3),
         ModelSpec(5, 3, 4, "relu"), ModelConfig(4, "relu"),
+        CheckpointLayer([[1, 0]], [0, 1]), Checkpoint("linear", 1, 2, None, None, [CheckpointLayer([[1, 0]], [0, 1])]),
         Vanilla(), Adaptive(2), Static(1), Focal(2), SGD(1, 0), Adam(1, 0, 0, 1), train,
         Arm("a", Static(1), train),
         ExperimentConfig(source, (Arm("a", Adaptive(1)),), beta_sweep=(1, 2), grid={"a": {"beta": (1, 2)}}),
@@ -771,6 +789,21 @@ def _instance(draw, cls):
         kw["pe"] = min(kw["pe"], kw["p"] - kw["tp"])
     elif cls is GeneratorConfig:
         kw["k"] = max(2, min(kw["k"], round(kw["positive_rate"] * kw["n"]) + 1))
+    elif cls is Checkpoint:
+        # dimensions small enough to draw layers of, and the arch, activation and layers they imply
+        kw["input_dim"], kw["n_classes"] = min(kw["input_dim"], 3), min(kw["n_classes"], 3)
+        if kw["hidden_dim"] is None:
+            kw["arch"], kw["activation"] = "linear", None
+        else:
+            kw["arch"], kw["hidden_dim"], kw["activation"] = "mlp", min(kw["hidden_dim"], 3), kw["activation"] or "tanh"
+
+        def rows(m, n):
+            return st.lists(st.lists(_drawn(float), min_size=n, max_size=n), min_size=m, max_size=m)
+
+        kw["layers"] = [
+            CheckpointLayer(draw(rows(fan_in, fan_out)), draw(rows(1, fan_out))[0])
+            for fan_in, fan_out in ModelSpec(kw["input_dim"], kw["n_classes"], kw["hidden_dim"]).layer_dims
+        ]
     try:
         return cls(**kw)
     except ValueError:

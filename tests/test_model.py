@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adascale.losses import Adaptive, Focal, Static, Vanilla, compute_loss
 from adascale.model import (
+    Checkpoint,
+    CheckpointLayer,
     ForwardResult,
     ModelParams,
     ModelSpec,
@@ -326,8 +330,9 @@ class TestCheckpoint:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(ValueError) as caught:
             load_params(path)
+        assert str(caught.value) == f"{path}: Checkpoint.format must be 'softmax-classifier', got 'something-else'"
 
     def test_rejects_shape_mismatch(self, tmp_path):
         params = init_params(ModelSpec(3, 2), 0)
@@ -349,14 +354,14 @@ class TestCheckpoint:
         path.write_text(json.dumps({**json.loads(path.read_text()), "arch": "linear"}))
         with pytest.raises(ValueError) as caught:
             load_params(path)
-        assert str(caught.value) == f"{path}: arch 'linear' does not match hidden_dim 4"
+        assert str(caught.value) == f"{path}: Checkpoint.arch 'linear' does not match hidden_dim 4"
 
     @pytest.mark.parametrize(
         "activation, message",
         [
-            ("bogus", "activation 'bogus' does not match hidden_dim None"),
-            ("tanh", "activation 'tanh' does not match hidden_dim None"),
-            (None, "missing key 'activation'"),
+            ("bogus", "Checkpoint.activation must be one of ('tanh', 'relu', None), got 'bogus'"),
+            ("tanh", "Checkpoint.activation 'tanh' does not match hidden_dim None"),
+            (None, "missing Checkpoint keys ['activation']"),
         ],
         ids=["bogus", "tanh", "missing"],
     )
@@ -376,3 +381,56 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as caught:
             load_params(path)
         assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("top", "unknown Checkpoint keys ['note']"),
+            ("layer", "Checkpoint.layers[1]: unknown CheckpointLayer keys ['note']"),
+        ],
+        ids=["top", "layer"],
+    )
+    def test_rejects_unknown_keys(self, tmp_path, where, message):
+        import json
+
+        path = tmp_path / "model.json"
+        save_params(init_params(ModelSpec(3, 2, hidden_dim=4), 0), path)
+        doc = json.loads(path.read_text())
+        (doc if where == "top" else doc["layers"][1])["note"] = "x"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as caught:
+            load_params(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_save_refuses_a_non_finite_parameter(self, tmp_path):
+        # the Checkpoint built in Python meets the rule a read one does, so NaN never reaches json
+        params = init_params(ModelSpec(3, 2, hidden_dim=4), 0)
+        params.biases[1][0] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError) as caught:
+            save_params(params, path)
+        assert str(caught.value) == "Checkpoint.layers[1]: non-finite parameter values"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(arch="mlp"), "Checkpoint.arch 'mlp' does not match hidden_dim None"),
+            (dict(activation="relu"), "Checkpoint.activation 'relu' does not match hidden_dim None"),
+            (dict(layers=[]), "Checkpoint.layers: expected 1 layers, got 0"),
+            (dict(input_dim=10**400), f"Checkpoint.layers[0]: expected weight shape ({10**400}, 2), bias (2,)"),
+            (dict(n_classes=2**62), f"Checkpoint.layers[0]: expected weight shape (1, {2**62}), bias ({2**62},)"),
+            (dict(layers=[CheckpointLayer([[0, 0]], [0])]),
+             "Checkpoint.layers[0]: expected weight shape (1, 2), bias (2,)"),
+            (dict(layers=[CheckpointLayer([[0, math.inf]], [0, 0])]),
+             "Checkpoint.layers[0]: non-finite parameter values"),
+        ],
+        ids=["arch", "activation", "no layers", "huge input_dim", "huge n_classes", "short bias", "inf weight"],
+    )
+    def test_rules_across_fields(self, kw, message):
+        # a declared dimension is only compared with the lengths, so no size of it allocates
+        fields = dict(arch="linear", input_dim=1, n_classes=2, hidden_dim=None, activation=None)
+        fields["layers"] = [CheckpointLayer([[0, 1]], [1, 0])]
+        with pytest.raises(ValueError) as caught:
+            Checkpoint(**{**fields, **kw})
+        assert str(caught.value) == message
