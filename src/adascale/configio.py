@@ -74,14 +74,16 @@ def _required(cls) -> list:
 _hints = functools.lru_cache(maxsize=None)(get_type_hints)
 
 
-def _encode(obj) -> dict:
-    return {**_tags(type(obj)), **{f.name: getattr(obj, f.name) for f in _fields(type(obj))}}
-
-
 def to_json(obj):
-    """JSON form of a config or report dataclass, with its tags."""
-    # json walks the containers (tuples become lists) and hands each dataclass to _encode
-    return json.loads(json.dumps(obj, default=_encode))
+    """JSON form of a config or report dataclass, with its tags, built in one walk: a fresh
+    dict of each dataclass and dict and a fresh list of each tuple and list; other values as they are."""
+    if isinstance(obj, (tuple, list)):  # a run report's lists, one float per training step, are copied whole
+        return list(obj) if set(map(type, obj)) <= {float} else [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {**_tags(type(obj)), **{f.name: to_json(getattr(obj, f.name)) for f in _fields(type(obj))}}
+    return obj
 
 
 def _shown(doc) -> str:
@@ -127,14 +129,14 @@ def from_json(tp, doc):
     elif origin in (tuple, list) or tp in (tuple, list):
         if not isinstance(doc, list):
             raise ValueError(f"expected array, got {_shown(doc)}")
-        # a run report's lists hold one float per training step, left to checked() in one pass
+        sequence = list if list in (origin, tp) else tuple
         if args and args[0] is not float:
-            doc = [_at(f"[{i}]", from_json, args[0], v) for i, v in enumerate(doc)]
-        return checked(tp, (list if list in (origin, tp) else tuple)(doc))
+            return sequence(_at(f"[{i}]", from_json, args[0], v) for i, v in enumerate(doc))
+        return checked(tp, sequence(doc))  # a run report's lists, one float per training step, in one pass
     elif origin is dict:
         if not isinstance(doc, dict):
             raise ValueError(f"expected object, got {_shown(doc)}")
-        return checked(tp, {k: _at(f"[{k!r}]", from_json, args[1], v) for k, v in doc.items()})
+        return {k: _at(f"[{k!r}]", from_json, args[1], v) for k, v in doc.items()}
     if not is_dataclass(tp):
         # as the JSON Schema "integer" allows, 2.0 is an int
         return checked(tp, int(doc) if tp is int and type(doc) is float and doc.is_integer() else doc)
@@ -185,8 +187,10 @@ def checked(tp, value):
             items = [_at(f"[{i}]", checked, args[0], v) for i, v in enumerate(value)]
             return value if all(map(operator.is_, items, value)) else type(value)(items)
     elif origin is dict:
-        if isinstance(value, dict):
-            items = {k: _at(f"[{k!r}]", checked, args[1], v) for k, v in value.items()}
+        if isinstance(value, dict):  # its keys too, as a JSON object's keys are strs
+            items = {
+                _at(f"[{k!r}]", checked, args[0], k): _at(f"[{k!r}]", checked, args[1], v) for k, v in value.items()
+            }
             return value if all(map(operator.is_, items.values(), value.values())) else items
     elif tp is float and type(value) is int:
         try:

@@ -447,6 +447,15 @@ class SyntheticSource(Config):
     n_dev: int = bound(2000, minimum=1)
     n_test: int = bound(2000, minimum=1)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        pooled = self.generator.n + self.n_dev + self.n_test  # the n of the pool that load_datasets generates
+        if pooled > sys.float_info.max:
+            raise ValueError(
+                f"SyntheticSource.generator.n + n_dev + n_test must be <= {sys.float_info.max!r}, "
+                f"got {reprlib.repr(pooled)}"
+            )
+
 
 @dataclass(frozen=True)
 class FileSource(Config):

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .configio import SCORE, Config, _encode, bound, write_json
+from .configio import SCORE, Config, bound, to_json, write_json
 from .data import Dataset, SamplerKind, UniformSampler, batches
 from .losses import LossStrategy, Vanilla, strategy_label
 from .metrics import NEGATIVE_LABEL, ConfusionStats, confusion_from_predictions, f_beta, precision, recall
@@ -318,9 +318,7 @@ def train(
     return best_params, report
 
 
-def report_to_dict(report: RunReport) -> dict:
-    """Canonical JSON payload for a run, without the fields ``RunReport.per_run`` names."""
-    return _encode(report) | {"test_counts": _encode(report.test_counts)}
+report_to_dict = to_json  # a run's JSON payload, without the fields RunReport.per_run names
 
 
 def write_run_report(report: RunReport, path) -> None:

@@ -4,11 +4,12 @@ must reproduce byte for byte.
 Each function is the straightforward form of its library counterpart:
 ``model._softmax``, ``model.forward``, ``model.backward``,
 ``losses.compute_loss``, ``data.batches`` with its stratified sampler,
-``metrics.confusion_from_predictions``, ``data.save``, ``data.load`` and
-``trainer.train``.  They allocate freely, gather each batch's rows
-separately, count with ``np.sum``, write rows through ``csv.writer`` and
-``json.dumps``, read a file as a list of per-row float lists before making
-one array of it and keep one optimizer state per parameter array.
+``metrics.confusion_from_predictions``, ``data.save``, ``data.load``,
+``trainer.train`` and ``configio.to_json``.  They allocate freely, gather
+each batch's rows separately, count with ``np.sum``, write rows through
+``csv.writer`` and ``json.dumps``, read a file as a list of per-row float
+lists before making one array of it, keep one optimizer state per parameter
+array and encode a document by printing it and parsing it back.
 Nothing here may be optimised: the oracle tests and ``TestReferenceLoop``
 compare the library against these copies.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from adascale.configio import _fields, _tags
 from adascale.data import (
     _MAX_LABEL,
     NEGATIVE_LABEL,
@@ -426,3 +428,13 @@ def train(train_ds, dev_ds, test_ds, spec, config):
     test_preds = np.argmax(forward(best_params, test_ds.features).probs, axis=1)
     report.test_counts, _ = confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)
     return best_params, report
+
+
+def _encode(obj) -> dict:
+    return {**_tags(type(obj)), **{f.name: getattr(obj, f.name) for f in _fields(type(obj))}}
+
+
+def to_json(obj):
+    """``configio.to_json`` through ``json``: it prints the value, handing each
+    dataclass to ``_encode``, and parses the text back, so tuples become lists."""
+    return json.loads(json.dumps(obj, default=_encode))

@@ -407,10 +407,16 @@ class TestInputErrors:
                 "ExperimentConfig.dataset: SyntheticSource.generator: "
                 f"GeneratorConfig.n must be <= {sys.float_info.max!r}, got 100000000000000000...0000000000000000000",
             ),
+            (
+                # n itself is within its bound, but the pooled n + n_dev + n_test of the synthetic splits is not
+                ("dataset", "generator", "n"), int(sys.float_info.max),
+                "ExperimentConfig.dataset: SyntheticSource.generator.n + n_dev + n_test must be "
+                f"<= {sys.float_info.max!r}, got 179769313486231570...0404026184124858608",
+            ),
         ],
         ids=[
             "nan", "arm index", "schema", "schema minimum", "arm not an object", "grid", "empty grid values",
-            "n beyond a float",
+            "n beyond a float", "pooled n beyond a float",
         ],
     )
     def test_config_errors(self, tmp_path, experiment_doc, monkeypatch, capsys, path, value, message):

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import re
+import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -16,6 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 import jsonschema
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -48,7 +50,7 @@ from adascale.harness import (
 )
 from adascale.losses import Adaptive, Focal, LossStrategy, Static, Vanilla
 from adascale.metrics import ConfusionStats, f_beta, precision, recall
-from adascale.model import Checkpoint, CheckpointLayer, ModelSpec
+from adascale.model import Checkpoint, CheckpointLayer, ModelSpec, init_params, save_params
 from adascale.trainer import SGD, Adam, Optimizer, RunReport, TrainConfig, report_to_dict
 from adascale.trainer import train as train_run
 
@@ -715,6 +717,16 @@ class TestTaggedUnions:
                         users.append(f"{path.stem}:{node.lineno}")
         assert users == []
 
+    def test_no_module_imports_a_private_name_of_configio(self):
+        # the codec's helpers stay its own: another module uses only its public names
+        imports = []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            if path.stem != "configio":
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("configio"):
+                        imports += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+        assert imports == []
+
 
 def _int_float_configs() -> list:
     """One value of every config and report class, built with an int wherever a
@@ -873,6 +885,54 @@ class TestCodecProperties:
         with pytest.raises(ValueError) as caught:
             replace(base, **{name: past})
         assert str(caught.value).startswith(f"{cls.__name__}.{name}")
+
+
+def _assert_encodes_as_the_reference(value):
+    """``configio.to_json(value)`` equals the print-parse encoder's document, as values and as
+    text, holds no tuple, and is the caller's own: mutating it changes neither ``value`` nor the
+    next document."""
+    expected = reference.to_json(value)
+    text = json.dumps(expected, sort_keys=True)
+    doc = configio.to_json(value)
+    assert doc == expected and json.dumps(doc, sort_keys=True) == text
+
+    def mutate(node):
+        assert not isinstance(node, tuple)
+        children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+        for child in list(children):
+            mutate(child)
+        if isinstance(node, dict):
+            node["mutated"] = True
+        elif isinstance(node, list):
+            node.append("mutated")
+
+    mutate(doc)
+    assert json.dumps(reference.to_json(value), sort_keys=True) == text
+    assert json.dumps(configio.to_json(value), sort_keys=True) == text
+
+
+class TestEncoderOracle:
+    """The one-walk ``configio.to_json`` against ``reference.to_json``, which prints and parses."""
+
+    @pytest.fixture(scope="class")
+    def real_values(self, tmp_path_factory):
+        datasets = load_datasets(TINY_SOURCE)
+        _, valid = train_run(*datasets, ModelSpec(5, 3), replace(TINY_TRAIN, strategy=Adaptive(1.0)))
+        _, invalid = train_run(*datasets, ModelSpec(5, 3), replace(DIVERGING_TRAIN, strategy=Adaptive(1.0)))
+        assert valid.valid and valid.w_history and not invalid.valid
+        path = tmp_path_factory.mktemp("checkpoint") / "model.json"
+        save_params(init_params(ModelSpec(20, 4, 32, "tanh"), 0), path)
+        checkpoint = configio.from_json(Checkpoint, configio.read_json(path))
+        return {"valid run": valid, "invalid run": invalid, "mlp checkpoint": checkpoint}
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_drawn_values_encode_as_the_reference(self, data):
+        _assert_encodes_as_the_reference(data.draw(st.sampled_from(CONFIG_CLASSES).flatmap(_instances)))
+
+    @pytest.mark.parametrize("name", ["valid run", "invalid run", "mlp checkpoint"])
+    def test_real_values_encode_as_the_reference(self, real_values, name):
+        _assert_encodes_as_the_reference(real_values[name])
 
 
 class TestConfigCodec:
@@ -1126,6 +1186,11 @@ class TestConfigCodec:
             (lambda: Arm("", Vanilla()), "Arm.name must be of length >= 1, got ''"),
             (lambda: ModelConfig(hidden_dim=0), "ModelConfig.hidden_dim must be >= 1, got 0"),
             (lambda: SyntheticSource(n_dev=0), "SyntheticSource.n_dev must be >= 1, got 0"),
+            (
+                lambda: SyntheticSource(GeneratorConfig(n=int(sys.float_info.max))),
+                f"SyntheticSource.generator.n + n_dev + n_test must be <= {sys.float_info.max!r}, "
+                "got 179769313486231570...0404026184124862368",
+            ),
             (lambda: Adam(eps=math.inf), "Adam.eps must be finite, got inf"),
             (
                 lambda: ExperimentConfig(TINY_SOURCE, (Arm("a", Vanilla()),), beta_sweep=(1.0, 0.0)),
@@ -1143,6 +1208,8 @@ class TestConfigCodec:
                 "RunSummary.best_dev_f must be <= 1, got 1.5",
             ),
             (lambda: harness.GridCell({}, None, 0, [0.5, "x"]), "GridCell.test_f[1]: expected float, got 'x'"),
+            # a dict's keys are strs, as in JSON, so the document does not depend on how a key was typed
+            (lambda: harness.GridCell({9: 0.5}, None, 0, []), "GridCell.params[9]: expected str, got 9"),
             # a value of another type than its field's is named by the type, before any bound
             (lambda: Arm(0, Vanilla()), "Arm.name: expected str, got 0"),
             (lambda: TrainConfig(epochs="3"), "TrainConfig.epochs: expected int, got '3'"),
@@ -1154,9 +1221,10 @@ class TestConfigCodec:
             ),
         ],
         ids=[
-            "empty arm name", "hidden_dim 0", "n_dev 0", "infinite eps", "zero in sweep", "int sweep",
-            "negative weight", "infinite dev F", "run summary F above 1", "string grid test F",
-            "int arm name", "string epochs", "int arms", "float generator n", "string arm strategy",
+            "empty arm name", "hidden_dim 0", "n_dev 0", "pooled n beyond a float", "infinite eps", "zero in sweep",
+            "int sweep", "negative weight", "infinite dev F", "run summary F above 1", "string grid test F",
+            "int grid cell key", "int arm name", "string epochs", "int arms", "float generator n",
+            "string arm strategy",
         ],
     )
     def test_out_of_range_rejected_on_construction(self, build, message):
