@@ -19,7 +19,7 @@ from typing import get_type_hints
 from . import configio, data, harness
 from .metrics import _check_beta
 from .model import load_params, save_params
-from .trainer import evaluate
+from .trainer import evaluate, write_run_report
 
 
 def _experiment(args) -> harness.ExperimentConfig:
@@ -68,15 +68,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _check_writable(path: Path) -> None:
-    """Raise the ``OSError`` that writing ``path`` would, leaving no new file behind."""
-    existed = path.exists()
-    with path.open("a"):
-        pass
-    if not existed:
-        path.unlink()
-
-
 def _cmd_train(args) -> int:
     config = _experiment(args)
     arm = _arm(config, args.arm)
@@ -84,11 +75,11 @@ def _cmd_train(args) -> int:
     # an output the run cannot write is reported before the run trains
     for path in (out, args.save_model):
         if path:
-            _check_writable(Path(path))
+            harness._check_writable(Path(path))
     datasets = harness.load_datasets(config.source)
     task = (harness._build_spec(config.model, datasets[0]), harness._run_config(arm, config.base_seed), arm.name)
     report, params = harness._execute_run(task, datasets)
-    harness._persist(report, out)
+    write_run_report(report, out)
     # an invalid run's parameters may be the untrained initial ones, so they are not saved
     if args.save_model and report.valid:
         save_params(params, args.save_model)
@@ -105,7 +96,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     # an output the command cannot write is reported before the dataset loads
     if args.out:
-        _check_writable(Path(args.out))
+        harness._check_writable(Path(args.out))
     # every input is the user's: a beta, checked first, a checkpoint and a dataset it can score
     with harness._reading():
         _check_beta(args.beta)

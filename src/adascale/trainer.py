@@ -15,6 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import configio
 from .configio import SCORE, Config, bound, to_json, write_json
 from .data import Dataset, SamplerKind, UniformSampler, batches
 from .losses import LossStrategy, Vanilla, strategy_label
@@ -34,7 +35,6 @@ __all__ = [
     "RunReport",
     "train",
     "evaluate",
-    "report_to_dict",
     "write_run_report",
 ]
 
@@ -318,8 +318,8 @@ def train(
     return best_params, report
 
 
-report_to_dict = to_json  # a run's JSON payload, without the fields RunReport.per_run names
-
-
 def write_run_report(report: RunReport, path) -> None:
-    write_json(report_to_dict(report), path)
+    """Encode ``report`` once, check the document as a run file is read, then write it."""
+    doc = to_json(report)
+    configio.validate_run_report(RunReport, doc)
+    write_json(doc, path)

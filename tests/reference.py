@@ -361,7 +361,8 @@ def load(path, format: str | None = None) -> Dataset:
 def train(train_ds, dev_ds, test_ds, spec, config):
     """``trainer.train`` as a plain step loop: the formulas above, one row
     gather per batch, and per-array Adam and SGD with momentum, written out
-    without the trainer's flat optimizer state."""
+    without the trainer's flat optimizer state.  A non-finite loss, dev or test
+    probability ends the run invalid, with the curves of its finished epochs."""
     init_seed = int(np.random.SeedSequence((config.seed, 1)).generate_state(1)[0])
     params = init_params(spec, init_seed)
     arrays = params.weights + params.biases
@@ -407,8 +408,13 @@ def train(train_ds, dev_ds, test_ds, spec, config):
                     m[i] = opt.b1 * m[i] + (1.0 - opt.b1) * g
                     v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
                     a -= opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
+        try:
+            dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
+        except FloatingPointError:
+            report.failure = f"non-finite dev probabilities at epoch {epoch}"
+            report.valid = False
+            return best_params, report
         report.loss_curve.append(float(np.mean(step_losses)) if step_losses else 0.0)
-        dev_p, dev_r, dev_f = evaluate(params, dev_ds, config.eval_beta)
         report.dev_precision.append(dev_p)
         report.dev_recall.append(dev_r)
         report.dev_f.append(dev_f)
@@ -422,9 +428,14 @@ def train(train_ds, dev_ds, test_ds, spec, config):
             and epoch - report.best_epoch >= config.early_stop_patience
         ):
             break
-    report.test_precision, report.test_recall, report.test_f = evaluate(
-        best_params, test_ds, config.eval_beta
-    )
+    try:
+        report.test_precision, report.test_recall, report.test_f = evaluate(
+            best_params, test_ds, config.eval_beta
+        )
+    except FloatingPointError:
+        report.failure = "non-finite test probabilities"
+        report.valid = False
+        return best_params, report
     test_preds = np.argmax(forward(best_params, test_ds.features).probs, axis=1)
     report.test_counts, _ = confusion_from_predictions(test_ds.labels, test_preds, NEGATIVE_LABEL)
     return best_params, report

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adascale.configio import to_json
 from adascale.data import (
     Dataset,
     GeneratorConfig,
@@ -40,7 +41,7 @@ from adascale.metrics import (
 )
 from adascale.model import ModelSpec, backward, forward, init_params
 from adascale.scaling import BatchPrediction, batch_expected_counts, w_batch, w_exact
-from adascale.trainer import TrainConfig, report_to_dict, train, write_run_report
+from adascale.trainer import TrainConfig, train, write_run_report
 
 from helpers import random_integer_stats, random_interior_stats
 
@@ -313,7 +314,7 @@ def test_degenerate_strategy_equivalence():
     def run(strategy):
         cfg = TrainConfig(epochs=5, batch_size=16, strategy=strategy, seed=4)
         _, report = train(*splits, spec, cfg)
-        doc = report_to_dict(report)
+        doc = to_json(report)
         doc.pop("strategy")  # the configuration tag necessarily differs
         return json.dumps(doc, sort_keys=True)
 

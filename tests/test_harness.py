@@ -51,7 +51,7 @@ from adascale.harness import (
 from adascale.losses import Adaptive, Focal, LossStrategy, Static, Vanilla
 from adascale.metrics import ConfusionStats, f_beta, precision, recall
 from adascale.model import Checkpoint, CheckpointLayer, ModelSpec, init_params, save_params
-from adascale.trainer import SGD, Adam, Optimizer, RunReport, TrainConfig, report_to_dict
+from adascale.trainer import SGD, Adam, Optimizer, RunReport, TrainConfig
 from adascale.trainer import train as train_run
 
 
@@ -319,6 +319,18 @@ class TestRunExperiment:
             _compare(tmp_path / "out")
         assert not list(tmp_path.glob("out/run_*.json"))
 
+    def test_unwritable_run_file_reported_before_training(self, tmp_path, monkeypatch):
+        # the last planned run file is a directory: the error names it before any run trains
+        last = tmp_path / "out" / "run_adaptive_1.json"
+        last.mkdir(parents=True)
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args: trained.append(args) or train_run(*args))
+        with pytest.raises(OSError) as error:
+            _compare(tmp_path / "out")
+        assert error.value.filename == str(last)
+        assert not trained
+        assert list((tmp_path / "out").iterdir()) == [last]
+
     def test_pool_worker_returns_no_parameters(self):
         # a protocol keeps only the report, so a worker sends no parameters back
         datasets = load_datasets(TINY_SOURCE)
@@ -330,7 +342,7 @@ class TestRunExperiment:
         finally:
             harness._init_worker(None)
         assert params is None
-        assert report_to_dict(report) == report_to_dict(harness._execute_run(task, datasets)[0])
+        assert configio.to_json(report) == configio.to_json(harness._execute_run(task, datasets)[0])
 
     def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
         # a fake pool that records its size and runs in this process: a real one would fork every worker it is given
@@ -358,7 +370,7 @@ class TestRunExperiment:
         tasks = [(spec, harness._run_config(Arm("a", Vanilla(), TINY_TRAIN), seed), "a") for seed in (0, 1)]
         reports = [report for report, _ in harness._run_all(tasks, 64, datasets)]
         assert sizes == [2]
-        assert [report_to_dict(r) for r in reports] == [report_to_dict(r) for r, _ in harness._run_all(tasks, 1, datasets)]
+        assert [configio.to_json(r) for r in reports] == [configio.to_json(r) for r, _ in harness._run_all(tasks, 1, datasets)]
 
     def test_pool_tasks_carry_no_arrays(self, tmp_path, monkeypatch):
         tasks = []
@@ -1403,12 +1415,12 @@ class TestRunReportSchema:
         train, dev, test = load_datasets(TINY_SOURCE)
         config = replace(TINY_TRAIN, strategy=Adaptive(1.0), epochs=1)
         _, report = train_run(train, dev, test, ModelSpec(5, 3), config)
-        return report_to_dict(report)
+        return configio.to_json(report)
 
     def test_accepts_real_report(self, report_doc):
         assert report_doc["w_history"]
         report = configio.validate_run_report(RunReport, report_doc)
-        assert report_to_dict(report) == report_doc
+        assert configio.to_json(report) == report_doc
         assert type(report.w_history) is list and report.w_history is not report_doc["w_history"]
 
     def test_rejects_negative_weight(self, report_doc):

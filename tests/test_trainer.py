@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import warnings
 
@@ -6,9 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import reference
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adascale.configio import to_json
 from adascale.data import (
     Dataset,
     GeneratorConfig,
@@ -27,10 +29,10 @@ from adascale.model import ForwardResult, ModelParams, ModelSpec, backward, forw
 from adascale.trainer import (
     SGD,
     Adam,
+    RunReport,
     TrainConfig,
     _OptimizerState,
     evaluate,
-    report_to_dict,
     train,
     write_run_report,
 )
@@ -72,7 +74,7 @@ class TestTraining:
         cfg = _toy_config(strategy=Adaptive(1.0), epochs=5)
         _, a = train(*toy, TOY_SPEC, cfg)
         _, b = train(*toy, TOY_SPEC, cfg)
-        assert json.dumps(report_to_dict(a)) == json.dumps(report_to_dict(b))
+        assert json.dumps(to_json(a)) == json.dumps(to_json(b))
 
     def test_converges_on_separable_data(self, toy):
         _, report = train(*toy, TOY_SPEC, _toy_config(strategy=Vanilla()))
@@ -103,14 +105,14 @@ class TestTraining:
     def test_vanilla_and_unit_static_identical_runs(self, toy):
         _, a = train(*toy, TOY_SPEC, _toy_config(strategy=Vanilla(), epochs=6))
         _, b = train(*toy, TOY_SPEC, _toy_config(strategy=Static(1.0), epochs=6))
-        da, db = report_to_dict(a), report_to_dict(b)
+        da, db = to_json(a), to_json(b)
         assert da.pop("strategy") != db.pop("strategy")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
     def test_focal_zero_matches_vanilla_run(self, toy):
         _, a = train(*toy, TOY_SPEC, _toy_config(strategy=Vanilla(), epochs=6))
         _, b = train(*toy, TOY_SPEC, _toy_config(strategy=Focal(0.0), epochs=6))
-        da, db = report_to_dict(a), report_to_dict(b)
+        da, db = to_json(a), to_json(b)
         da.pop("strategy"), db.pop("strategy")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
@@ -358,7 +360,7 @@ class TestReportSerialization:
     def test_wall_clock_excluded(self, toy):
         _, report = train(*toy, TOY_SPEC, _toy_config(strategy=Vanilla(), epochs=2))
         assert report.wall_clock_s > 0.0
-        assert "wall_clock_s" not in report_to_dict(report)
+        assert "wall_clock_s" not in to_json(report)
 
     def test_wall_clock_is_the_run_duration(self, toy):
         before = time.perf_counter()
@@ -374,6 +376,13 @@ class TestReportSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(p1.read_text())
         assert doc["seed"] == report.seed
+
+    def test_write_checks_the_report_before_it_writes(self, tmp_path):
+        report = RunReport(seed=0, strategy="vanilla", eval_beta=1.0)
+        report.best_dev_f = 1.5
+        with pytest.raises(ValueError, match=re.escape("RunReport.best_dev_f must be <= 1, got 1.5")):
+            write_run_report(report, tmp_path / "run.json")
+        assert not list(tmp_path.iterdir())
 
 
 def _split(rng, n, k, d, positive_share, centers) -> Dataset:
@@ -433,6 +442,17 @@ def _diverging_run():
         strategy=Focal(2.0), seed=3,
     )
     return (ds, ds, ds), ModelSpec(3, 3, 4, "relu"), config
+
+
+def _overflowing_run(split: int, spec: ModelSpec):
+    """A run whose dev (``split`` 1) or test (``split`` 2) rows are ±float max, so that
+    split's class probabilities turn non-finite while training stays finite."""
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(20, 3)), np.array([0, 1, 2, 0] * 5), k=3)
+    splits = [ds, ds, ds]
+    splits[split] = Dataset(np.finfo(float).max * np.sign(rng.normal(size=(20, 3))), ds.labels, k=3)
+    config = TrainConfig(optimizer=Adam(lr=0.05), epochs=2, batch_size=4, strategy=Adaptive(1.0), seed=1)
+    return tuple(splits), spec, config
 
 
 class TestReferenceLoop:
@@ -504,15 +524,11 @@ class TestReferenceLoop:
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @example(_diverging_run())
+    @example(_overflowing_run(1, ModelSpec(3, 3)))
+    @example(_overflowing_run(2, ModelSpec(3, 3, 4, "relu")))
     @given(_whole_runs())
     def test_drawn_runs_match_reference(self, tmp_path_factory, run):
         splits, spec, config = run
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", StratificationWarning)
-            try:
-                self._assert_same_run(splits, spec, config, tmp_path_factory.mktemp("run"))
-            except FloatingPointError as error:
-                # non-finite dev or test probabilities: train ends the run invalid, while the
-                # reference has no such end and raises, so this class of runs is left out
-                assert str(error) == "non-finite class probabilities"
-                reject()
+            self._assert_same_run(splits, spec, config, tmp_path_factory.mktemp("run"))
