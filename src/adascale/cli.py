@@ -73,9 +73,7 @@ def _cmd_train(args) -> int:
     arm = _arm(config, args.arm)
     out = Path(args.out or harness._run_file(arm.name, config.base_seed))
     # an output the run cannot write is reported before the run trains
-    for path in (out, args.save_model):
-        if path:
-            harness._check_writable(Path(path))
+    harness._check_writable(*(Path(path) for path in (out, args.save_model) if path))
     datasets = harness.load_datasets(config.source)
     task = (harness._build_spec(config.model, datasets[0]), harness._run_config(arm, config.base_seed), arm.name)
     report, params = harness._execute_run(task, datasets)

@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import Config, bound
-from .metrics import NEGATIVE_LABEL, _as_int64
+from .metrics import NEGATIVE_LABEL, _as_label_array
 
 __all__ = [
     "Dataset",
@@ -70,25 +70,20 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.array(self.features, dtype=np.float64)  # a copy, made read-only below
-        labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if feats.shape[1] < 1:
             raise ValueError("features must have at least one column")
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+        labels = np.array(_as_label_array(self.labels, name="labels"))  # a copy, made read-only below
+        if labels.shape[0] != feats.shape[0]:
             raise ValueError("labels must be one per feature row")
         if feats.shape[0] < 1:
             raise ValueError("dataset must contain at least one instance")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            labels = _as_int64(labels)
-            if labels is None:
-                raise ValueError("labels must be integers")
-        labels = labels.astype(np.int64)
         if int(self.k) < 2:
             raise ValueError("k must be >= 2")
-        if labels.min() < 0 or labels.max() >= int(self.k):
+        if labels.max() >= int(self.k):
             raise ValueError(f"labels must lie in [0, {int(self.k) - 1}]")
         feats.flags.writeable = False
         labels.flags.writeable = False

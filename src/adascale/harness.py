@@ -281,13 +281,14 @@ def _run_all(tasks, workers: int, datasets):
         return list(pool.map(_execute_in_worker, tasks))
 
 
-def _check_writable(path: Path) -> None:
-    """Raise the ``OSError`` that writing ``path`` would, before anything trains, leaving no new file."""
-    existed = path.exists()
-    with path.open("a"):
-        pass
-    if not existed:
-        path.unlink()
+def _check_writable(*paths: Path) -> None:
+    """Raise the ``OSError`` that writing any of ``paths`` would, before anything trains, leaving no new file."""
+    for path in paths:
+        existed = path.exists()
+        with path.open("a"):
+            pass
+        if not existed:
+            path.unlink()
 
 
 def _run_file(arm_name: str, seed: int) -> str:
@@ -305,9 +306,9 @@ def _run_config(arm: Arm, seed: int) -> TrainConfig:
 def _execute(config: ExperimentConfig, arms) -> tuple[list[list[RunReport]], Path]:
     """Train each arm at every seed of the shared seed list and persist every report.
 
-    Arms whose reports would share a file, and a run file that cannot be
-    written, are rejected before any training.  Returns each arm's block of
-    reports, in seed order.
+    Arms whose reports would share a file, and outputs that cannot be
+    written, are rejected before any training (in an existing ``output_dir``,
+    before any data is read).  Returns each arm's block of reports, in seed order.
     """
     seeds = range(config.base_seed, config.base_seed + config.n_seeds)
     files: dict[str, str] = {}
@@ -317,14 +318,15 @@ def _execute(config: ExperimentConfig, arms) -> tuple[list[list[RunReport]], Pat
         if file in files:
             raise InputError(f"arms {files[file]!r} and {arm.name!r} both write {file}")
         files[file] = arm.name
-    datasets = load_datasets(config.source)
-    spec = _build_spec(config.model, datasets[0])
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(spec, _run_config(arm, seed), arm.name) for arm in arms for seed in seeds]
     paths = [out_dir / _run_file(arm.name, seed) for arm in arms for seed in seeds]
-    for path in paths:
-        _check_writable(path)
+    # an existing output is checked before the load, and a new one made after it, so a failed load leaves none
+    datasets = None if out_dir.exists() else load_datasets(config.source)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_writable(*paths)
+    datasets = datasets or load_datasets(config.source)
+    spec = _build_spec(config.model, datasets[0])
+    tasks = [(spec, _run_config(arm, seed), arm.name) for arm in arms for seed in seeds]
     reports = [report for report, _ in _run_all(tasks, config.workers, datasets)]
     for report, path in zip(reports, paths):
         _persist(report, path)

@@ -86,11 +86,13 @@ def _check_beta(beta: float) -> float:
 
 
 def _as_int64(labels: np.ndarray) -> np.ndarray | None:
-    """Bool, float or object labels as int64, or None if one is no integer int64 holds; each value is
-    checked before the cast, which would warn or raise on it, and complex or text labels are none."""
+    """Bool, unsigned, float or object labels as int64, or None if one is no integer int64 holds; each value
+    is checked before the cast, which would warn, raise or wrap on it, and complex or text labels are none."""
     kind = labels.dtype.kind
-    if kind not in "bfO":
+    if kind not in "bufO":
         return None
+    if kind == "u":
+        return None if labels.size and labels.max() >= 2**63 else labels.astype(np.int64)
     if kind == "O" and not all(isinstance(v, numbers.Real) and -(2**63) <= v < 2**63 for v in labels.tolist()):
         return None
     if kind == "f" and labels.size and not (labels.min() >= -(2.0**63) and labels.max() < 2.0**63):
@@ -100,10 +102,11 @@ def _as_int64(labels: np.ndarray) -> np.ndarray | None:
 
 
 def _as_label_array(x, *, name: str) -> np.ndarray:
+    """The package's one label rule: ``x`` as 1-D non-negative int64 labels, which may be ``x`` itself."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind != "i":
         arr = _as_int64(arr)
         if arr is None:
             raise ValueError(f"{name} must contain integer labels")

@@ -217,6 +217,8 @@ def _as_label_array(x, *, name: str) -> np.ndarray:
         if not np.array_equal(as_int, arr):
             raise ValueError(f"{name} must contain integer labels")
         arr = as_int
+    elif arr.max() > np.iinfo(np.int64).max:  # unsigned past int64
+        raise ValueError(f"{name} must contain integer labels")
     if arr.min() < 0:
         raise ValueError(f"{name} must contain non-negative labels")
     return arr.astype(np.int64)

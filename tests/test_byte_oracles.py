@@ -371,6 +371,7 @@ def test_confusion(case, fill_label):
         ([0, 1], [0, -2]),
         ([0, 1.5], [0, 1]),
         ([[0, 1]], [[0, 1]]),
+        (np.array([0, 2**63], dtype=np.uint64), [0, 1]),
     ],
 )
 def test_confusion_rejections(gold, pred):

@@ -27,6 +27,7 @@ from adascale.data import (
     load,
     save,
 )
+from adascale.metrics import confusion_from_predictions
 
 
 class TestDatasetValidation:
@@ -52,7 +53,7 @@ class TestDatasetValidation:
         [
             (np.zeros(2), [0, 1], 2, "features must be a 2-D matrix"),
             (np.zeros((2, 2)), [0, 1, 0], 2, "labels must be one per feature row"),
-            (np.zeros((2, 2)), [0.0, 0.5], 2, "labels must be integers"),
+            (np.zeros((2, 2)), [0.0, 0.5], 2, "labels must contain integer labels"),
             (np.zeros((2, 2)), [0, 0], 1, "k must be >= 2"),
         ],
         ids=["1-D features", "extra label", "fractional label", "one class"],
@@ -66,7 +67,7 @@ class TestDatasetValidation:
         # the integer check comes before the cast to int64, which would warn on these
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="labels must be integers"):
+            with pytest.raises(ValueError, match="labels must contain integer labels"):
                 Dataset(np.zeros((2, 2)), np.array([label, 1.0]), k=2)
         assert [str(w.message) for w in caught] == []
 
@@ -83,6 +84,55 @@ class TestDatasetValidation:
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), k=2)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 5.0
+
+
+# one table for the package's one label rule: each row is refused, or read as
+# the int64 labels shown, alike by a Dataset and by confusion counting
+LABEL_CASES = {
+    "uint64 2**64 - 1": (np.array([2**64 - 1, 0, 1], dtype=np.uint64), "must contain integer labels"),
+    "uint64 2**63": (np.array([0, 2**63], dtype=np.uint64), "must contain integer labels"),
+    "negative": (np.array([-1, 0]), "must contain non-negative labels"),
+    "fractional": (np.array([0.0, 0.5]), "must contain integer labels"),
+    "NaN": (np.array([np.nan, 1.0]), "must contain integer labels"),
+    "object 2**70": (np.array([2**70, 1], dtype=object), "must contain integer labels"),
+    "bool": (np.array([True, False]), [1, 0]),
+    "integral float": (np.array([1.0, 0.0]), [1, 0]),
+}
+
+
+class TestLabelRule:
+    @staticmethod
+    def _outcomes(name, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = call()
+            except ValueError as error:
+                result = str(error).replace(name, "<labels>", 1)
+        return result, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("case", list(LABEL_CASES))
+    def test_dataset_and_confusion_share_the_rule(self, case):
+        labels, expected = LABEL_CASES[case]
+        zeros = np.zeros(labels.size, dtype=np.int64)
+        outcomes = {
+            "labels": self._outcomes("labels", lambda: Dataset(np.zeros((labels.size, 1)), labels, k=2).labels),
+            "gold": self._outcomes("gold", lambda: confusion_from_predictions(labels, zeros)[0]),
+            "pred": self._outcomes("pred", lambda: confusion_from_predictions(zeros, labels)[0]),
+        }
+        if isinstance(expected, str):
+            assert outcomes == dict.fromkeys(outcomes, (f"<labels> {expected}", []))
+            return
+        stored, caught = outcomes["labels"]
+        assert caught == [] and stored.dtype == np.int64 and stored.tolist() == expected
+        expected_ids = np.array(expected)
+        assert outcomes["gold"] == (confusion_from_predictions(expected_ids, zeros)[0], [])
+        assert outcomes["pred"] == (confusion_from_predictions(zeros, expected_ids)[0], [])
+
+    def test_largest_int64_label_in_an_unsigned_array_is_kept(self):
+        gold = np.array([2**63 - 1, 0], dtype=np.uint64)
+        stats, per_class = confusion_from_predictions(gold, gold)
+        assert (stats.p, stats.tp, per_class) == (1, 1, {2**63 - 1: 1})
 
 
 class TestGenerator:

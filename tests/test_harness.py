@@ -331,6 +331,22 @@ class TestRunExperiment:
         assert not trained
         assert list((tmp_path / "out").iterdir()) == [last]
 
+    @pytest.mark.parametrize("output", ["file", "unwritable run file"])
+    def test_outputs_checked_before_any_data_is_read(self, tmp_path, monkeypatch, output):
+        out = tmp_path / "out"
+        if output == "file":
+            out.write_text("")
+            bad, error_type = out, FileExistsError
+        else:
+            bad, error_type = out / "run_vanilla_0.json", IsADirectoryError
+            bad.mkdir(parents=True)
+        loads = []
+        monkeypatch.setattr(harness, "load_datasets", lambda *args: loads.append(args) or load_datasets(*args))
+        with pytest.raises(error_type) as error:
+            _compare(out)
+        assert error.value.filename == str(bad)
+        assert not loads
+
     def test_pool_worker_returns_no_parameters(self):
         # a protocol keeps only the report, so a worker sends no parameters back
         datasets = load_datasets(TINY_SOURCE)
