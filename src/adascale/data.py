@@ -60,6 +60,21 @@ class StratificationWarning(UserWarning):
     """Raised-as-warning when a stratified epoch cannot honor its quota."""
 
 
+def _as_feature_matrix(x, *, input_dim: int | None = None) -> np.ndarray:
+    """The package's one feature rule: ``x`` as a finite float64 matrix, which may be ``x`` itself, of
+    ``input_dim`` columns if it is given, else of at least one."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-D matrix")
+    if input_dim is None and x.shape[1] < 1:
+        raise ValueError("features must have at least one column")
+    if input_dim is not None and x.shape[1] != input_dim:
+        raise ValueError(f"feature width {x.shape[1]} does not match model input_dim {input_dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus integer labels in [0, k-1]."""
@@ -69,27 +84,20 @@ class Dataset:
     k: int
 
     def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64)  # a copy, made read-only below
-        if feats.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
-        if feats.shape[1] < 1:
-            raise ValueError("features must have at least one column")
-        labels = np.array(_as_label_array(self.labels, name="labels"))  # a copy, made read-only below
+        feats = _as_feature_matrix(np.array(self.features, dtype=np.float64))  # a copy, made read-only below
+        k = int(self.k)
+        if k < 2:
+            raise ValueError("k must be >= 2")
+        labels = np.array(_as_label_array(self.labels, name="labels", k=k))  # a copy, made read-only below
         if labels.shape[0] != feats.shape[0]:
             raise ValueError("labels must be one per feature row")
         if feats.shape[0] < 1:
             raise ValueError("dataset must contain at least one instance")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        if int(self.k) < 2:
-            raise ValueError("k must be >= 2")
-        if labels.max() >= int(self.k):
-            raise ValueError(f"labels must lie in [0, {int(self.k) - 1}]")
         feats.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:

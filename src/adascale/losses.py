@@ -123,9 +123,7 @@ def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput
     step contributes no gradient.
     """
     probs = fwd.probs
-    if probs.shape[0] == 0:
-        raise ValueError("batch must contain at least one instance")
-    gold, gold_index = _check_gold(gold, probs, "gold labels out of range")
+    gold, gold_index = _check_gold(gold, probs)
     gold_probs = probs.take(gold_index)
     if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
         raise ValueError("gold_probs must lie in [0, 1]")

@@ -101,8 +101,9 @@ def _as_int64(labels: np.ndarray) -> np.ndarray | None:
     return as_int if np.array_equal(as_int, labels) else None
 
 
-def _as_label_array(x, *, name: str) -> np.ndarray:
-    """The package's one label rule: ``x`` as 1-D non-negative int64 labels, which may be ``x`` itself."""
+def _as_label_array(x, *, name: str, k: int | None = None) -> np.ndarray:
+    """The package's one label rule: ``x`` as 1-D non-negative int64 labels, below ``k`` if it is given,
+    which may be ``x`` itself."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -112,6 +113,8 @@ def _as_label_array(x, *, name: str) -> np.ndarray:
             raise ValueError(f"{name} must contain integer labels")
     if arr.size and arr.min() < 0:
         raise ValueError(f"{name} must contain non-negative labels")
+    if k is not None and arr.size and arr.max() >= k:
+        raise ValueError(f"{name} must lie in [0, {k - 1}]")
     return arr.astype(np.int64, copy=False)
 
 

@@ -7,7 +7,9 @@ can express itself as instance weighting plugs in unchanged.
 
 The public :func:`forward` and :func:`backward` check each call, then run the
 kernel a training step calls; no step calls them, so they carry no speed
-tricks.  ``backward`` shares its gold-label check with ``losses.compute_loss``.
+tricks.  Features pass ``data``'s feature rule and gold labels ``metrics``'
+label rule, the two rules a ``data.Dataset`` applies; ``backward`` shares its
+gold check with ``losses.compute_loss``.
 A checkpoint file is a :class:`Checkpoint`, which ``configio`` writes, reads
 and checks as it does every tagged document; this module adds only its rules across fields.
 """
@@ -20,6 +22,8 @@ from typing import ClassVar
 import numpy as np
 
 from .configio import Config, bound, from_json, read_json, to_json, write_json
+from .data import _as_feature_matrix
+from .metrics import _as_label_array
 
 __all__ = [
     "ModelSpec",
@@ -180,36 +184,20 @@ def _activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
     return pre > 0.0
 
 
-def _check_gold(gold, probs: np.ndarray, out_of_range: str) -> tuple[np.ndarray, np.ndarray]:
-    """Checked gold labels of a ``(rows, k)`` batch and each one's flat index in it."""
-    gold = np.asarray(gold)
-    rows = probs.shape[0]
+def _check_gold(gold, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gold labels of a non-empty ``(rows, k)`` batch, read by the label rule, and each one's flat index in it."""
+    rows, k = probs.shape
+    if rows == 0:
+        raise ValueError("batch must contain at least one instance")
+    gold = _as_label_array(gold, name="gold", k=k)
     if gold.shape != (rows,):
         raise ValueError("gold labels must have one entry per batch row")
-    if gold.dtype.kind not in "iu":
-        raise ValueError("gold labels must be integers")
-    k = probs.shape[1]
-    if gold.size and (gold.min() < 0 or gold.max() >= k):
-        raise ValueError(out_of_range)
-    return gold, np.arange(rows) * k + gold.astype(np.intp)
-
-
-def _check_features(spec: ModelSpec, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"feature width {x.shape[1]} does not match model input_dim {spec.input_dim}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
-    return x
+    return gold, np.arange(rows) * k + gold
 
 
 def forward(params: ModelParams, features) -> ForwardResult:
     """Compute class probabilities for a batch of feature rows."""
-    return _forward(params, _check_features(params.spec, features))
+    return _forward(params, _as_feature_matrix(features, input_dim=params.spec.input_dim))
 
 
 def _forward(params: ModelParams, x: np.ndarray) -> ForwardResult:
@@ -236,7 +224,7 @@ def backward(
     """
     probs = fwd.probs
     w = np.asarray(instance_weights, dtype=np.float64)
-    _, gold_index = _check_gold(gold, probs, "gold labels out of range for model class count")
+    _, gold_index = _check_gold(gold, probs)
     if w.shape != (probs.shape[0],):
         raise ValueError("instance_weights must have one entry per batch row")
     # NaN fails both comparisons

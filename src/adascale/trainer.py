@@ -203,8 +203,8 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 def _check_dims(train: Dataset, dev: Dataset, test: Dataset, spec: ModelSpec) -> None:
     for name, ds in (("train", train), ("dev", dev), ("test", test)):
-        # a Dataset's features are finite float64 and its labels int64 in [0, k),
-        # which is what lets each step skip the checks of the public functions
+        # a Dataset has passed the feature and label rules that the public functions
+        # apply, which is what lets each step skip their checks
         if not isinstance(ds, Dataset):
             raise ValueError(f"{name} split must be a data.Dataset, got {type(ds).__name__}")
         if ds.d != spec.input_dim:

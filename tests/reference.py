@@ -33,6 +33,7 @@ from adascale.data import (
     StratifiedSampler,
     UnderSampler,
     UniformSampler,
+    _as_feature_matrix,
     _chunk,
     _infer_format,
     _load_error,
@@ -43,7 +44,6 @@ from adascale.model import (
     ForwardResult,
     Gradients,
     _activate,
-    _check_features,
     init_params,
 )
 from adascale.trainer import SGD, RunReport
@@ -62,7 +62,7 @@ def activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
 
 
 def forward(params, features) -> ForwardResult:
-    x = _check_features(params.spec, features)
+    x = _as_feature_matrix(features, input_dim=params.spec.input_dim)
     if params.spec.hidden_dim is None:
         logits = x @ params.weights[0] + params.biases[0]
         return ForwardResult(probs=softmax(logits), inputs=x)
@@ -75,14 +75,12 @@ def forward(params, features) -> ForwardResult:
 def backward(params, fwd: ForwardResult, gold, instance_weights) -> Gradients:
     probs = fwd.probs
     batch = probs.shape[0]
-    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
+    if batch == 0:
+        raise ValueError("batch must contain at least one instance")
+    gold_arr = _as_label_array(gold, name="gold", k=probs.shape[1])
     w = np.asarray(instance_weights, dtype=np.float64)
     if gold_arr.shape != (batch,):
         raise ValueError("gold labels must have one entry per batch row")
-    if gold_arr.dtype.kind not in "iu":
-        raise ValueError("gold labels must be integers")
-    if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
-        raise ValueError("gold labels out of range for model class count")
     if w.shape != (batch,):
         raise ValueError("instance_weights must have one entry per batch row")
     if not np.isfinite(w).all() or w.min() < 0.0:
@@ -111,13 +109,9 @@ def compute_loss(strategy, fwd: ForwardResult, gold, negative_label: int = 0) ->
     batch = probs.shape[0]
     if batch == 0:
         raise ValueError("batch must contain at least one instance")
-    gold_arr = gold if type(gold) is np.ndarray else np.asarray(gold)
+    gold_arr = _as_label_array(gold, name="gold", k=probs.shape[1])
     if gold_arr.shape != (batch,):
         raise ValueError("gold labels must have one entry per batch row")
-    if gold_arr.dtype.kind not in "iu":
-        raise ValueError("gold labels must be integers")
-    if gold_arr.size and (gold_arr.min() < 0 or gold_arr.max() >= probs.shape[1]):
-        raise ValueError("gold labels out of range")
 
     gold_probs = probs[np.arange(batch), gold_arr]
     is_negative = gold_arr == negative_label
@@ -206,7 +200,7 @@ def batches(dataset, sampler, batch_size: int, seed: int) -> list[np.ndarray]:
     raise TypeError(f"unknown sampler {sampler!r}")
 
 
-def _as_label_array(x, *, name: str) -> np.ndarray:
+def _as_label_array(x, *, name: str, k: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -221,6 +215,8 @@ def _as_label_array(x, *, name: str) -> np.ndarray:
         raise ValueError(f"{name} must contain integer labels")
     if arr.min() < 0:
         raise ValueError(f"{name} must contain non-negative labels")
+    if k is not None and arr.max() >= k:
+        raise ValueError(f"{name} must lie in [0, {k - 1}]")
     return arr.astype(np.int64)
 
 

@@ -27,7 +27,9 @@ from adascale.data import (
     load,
     save,
 )
+from adascale.losses import Vanilla, compute_loss
 from adascale.metrics import confusion_from_predictions
+from adascale.model import ModelSpec, backward, forward, init_params
 
 
 class TestDatasetValidation:
@@ -86,8 +88,8 @@ class TestDatasetValidation:
             ds.features[0, 0] = 5.0
 
 
-# one table for the package's one label rule: each row is refused, or read as
-# the int64 labels shown, alike by a Dataset and by confusion counting
+# one table for the package's one label rule: each row is refused, or read as the int64
+# labels shown, alike by a Dataset, by confusion counting and by the public step functions
 LABEL_CASES = {
     "uint64 2**64 - 1": (np.array([2**64 - 1, 0, 1], dtype=np.uint64), "must contain integer labels"),
     "uint64 2**63": (np.array([0, 2**63], dtype=np.uint64), "must contain integer labels"),
@@ -115,10 +117,21 @@ class TestLabelRule:
     def test_dataset_and_confusion_share_the_rule(self, case):
         labels, expected = LABEL_CASES[case]
         zeros = np.zeros(labels.size, dtype=np.int64)
+        params = init_params(ModelSpec(1, 2), 0)
+        fwd = forward(params, np.linspace(-1.0, 1.0, labels.size)[:, None])
+
+        def loss(gold):
+            return compute_loss(Vanilla(), fwd, gold).loss
+
+        def grads(gold):
+            return [g.tobytes() for g in backward(params, fwd, gold, np.ones(labels.size)).weights]
+
         outcomes = {
             "labels": self._outcomes("labels", lambda: Dataset(np.zeros((labels.size, 1)), labels, k=2).labels),
             "gold": self._outcomes("gold", lambda: confusion_from_predictions(labels, zeros)[0]),
             "pred": self._outcomes("pred", lambda: confusion_from_predictions(zeros, labels)[0]),
+            "loss gold": self._outcomes("gold", lambda: loss(labels)),
+            "backward gold": self._outcomes("gold", lambda: grads(labels)),
         }
         if isinstance(expected, str):
             assert outcomes == dict.fromkeys(outcomes, (f"<labels> {expected}", []))
@@ -128,6 +141,8 @@ class TestLabelRule:
         expected_ids = np.array(expected)
         assert outcomes["gold"] == (confusion_from_predictions(expected_ids, zeros)[0], [])
         assert outcomes["pred"] == (confusion_from_predictions(zeros, expected_ids)[0], [])
+        assert outcomes["loss gold"] == (loss(expected_ids), [])
+        assert outcomes["backward gold"] == (grads(expected_ids), [])
 
     def test_largest_int64_label_in_an_unsigned_array_is_kept(self):
         gold = np.array([2**63 - 1, 0], dtype=np.uint64)

@@ -755,6 +755,22 @@ class TestTaggedUnions:
                         imports += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
         assert imports == []
 
+    def test_only_metrics_reads_an_array_dtype(self):
+        # which arrays hold labels is the label rule's decision, so no other module tests a dtype
+        def reads_dtype(node):
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                return isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+            if isinstance(node, ast.Call):
+                func = node.func
+                return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "issubdtype"
+            return False
+
+        readers = []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            if path.stem != "metrics":
+                readers += [f"{path.stem}:{n.lineno}" for n in ast.walk(ast.parse(path.read_text())) if reads_dtype(n)]
+        assert readers == []
+
 
 def _int_float_configs() -> list:
     """One value of every config and report class, built with an int wherever a

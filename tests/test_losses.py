@@ -164,16 +164,18 @@ class TestStrategySemantics:
 
     def test_gold_out_of_range(self):
         fwd = _fwd([[0.5, 0.5]])
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match=r"gold must lie in \[0, 1\]"):
             compute_loss(Vanilla(), fwd, np.array([2]))
 
     def test_gold_must_be_integers(self):
-        # a bool array would otherwise index as a column mask and score the
-        # wrong probabilities without any error
+        # bool and integral float gold are the labels they hold, as in a Dataset, and
+        # never a column mask or a float index; a fractional one is refused
         fwd = _fwd([[0.9, 0.1], [0.2, 0.8]])
+        expected = compute_loss(Vanilla(), fwd, np.array([1, 0])).loss
         for gold in (np.array([True, False]), np.array([1.0, 0.0])):
-            with pytest.raises(ValueError, match="integers"):
-                compute_loss(Vanilla(), fwd, gold)
+            assert compute_loss(Vanilla(), fwd, gold).loss == expected
+        with pytest.raises(ValueError, match="gold must contain integer labels"):
+            compute_loss(Vanilla(), fwd, np.array([1.0, 0.5]))
 
 
 class TestGradientScalingIdentity:

@@ -260,18 +260,21 @@ class TestPublicStepFunctions:
                             "batch must contain at least one instance"),
             "loss gold rows": (lambda: compute_loss(Vanilla(), fwd, np.array([0])),
                                "gold labels must have one entry per batch row"),
-            "loss gold ints": (lambda: compute_loss(Vanilla(), fwd, np.array([0.0, 1.0])),
-                               "gold labels must be integers"),
-            "loss gold range": (lambda: compute_loss(Vanilla(), fwd, np.array([0, 4])), "gold labels out of range"),
+            "loss gold ints": (lambda: compute_loss(Vanilla(), fwd, np.array([0.0, 0.5])),
+                               "gold must contain integer labels"),
+            "loss gold range": (lambda: compute_loss(Vanilla(), fwd, np.array([0, 4])), "gold must lie in [0, 3]"),
             "gold probs range": (
                 lambda: compute_loss(Adaptive(1.0), bad_probs, gold), "gold_probs must lie in [0, 1]"
             ),
             "backward gold rows": (lambda: backward(params, fwd, np.array([0]), ones),
                                    "gold labels must have one entry per batch row"),
-            "backward gold ints": (lambda: backward(params, fwd, np.array([0.0, 1.0]), ones),
-                                   "gold labels must be integers"),
+            "backward gold ints": (lambda: backward(params, fwd, np.array([0.0, 0.5]), ones),
+                                   "gold must contain integer labels"),
             "backward gold range": (lambda: backward(params, fwd, np.array([-1, 1]), ones),
-                                    "gold labels out of range for model class count"),
+                                    "gold must contain non-negative labels"),
+            "backward gold above k": (lambda: backward(params, fwd, np.array([0, 4]), ones), "gold must lie in [0, 3]"),
+            "backward empty batch": (lambda: backward(params, empty, np.zeros(0, dtype=int), np.ones(0)),
+                                     "batch must contain at least one instance"),
             "weight rows": (lambda: backward(params, fwd, gold, np.ones(3)),
                             "instance_weights must have one entry per batch row"),
             "negative weight": (lambda: backward(params, fwd, gold, np.array([1.0, -0.5])),
@@ -285,7 +288,8 @@ class TestPublicStepFunctions:
         [
             "2-D features", "feature width", "finite features", "empty batch", "loss gold rows",
             "loss gold ints", "loss gold range", "gold probs range", "backward gold rows",
-            "backward gold ints", "backward gold range", "weight rows", "negative weight", "nan weight",
+            "backward gold ints", "backward gold range", "backward gold above k", "backward empty batch",
+            "weight rows", "negative weight", "nan weight",
             *GOLD_PROB_CASES,
         ],
     )
