@@ -561,6 +561,6 @@ def batches(
     Uniform and stratified epochs partition the full index set; an
     undersampled epoch partitions all positives plus the drawn negatives.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if isinstance(batch_size, bool) or not isinstance(batch_size, int) or batch_size < 1:
+        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
     return sampler.epoch_batches(dataset.labels, batch_size, np.random.default_rng(seed))

@@ -203,12 +203,15 @@ def best_k_test_score(dev_scores, test_scores, k: int) -> float:
     """Best test score among the k runs with the highest dev scores.
 
     Ranking ties keep the earlier run.  k, an int >= 1, is capped at the number of runs.
+    Every score must be finite: a NaN would rank by its position in the list.
     """
     _check_best_k(k)
     dev = list(dev_scores)
     test = list(test_scores)
     if len(dev) != len(test) or not dev:
         raise ValueError("dev and test score lists must be non-empty and equal length")
+    if not np.isfinite(dev + test).all():
+        raise ValueError("dev and test scores must be finite")
     order = sorted(range(len(dev)), key=lambda i: (-dev[i], i))
     top = order[:k]
     return max(test[i] for i in top)

@@ -21,7 +21,7 @@ its positive count.  Weights that are all 1 come back as None, so the step's
 kernels skip the multiply by them; :func:`compute_loss` still reports a ones
 vector.
 
-:func:`compute_loss` is its checks (the gold-label one shared with
+:func:`compute_loss` is its checks (the batch check shared with
 ``model.backward``) and its kernel, no speed tricks: no training step calls it.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .configio import Config, bound
 from .metrics import NEGATIVE_LABEL
-from .model import ForwardResult, _check_gold
+from .model import ForwardResult, _check_batch
 
 # the kernel, under the name the benchmark in perfbench/ traces as scaling.w_batch
 from .scaling import _w_batch as w_batch
@@ -111,9 +111,9 @@ def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput
     """Evaluate a strategy on one batch, whose negatives are the rows of gold ``metrics.NEGATIVE_LABEL``.
 
     The loss is the mean over the batch of weight[i] * (-log p_i) with p_i
-    the gold-class probability of row i, which must lie in [0, 1] whatever
-    the strategy; NaN passes, so that a diverged model's loss comes out
-    non-finite, the trainer's signal.  Weights are treated as constants
+    the gold-class probability of row i.  Every probability must lie in [0, 1]
+    whatever the strategy; NaN passes, so that a diverged model's loss comes
+    out non-finite, the trainer's signal.  Weights are treated as constants
     of the model parameters: for Focal the modulating factor and for
     Adaptive the scaling weight are both frozen at their current-step
     values, so gradients flow only through the log-probabilities.
@@ -122,11 +122,7 @@ def compute_loss(strategy: LossStrategy, fwd: ForwardResult, gold) -> LossOutput
     w_used = 0.0: every instance gets weight zero, the loss is 0 and the
     step contributes no gradient.
     """
-    probs = fwd.probs
-    gold, gold_index = _check_gold(gold, probs)
-    gold_probs = probs.take(gold_index)
-    if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
-        raise ValueError("gold_probs must lie in [0, 1]")
+    probs, gold, gold_index = _check_batch(fwd.probs, gold)
     is_negative = gold == NEGATIVE_LABEL
     is_positive = ~is_negative
     n_positive = int(np.count_nonzero(is_positive))

@@ -118,6 +118,22 @@ def _as_label_array(x, *, name: str, k: int | None = None) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _as_probabilities(x, *, name: str, ndim: int) -> np.ndarray:
+    """The package's one probability rule: ``x`` as a float64 array of ``ndim`` (1 or 2) dimensions, at least
+    one row and one column, each value in [0, 1] or NaN, a diverged model's output, which may be ``x`` itself.
+    The range test skips NaN (``fmin``, ``fmax``), so that a NaN cannot hide another value out of range."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
+    if arr.shape[0] == 0:
+        raise ValueError("batch must contain at least one instance")
+    if arr.size == 0:
+        raise ValueError(f"{name} must have at least one column")
+    if np.fmin.reduce(arr, axis=None) < 0.0 or np.fmax.reduce(arr, axis=None) > 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
 def confusion_from_predictions(gold, pred) -> tuple[ConfusionStats, dict[int, int]]:
     """Tally confusion counts from aligned gold/predicted label sequences.
 

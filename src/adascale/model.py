@@ -9,7 +9,7 @@ The public :func:`forward` and :func:`backward` check each call, then run the
 kernel a training step calls; no step calls them, so they carry no speed
 tricks.  Features pass ``data``'s feature rule and gold labels ``metrics``'
 label rule, the two rules a ``data.Dataset`` applies; ``backward`` shares its
-gold check with ``losses.compute_loss``.
+batch check, which adds ``metrics``' probability rule, with ``losses.compute_loss``.
 A checkpoint file is a :class:`Checkpoint`, which ``configio`` writes, reads
 and checks as it does every tagged document; this module adds only its rules across fields.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .configio import Config, bound, from_json, read_json, to_json, write_json
 from .data import _as_feature_matrix
-from .metrics import _as_label_array
+from .metrics import _as_label_array, _as_probabilities
 
 __all__ = [
     "ModelSpec",
@@ -184,15 +184,14 @@ def _activate_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
     return pre > 0.0
 
 
-def _check_gold(gold, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gold labels of a non-empty ``(rows, k)`` batch, read by the label rule, and each one's flat index in it."""
+def _check_batch(probs, gold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's ``(rows, k)`` probabilities and gold labels, read by their rules, and each label's flat index."""
+    probs = _as_probabilities(probs, name="probs", ndim=2)
     rows, k = probs.shape
-    if rows == 0:
-        raise ValueError("batch must contain at least one instance")
     gold = _as_label_array(gold, name="gold", k=k)
     if gold.shape != (rows,):
         raise ValueError("gold labels must have one entry per batch row")
-    return gold, np.arange(rows) * k + gold
+    return probs, gold, np.arange(rows) * k + gold
 
 
 def forward(params: ModelParams, features) -> ForwardResult:
@@ -222,9 +221,8 @@ def backward(
 
     so the returned gradient is exactly linear in the instance weights.
     """
-    probs = fwd.probs
+    probs, _, gold_index = _check_batch(fwd.probs, gold)
     w = np.asarray(instance_weights, dtype=np.float64)
-    _, gold_index = _check_gold(gold, probs)
     if w.shape != (probs.shape[0],):
         raise ValueError("instance_weights must have one entry per batch row")
     # NaN fails both comparisons

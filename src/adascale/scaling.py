@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import ConfusionStats, _check_beta
+from .metrics import ConfusionStats, _as_label_array, _as_probabilities, _check_beta
 
 __all__ = [
     "BatchPrediction",
@@ -38,25 +38,18 @@ class BatchPrediction:
     label; ``is_positive[i]`` says whether that gold label is a positive
     class.  Softmax outputs are strictly positive, so probabilities lie in
     (0, 1] in real use; exact 0.0 is also accepted so hard 0/1 prediction
-    vectors can be analyzed with the same machinery.
+    vectors can be analyzed with the same machinery.  Both pass ``metrics``'
+    rules: probabilities in [0, 1] or NaN, whose weight is NaN, and 0/1 flags.
     """
 
     gold_probs: np.ndarray
     is_positive: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.gold_probs, dtype=np.float64)
-        flags = np.asarray(self.is_positive, dtype=bool)
-        if probs.ndim != 1 or flags.ndim != 1:
-            raise ValueError("gold_probs and is_positive must be one-dimensional")
+        probs = _as_probabilities(self.gold_probs, name="gold_probs", ndim=1)
+        flags = _as_label_array(self.is_positive, name="is_positive", k=2).astype(bool)
         if probs.shape != flags.shape:
-            raise ValueError(
-                f"length mismatch: {probs.size} probabilities vs {flags.size} flags"
-            )
-        if probs.size == 0:
-            raise ValueError("batch must contain at least one instance")
-        if not np.all(np.isfinite(probs)) or probs.min() < 0.0 or probs.max() > 1.0:
-            raise ValueError("gold_probs must lie in [0, 1]")
+            raise ValueError(f"length mismatch: {probs.size} probabilities vs {flags.size} flags")
         object.__setattr__(self, "gold_probs", probs)
         object.__setattr__(self, "is_positive", flags)
 

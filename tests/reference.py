@@ -73,10 +73,8 @@ def forward(params, features) -> ForwardResult:
 
 
 def backward(params, fwd: ForwardResult, gold, instance_weights) -> Gradients:
-    probs = fwd.probs
+    probs = _as_probabilities(fwd.probs, name="probs", ndim=2)
     batch = probs.shape[0]
-    if batch == 0:
-        raise ValueError("batch must contain at least one instance")
     gold_arr = _as_label_array(gold, name="gold", k=probs.shape[1])
     w = np.asarray(instance_weights, dtype=np.float64)
     if gold_arr.shape != (batch,):
@@ -105,10 +103,8 @@ def backward(params, fwd: ForwardResult, gold, instance_weights) -> Gradients:
 
 
 def compute_loss(strategy, fwd: ForwardResult, gold, negative_label: int = 0) -> LossOutput:
-    probs = fwd.probs
+    probs = _as_probabilities(fwd.probs, name="probs", ndim=2)
     batch = probs.shape[0]
-    if batch == 0:
-        raise ValueError("batch must contain at least one instance")
     gold_arr = _as_label_array(gold, name="gold", k=probs.shape[1])
     if gold_arr.shape != (batch,):
         raise ValueError("gold labels must have one entry per batch row")
@@ -127,8 +123,6 @@ def compute_loss(strategy, fwd: ForwardResult, gold, negative_label: int = 0) ->
         if np.count_nonzero(is_negative) == batch:
             w_used = 0.0
         else:
-            if gold_probs.min() < 0.0 or gold_probs.max() > 1.0:
-                raise ValueError("gold_probs must lie in [0, 1]")
             # tp_b / (beta^2 * p_b + n_b - tn_b) of the batch's expected counts
             is_positive = ~is_negative
             p_b = int(np.sum(is_positive))
@@ -181,8 +175,8 @@ def stratified_batches(labels, sampler, batch_size, rng) -> list[np.ndarray]:
 
 
 def batches(dataset, sampler, batch_size: int, seed: int) -> list[np.ndarray]:
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if type(batch_size) is not int or batch_size < 1:
+        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
     rng = np.random.default_rng(seed)
     labels = dataset.labels
 
@@ -198,6 +192,20 @@ def batches(dataset, sampler, batch_size: int, seed: int) -> list[np.ndarray]:
         pool = rng.permutation(np.concatenate([pos, chosen]))
         return _chunk(pool, batch_size)
     raise TypeError(f"unknown sampler {sampler!r}")
+
+
+def _as_probabilities(x, *, name: str, ndim: int) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {'one' if ndim == 1 else 'two'}-dimensional")
+    if arr.shape[0] == 0:
+        raise ValueError("batch must contain at least one instance")
+    if arr.size == 0:
+        raise ValueError(f"{name} must have at least one column")
+    known = arr[~np.isnan(arr)]
+    if known.size and (known.min() < 0.0 or known.max() > 1.0):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
 
 
 def _as_label_array(x, *, name: str, k: int | None = None) -> np.ndarray:

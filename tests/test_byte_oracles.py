@@ -255,6 +255,36 @@ def test_label_checks(dtype, labels):
     assert got == _outcome(lambda: reference.backward(params, fwd, gold, weights).weights[0].tobytes())
 
 
+PROB_CASES = {
+    # probabilities for gold [0, 1, 3, 2]; NaN passes the rule, but may not hide a value out of range
+    "in range": np.random.default_rng(0).dirichlet(np.ones(4), size=4).tolist(),
+    "nan rows": [[np.nan] * 4, [0.25] * 4, [1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.5, np.nan]],
+    "nan row hides 1.5": [[np.nan, 0.2, 0.3, 0.5], [1.5, -0.5, 0.0, 0.0], [0.25] * 4, [0.25] * 4],
+    "twos": [[2.0] * 4] * 4,
+    "inf": [[0.25] * 4, [0.0, np.inf, 0.0, 0.0], [0.25] * 4, [0.25] * 4],
+    "negative zero": [[-0.0, 1.0, 0.0, 0.0]] * 4,
+    "1-D": [0.25] * 4,
+    "no columns": np.zeros((4, 0)),
+    "no rows": np.zeros((0, 4)),
+}
+
+
+@pytest.mark.parametrize("case", PROB_CASES)
+def test_probability_checks(case):
+    fwd = ForwardResult(probs=PROB_CASES[case], inputs=np.random.default_rng(1).normal(size=(4, 3)))
+    gold, weights, params = np.array([0, 1, 3, 2]), np.ones(4), _params(ModelSpec(3, 4), 0)
+    for strategy in STRATEGIES:
+        out = _outcome(lambda: losses.compute_loss(strategy, fwd, gold))
+        ref = _outcome(lambda: reference.compute_loss(strategy, fwd, gold))
+        if ref[0] == "ok":
+            assert out[0] == "ok"
+            _same_loss(out[1], ref[1])
+        else:
+            assert out == ref
+    got = _outcome(lambda: model.backward(params, fwd, gold, weights).weights[0].tobytes())
+    assert got == _outcome(lambda: reference.backward(params, fwd, gold, weights).weights[0].tobytes())
+
+
 @pytest.mark.parametrize("k", (128, 129, 200, 300))
 def test_narrow_labels_against_many_classes(k):
     # against k >= 128 every non-negative int8 label is a class, yet a negative one must still fail

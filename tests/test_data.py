@@ -1,5 +1,6 @@
 import codecs
 import random
+import re
 import sys
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import numpy.testing as npt
 import pytest
+import reference
 
 from adascale import configio, data
 from adascale.data import (
@@ -607,10 +609,13 @@ class TestBatches:
         b = set(np.concatenate(batches(ds, UnderSampler(3.0), 16, seed=2)).tolist())
         assert a != b
 
-    def test_bad_batch_size(self):
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, "2", True, None, np.int64(2)])
+    @pytest.mark.parametrize("draw", [batches, reference.batches], ids=["data", "reference"])
+    def test_bad_batch_size(self, draw, batch_size):
+        # an int >= 1, as TrainConfig.batch_size takes it: no bool, float, text or numpy int
         ds = _toy_dataset(10, 2)
-        with pytest.raises(ValueError):
-            batches(ds, UniformSampler(), 0, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"batch_size must be an int >= 1, got {batch_size!r}")):
+            draw(ds, UniformSampler(), batch_size, seed=0)
 
     def test_sampler_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import copy
 import functools
 import importlib.resources
 import io
+import itertools
 import json
 import math
 import pickle
@@ -115,6 +116,15 @@ class TestBestK:
 
     def test_rank_ties_keep_earlier_run(self):
         assert best_k_test_score([0.5, 0.5, 0.5], [0.1, 0.9, 0.8], 1) == 0.1
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_rejects_a_score_that_is_not_finite(self, order):
+        # a NaN dev score would rank by its place in the list, so each order could pick another run
+        dev, test = [0.7, math.nan, 0.5], [0.2, 0.9, 0.1]
+        with pytest.raises(ValueError, match="^dev and test scores must be finite$"):
+            best_k_test_score([dev[i] for i in order], [test[i] for i in order], 1)
+        with pytest.raises(ValueError, match="^dev and test scores must be finite$"):
+            best_k_test_score([0.7, 0.5], [0.2, math.inf], 2)
 
     def test_rejects_empty_or_mismatched(self):
         with pytest.raises(ValueError):
@@ -770,6 +780,17 @@ class TestTaggedUnions:
             if path.stem != "metrics":
                 readers += [f"{path.stem}:{n.lineno}" for n in ast.walk(ast.parse(path.read_text())) if reads_dtype(n)]
         assert readers == []
+
+    def test_no_plain_message_is_raised_from_two_places(self):
+        # a message one rule gives is raised by that rule alone, not copied into each module that checks the same
+        places = {}
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                    message = node.exc.args[0]
+                    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                        places.setdefault(message.value, []).append(f"{path.stem}:{node.lineno}")
+        assert {message: where for message, where in places.items() if len(where) > 1} == {}
 
 
 def _int_float_configs() -> list:

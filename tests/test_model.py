@@ -232,6 +232,20 @@ class TestPublicStepFunctions:
             assert a.tobytes() == b.tobytes()
             assert not any(np.shares_memory(a, p) for p in params.weights + params.biases)
 
+    def test_probabilities_are_read_as_float64(self):
+        # a list of probabilities scores as the float64 matrix it holds, and a NaN one passes
+        params = init_params(ModelSpec(3, 4, 5, "tanh"), 3)
+        fwd = forward(params, np.random.default_rng(5).normal(size=(4, 3)))
+        gold, ones = np.array([0, 1, 0, 3]), np.ones(4)
+        listed = ForwardResult(fwd.probs.tolist(), fwd.inputs, fwd.hidden_pre, fwd.hidden)
+        for strategy in (Vanilla(), Adaptive(1.0)):
+            assert compute_loss(strategy, listed, gold).loss == compute_loss(strategy, fwd, gold).loss
+        got, expected = backward(params, listed, gold, ones), backward(params, fwd, gold, ones)
+        for a, b in zip(got.weights + got.biases, expected.weights + expected.biases):
+            assert a.tobytes() == b.tobytes()
+        diverged = ForwardResult(np.full((4, 4), np.nan), fwd.inputs, fwd.hidden_pre, fwd.hidden)
+        assert math.isnan(compute_loss(Vanilla(), diverged, gold).loss)
+
     @staticmethod
     def _calls():
         params = init_params(ModelSpec(3, 4), 0)
@@ -241,6 +255,13 @@ class TestPublicStepFunctions:
             probs=np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]]), inputs=np.zeros((2, 3))
         )
         empty = ForwardResult(probs=np.zeros((0, 4)), inputs=np.zeros((0, 3)))
+        # the NaN row must not hide the second row's 1.5 and -0.5
+        nan_masked = ForwardResult(
+            probs=np.array([[np.nan, 0.2, 0.3, 0.5], [1.5, -0.5, 0.0, 0.0]]), inputs=np.zeros((2, 3))
+        )
+        twos = ForwardResult(probs=np.full((2, 4), 2.0), inputs=np.zeros((2, 3)))
+        flat = ForwardResult(probs=np.full(4, 0.25), inputs=np.zeros((1, 3)))
+        no_columns = ForwardResult(probs=np.zeros((2, 0)), inputs=np.zeros((2, 3)))
 
         def out_of_range(strategy, prob):
             probs = np.array([[0.5, 0.5, 0.0, 0.0], [prob, 1.0 - prob, 0.0, 0.0]])
@@ -248,7 +269,7 @@ class TestPublicStepFunctions:
 
         return {
             **{
-                case: (lambda args=args: out_of_range(*args), "gold_probs must lie in [0, 1]")
+                case: (lambda args=args: out_of_range(*args), "probs must lie in [0, 1]")
                 for case, args in GOLD_PROB_CASES.items()
             },
             "2-D features": (lambda: forward(params, np.zeros(3)), "features must be a 2-D matrix"),
@@ -264,7 +285,23 @@ class TestPublicStepFunctions:
                                "gold must contain integer labels"),
             "loss gold range": (lambda: compute_loss(Vanilla(), fwd, np.array([0, 4])), "gold must lie in [0, 3]"),
             "gold probs range": (
-                lambda: compute_loss(Adaptive(1.0), bad_probs, gold), "gold_probs must lie in [0, 1]"
+                lambda: compute_loss(Adaptive(1.0), bad_probs, gold), "probs must lie in [0, 1]"
+            ),
+            "loss nan-masked probs": (lambda: compute_loss(Vanilla(), nan_masked, gold), "probs must lie in [0, 1]"),
+            "loss probs of 2": (lambda: compute_loss(Vanilla(), twos, gold), "probs must lie in [0, 1]"),
+            "loss 1-D probs": (lambda: compute_loss(Vanilla(), flat, np.array([0])), "probs must be two-dimensional"),
+            "loss no columns": (
+                lambda: compute_loss(Vanilla(), no_columns, gold), "probs must have at least one column"
+            ),
+            "backward nan-masked probs": (
+                lambda: backward(params, nan_masked, gold, ones), "probs must lie in [0, 1]"
+            ),
+            "backward probs of 2": (lambda: backward(params, twos, gold, ones), "probs must lie in [0, 1]"),
+            "backward 1-D probs": (
+                lambda: backward(params, flat, np.array([0]), np.ones(1)), "probs must be two-dimensional"
+            ),
+            "backward no columns": (
+                lambda: backward(params, no_columns, gold, ones), "probs must have at least one column"
             ),
             "backward gold rows": (lambda: backward(params, fwd, np.array([0]), ones),
                                    "gold labels must have one entry per batch row"),
@@ -287,7 +324,9 @@ class TestPublicStepFunctions:
         "case",
         [
             "2-D features", "feature width", "finite features", "empty batch", "loss gold rows",
-            "loss gold ints", "loss gold range", "gold probs range", "backward gold rows",
+            "loss gold ints", "loss gold range", "gold probs range", "loss nan-masked probs",
+            "loss probs of 2", "loss 1-D probs", "loss no columns", "backward nan-masked probs",
+            "backward probs of 2", "backward 1-D probs", "backward no columns", "backward gold rows",
             "backward gold ints", "backward gold range", "backward gold above k", "backward empty batch",
             "weight rows", "negative weight", "nan weight",
             *GOLD_PROB_CASES,

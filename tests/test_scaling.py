@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,12 @@ class TestBatchPrediction:
             BatchPrediction([], [])
 
     def test_two_dimensional_probs_rejected(self):
-        with pytest.raises(ValueError, match="gold_probs and is_positive must be one-dimensional"):
+        with pytest.raises(ValueError, match="^gold_probs must be one-dimensional$"):
             BatchPrediction([[0.5], [0.5]], [True, False])
+
+    def test_two_dimensional_flags_rejected(self):
+        with pytest.raises(ValueError, match="^is_positive must be one-dimensional$"):
+            BatchPrediction([0.5, 0.5], [[True], [False]])
 
     def test_out_of_range_probs(self):
         with pytest.raises(ValueError):
@@ -29,6 +36,35 @@ class TestBatchPrediction:
     def test_boundary_probs_accepted(self):
         batch = BatchPrediction([0.0, 1.0], [True, False])
         assert batch.gold_probs.tolist() == [0.0, 1.0]
+
+    def test_nan_masks_no_out_of_range_prob(self):
+        with pytest.raises(ValueError, match=re.escape("gold_probs must lie in [0, 1]")):
+            BatchPrediction([np.nan, 1.5], [True, False])
+
+    @pytest.mark.parametrize("flags", [[True, False], [False, True]])
+    def test_nan_prob_passes_and_weighs_nan(self, flags):
+        # as the training step's kernel does for a diverged batch
+        batch = BatchPrediction([np.nan, 0.5], flags)
+        assert math.isnan(w_batch(batch, 1.0))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["no", ""], "is_positive must contain integer labels"),
+            ([np.nan, 0], "is_positive must contain integer labels"),
+            ([0.5, 0], "is_positive must contain integer labels"),
+            ([2, 0], "is_positive must lie in [0, 1]"),
+        ],
+    )
+    def test_flags_must_be_zero_or_one(self, flags, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BatchPrediction([0.5, 0.5], flags)
+
+    @pytest.mark.parametrize("flags", [[1, 0], [True, False], np.array([1.0, 0.0]), np.array([1, 0], dtype=np.uint8)])
+    def test_zero_one_flags_kept_as_bool(self, flags):
+        batch = BatchPrediction([0.5, 0.5], flags)
+        assert batch.is_positive.dtype == bool
+        assert batch.is_positive.tolist() == [True, False]
 
 
 class TestExactWeight:
